@@ -1,14 +1,14 @@
 //! The serving-tier soak harness: boots the real [`qxmap_serve::Server`]
 //! on a loopback TCP listener, drives `k` concurrent client connections
 //! with a deterministic mix of cold, warm, windowed and invalid traffic,
-//! then snapshots, restarts, and measures the warm-restart hit. A warm
-//! phase drives identical cache-hit traffic in lockstep and in
-//! pipelined mode to measure the pipelining throughput win. The daemon
-//! runs with its observability layer live — windowed traffic is traced,
-//! slowlog ring admissions append to a `--trace-log` JSONL file whose
-//! lines must parse, and the untraced warm `handle_line` path is
-//! measured against a trace-off daemon (observability must cost it
-//! under 5%). Writes `BENCH_serve.json` — throughput, client-observed
+//! then shuts down, restarts from the cache journal, and measures the
+//! warm-restart hit. A warm phase drives identical cache-hit traffic in
+//! lockstep and in pipelined mode to measure the pipelining throughput
+//! win. The daemon runs with its observability layer live — windowed
+//! traffic is traced, slowlog ring admissions append to a `--trace-log`
+//! JSONL file whose lines must parse, and the untraced warm
+//! `handle_line` path is measured against a trace-off daemon
+//! (observability must cost it under 5%). Writes `BENCH_serve.json` — throughput, client-observed
 //! latency percentiles, the daemon's own histogram/deadline/overload
 //! counters, the pipelined speedup, the warm-restart latency, and the
 //! trace-overhead probe.
@@ -288,8 +288,8 @@ fn main() {
     let flags = parse_flags();
     let dir = std::env::temp_dir().join(format!("qxmap-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("writable temp dir");
-    let snapshot = dir.join("soak.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal = dir.join("soak.qxj");
+    let _ = std::fs::remove_file(&journal);
     let trace_log = dir.join("soak-trace.jsonl");
     let _ = std::fs::remove_file(&trace_log);
 
@@ -301,10 +301,11 @@ fn main() {
         workers: 2,
         queue_depth: 4,
         batch_max: 4,
-        snapshot: Some(snapshot.clone()),
+        journal: Some(journal.clone()),
         trace_log: Some(trace_log.clone()),
         ..ServerConfig::default()
     });
+    server.warm_start().expect("a fresh journal attaches");
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound address");
     let accept_loop = std::thread::spawn({
@@ -452,11 +453,7 @@ fn main() {
         .join()
         .expect("accept loop exits on shutdown")
         .expect("accept loop exits cleanly");
-    let persisted = server
-        .finish()
-        .expect("snapshot write succeeds")
-        .expect("snapshot path configured");
-    assert!(persisted > 0, "the soak must leave a warm snapshot behind");
+    server.finish().expect("journal drain succeeds");
 
     // The trace log the daemon left behind: one parseable JSON object
     // per line (slowlog ring admissions), the slow ones carrying full
@@ -479,20 +476,25 @@ fn main() {
         "slowlog ring admissions must reach the trace log"
     );
 
-    // Warm restart: a fresh server over the snapshot answers a repeated
-    // request from cache.
+    // Warm restart: a fresh server replaying the journal answers a
+    // repeated request from cache.
     SolveCache::shared().clear();
     let restarted = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 4,
         batch_max: 1,
-        snapshot: Some(snapshot.clone()),
+        journal: Some(journal.clone()),
         ..ServerConfig::default()
     });
-    let imported = restarted
+    let journal_admitted = restarted
         .warm_start()
-        .expect("snapshot re-imports")
-        .snapshot_entries;
+        .expect("the journal re-attaches")
+        .expect("journal configured")
+        .admitted;
+    assert!(
+        journal_admitted > 0,
+        "the soak must leave a warm journal behind"
+    );
     let restart_start = Instant::now();
     let handled = restarted.handle_line(&warm[0]);
     let restart_ms = restart_start.elapsed().as_secs_f64() * 1e3;
@@ -623,7 +625,7 @@ fn main() {
         (
             "warm_restart",
             Json::obj([
-                ("snapshot_entries", Json::num(imported as u64)),
+                ("journal_admitted", Json::num(journal_admitted as u64)),
                 ("hit", Json::Bool(warm_restart_hit)),
                 ("latency_ms", Json::Num(stats::round_ms(restart_ms))),
             ]),
@@ -655,7 +657,7 @@ fn main() {
     );
     assert!(
         warm_restart_hit,
-        "a restart from the soak's snapshot must answer a repeated request from cache"
+        "a restart from the soak's journal must answer a repeated request from cache"
     );
     // Smoke runs are too short for a stable ratio; the full soak pins
     // the tentpole claim that pipelining at least doubles warm-traffic

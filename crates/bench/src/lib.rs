@@ -9,10 +9,6 @@
 //!   conflict budgets so every minimal result is *proved* minimal.
 //! * `cargo run --release -p qxmap-bench --bin encoding_stats` — prints
 //!   SAT-instance sizes per benchmark and strategy.
-//! * `cargo bench -p qxmap-bench` — Criterion microbenchmarks: mapping
-//!   methods, Section 4.2 strategies (runtime vs `|G'|`), heuristic
-//!   baselines, and substrate ablations (SAT engine, swap tables, QASM,
-//!   simulator).
 //!
 //! The **perf-trajectory harness** (see `GUIDE.md`, "Measuring
 //! performance") lives here too:
@@ -37,29 +33,9 @@
 pub mod diff;
 pub mod stats;
 
-use qxmap_arch::{devices, CouplingMap, DeviceModel};
+use qxmap_arch::CouplingMap;
 use qxmap_circuit::Circuit;
 use qxmap_map::{Engine, HeuristicEngine, MapReport, MapRequest};
-
-/// The `devices` benchmark profile: one representative of every topology
-/// family in the library — the fixed QX backends next to generated ring,
-/// grid, heavy-hex and all-to-all devices — each wrapped in its
-/// hardware-derived [`DeviceModel`] so benches measure against the same
-/// authority the engines read costs from.
-///
-/// Kept small and deterministic on purpose: these are the workloads the
-/// `devices` Criterion bench and the CI smoke step sweep, so a topology
-/// regression (a generator panicking, a scheduler skipping the wrong
-/// baseline) fails loudly.
-pub fn device_suite() -> Vec<DeviceModel> {
-    vec![
-        DeviceModel::new(devices::ibm_qx4()),
-        DeviceModel::new(devices::ring(6)),
-        DeviceModel::new(devices::grid(2, 3)),
-        DeviceModel::new(devices::heavy_hex(2, 2)),
-        DeviceModel::new(devices::fully_connected(6)),
-    ]
-}
 
 /// Best of `runs` probabilistic stochastic-swap mappings (Table 1 ran
 /// Qiskit "5 times for each benchmark and listed the observed minimum").
@@ -88,21 +64,5 @@ mod tests {
         let one = best_of_stochastic(&c, &cm, 1).mapped_cost();
         let five = best_of_stochastic(&c, &cm, 5).mapped_cost();
         assert!(five <= one);
-    }
-
-    #[test]
-    fn device_suite_spans_the_topology_library() {
-        let suite = device_suite();
-        assert!(suite.len() >= 5);
-        for model in &suite {
-            assert!(model.stats().connected, "{model}");
-            assert!(model.num_qubits() >= 5);
-        }
-        // At least one all-to-all entry (exercises the scheduler's skip
-        // path) and one heavy-hex entry (exercises the generator).
-        assert!(suite.iter().any(|m| m.stats().all_to_all));
-        assert!(suite
-            .iter()
-            .any(|m| m.coupling_map().name().starts_with("heavy-hex")));
     }
 }

@@ -102,7 +102,7 @@ impl CircuitSkeleton {
     /// hashing and [`CircuitSkeleton::fingerprint`]. Exposed (together
     /// with [`CircuitSkeleton::from_parts`]) so external stores can
     /// persist skeletons byte-for-byte and reconstruct them in another
-    /// process; the encoding is stable for a given snapshot version.
+    /// process; the encoding is stable for a given journal version.
     pub fn tokens(&self) -> &[u64] {
         &self.tokens
     }
@@ -119,7 +119,7 @@ impl CircuitSkeleton {
     /// equality and hashing, so a corrupted stream yields a key that
     /// matches nothing, never an out-of-bounds access. Callers keep an
     /// end-to-end checksum over persisted skeletons (as the solve-cache
-    /// snapshot format does) to reject accidental corruption outright.
+    /// journal does, per record) to reject accidental corruption outright.
     pub fn from_parts(
         num_qubits: usize,
         num_clbits: usize,

@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 /// let g = Strategy::QubitTriangle.change_points(&skeleton);
 /// assert_eq!(g.into_iter().collect::<Vec<_>>(), vec![1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Strategy {
     /// Permutations before every gate (except the first) — guarantees
     /// minimality (Section 3).

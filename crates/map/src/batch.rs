@@ -4,6 +4,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use qxmap_circuit::CircuitSkeleton;
+
 use crate::cache;
 use crate::engine::Engine;
 use crate::error::MapperError;
@@ -87,7 +89,14 @@ pub fn map_many_with<E: Engine + ?Sized>(
     let signature = engine.cache_signature();
     let keys: Vec<cache::CacheKey> = requests
         .iter()
-        .map(|request| cache::request_key(&signature, request))
+        .map(|request| {
+            cache::CacheKey::of(
+                &signature,
+                CircuitSkeleton::of(request.circuit()),
+                request.device_fingerprint(),
+                request.options(),
+            )
+        })
         .collect();
     let mut groups: HashMap<&cache::CacheKey, usize> = HashMap::new();
     let mut representative: Vec<usize> = Vec::with_capacity(requests.len());

@@ -19,9 +19,10 @@
 //!   directed edge list *and every per-edge cost* in one stable hash. A
 //!   different coupling graph — or the same graph under a different
 //!   calibration — can change both cost and circuit, so it always misses.
-//! * **Options** — strategy, subset flag, guarantee, declared upper
-//!   bound, and seed: everything else that steers an engine's answer
-//!   (the cost model itself is part of the device fingerprint).
+//! * **Options** — the request's [`MapOptions`] besides its budgets:
+//!   strategy, subset flag, guarantee, declared upper bound, and seed —
+//!   everything else that steers an engine's answer (the cost model
+//!   itself is part of the device fingerprint).
 //! * **Budget class** — the (conflict budget, deadline) pair. Results
 //!   computed under one budget are only reused for requests with the
 //!   *same* budgets — except proved-optimal results, which are published
@@ -50,9 +51,9 @@ use qxmap_arch::{CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::CircuitSkeleton;
 use qxmap_core::Strategy;
 
+use crate::codec::{self, JournalError, Reader, Writer};
 use crate::report::MapReport;
-use crate::request::{Guarantee, MapRequest};
-use crate::snapshot::{self, Reader, SnapshotError, Writer, MAGIC, SNAPSHOT_VERSION};
+use crate::request::{Guarantee, MapOptions, MapRequest};
 
 /// Default capacity of the process-wide [`SolveCache::shared`] instance,
 /// used when [`SOLVE_CACHE_CAPACITY_ENV`] is unset or unparsable.
@@ -102,22 +103,13 @@ pub(crate) struct CacheKey {
     /// calibration override is a different device as far as the cache is
     /// concerned).
     device: u64,
-    /// Encoded permutation-site strategy (variant tag + parameters).
-    strategy: Vec<usize>,
-    use_subsets: bool,
-    optimal_demanded: bool,
-    upper_bound: Option<u64>,
-    seed: u64,
-    /// `Some((conflict_budget, deadline))` identifies a budget class;
-    /// `None` is the proved tier, where optimality certificates are
-    /// published for every budget class of the same key.
-    budgets: Option<(Option<u64>, Option<Duration>)>,
-}
-
-/// The cache key of `request` under `engine`'s signature — the identity
-/// `map_many` groups duplicates by.
-pub(crate) fn request_key(engine: &str, request: &MapRequest) -> CacheKey {
-    CacheKey::of(engine, request, CircuitSkeleton::of(request.circuit()))
+    /// The request's options; the budgets among them
+    /// (`conflict_budget`, `deadline`) identify its budget class.
+    options: MapOptions,
+    /// The proved tier, where optimality certificates are published for
+    /// every budget class of the same key: `options` then holds no
+    /// budgets.
+    proved_tier: bool,
 }
 
 /// Serves a duplicate request directly from an already-solved sibling:
@@ -163,21 +155,28 @@ pub(crate) fn serve_duplicate(
 /// computing one from QASM text pays conversion, gate inlining and a
 /// gate-vector allocation. But the [`SolveCache`] key never looks at the
 /// circuit — only at its [`CircuitSkeleton`], which a single parse pass
-/// can produce directly (`qxmap_qasm::parse_skeleton`). A probe
-/// carries that skeleton plus the same option knobs a request does, with
-/// the same defaults; [`SolveCache::probe`] answers a hit exactly as
-/// [`SolveCache::lookup`] would have for the materialized request, and a
-/// miss falls through to the ordinary solve path bit-for-bit.
+/// can produce directly (`qxmap_qasm::parse_skeleton`). A probe carries
+/// that skeleton, the device fingerprint and the same [`MapOptions`] a
+/// request owns, so both resolve to the key built by one constructor;
+/// [`SolveCache::probe`] answers a hit exactly as [`SolveCache::lookup`]
+/// would have for the materialized request, and a miss falls through to
+/// the ordinary solve path bit-for-bit.
 ///
 /// ```
+/// use std::time::Duration;
 /// use qxmap_arch::devices;
 /// use qxmap_circuit::{paper_example, CircuitSkeleton};
-/// use qxmap_map::{map_one, probe_one, CacheProbe, MapRequest};
+/// use qxmap_map::{map_one, probe_one, CacheProbe, MapOptions, MapRequest};
 ///
 /// let circuit = paper_example();
-/// let probe = CacheProbe::new(CircuitSkeleton::of(&circuit), &devices::ibm_qx4());
+/// let options = MapOptions {
+///     deadline: Some(Duration::from_secs(30)),
+///     ..MapOptions::default()
+/// };
+/// let probe = CacheProbe::new(CircuitSkeleton::of(&circuit), &devices::ibm_qx4())
+///     .with_options(options.clone());
 /// assert!(probe_one(&probe).is_none(), "nothing solved yet");
-/// map_one(&MapRequest::new(circuit, devices::ibm_qx4()))?;
+/// map_one(&MapRequest::new(circuit, devices::ibm_qx4()).with_options(options))?;
 /// let hit = probe_one(&probe).expect("skeleton probe hits the solved entry");
 /// assert!(hit.served_from_cache);
 /// # Ok::<(), qxmap_map::MapperError>(())
@@ -186,20 +185,13 @@ pub(crate) fn serve_duplicate(
 pub struct CacheProbe {
     skeleton: CircuitSkeleton,
     device_fingerprint: u64,
-    guarantee: Guarantee,
-    strategy: Strategy,
-    use_subsets: bool,
-    conflict_budget: Option<u64>,
-    deadline: Option<Duration>,
-    upper_bound: Option<u64>,
-    seed: u64,
+    options: MapOptions,
 }
 
 impl CacheProbe {
-    /// A probe for `skeleton` against `device` under the defaults of
-    /// [`MapRequest::new`]: the paper's uniform cost model, best-effort
-    /// guarantee, permutations before every gate, subsets on, no
-    /// budgets, seed 0. Every knob has a builder mirroring the request's.
+    /// A probe for `skeleton` against `device` under the paper's uniform
+    /// cost model and [`MapOptions::default`] — the defaults of
+    /// [`MapRequest::new`].
     pub fn new(skeleton: CircuitSkeleton, device: &CouplingMap) -> CacheProbe {
         CacheProbe {
             skeleton,
@@ -207,13 +199,7 @@ impl CacheProbe {
                 device,
                 qxmap_arch::CostModel::default(),
             ),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: MapOptions::default(),
         }
     }
 
@@ -228,45 +214,10 @@ impl CacheProbe {
         }
     }
 
-    /// Mirrors [`MapRequest::with_guarantee`].
-    pub fn with_guarantee(mut self, guarantee: Guarantee) -> CacheProbe {
-        self.guarantee = guarantee;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_strategy`].
-    pub fn with_strategy(mut self, strategy: Strategy) -> CacheProbe {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_subsets`].
-    pub fn with_subsets(mut self, on: bool) -> CacheProbe {
-        self.use_subsets = on;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_conflict_budget`].
-    pub fn with_conflict_budget(mut self, budget: Option<u64>) -> CacheProbe {
-        self.conflict_budget = budget;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_deadline`].
-    pub fn with_deadline(mut self, deadline: Duration) -> CacheProbe {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_upper_bound`].
-    pub fn with_upper_bound(mut self, bound: Option<u64>) -> CacheProbe {
-        self.upper_bound = bound;
-        self
-    }
-
-    /// Mirrors [`MapRequest::with_seed`].
-    pub fn with_seed(mut self, seed: u64) -> CacheProbe {
-        self.seed = seed;
+    /// Sets the probe's options — the same [`MapOptions`] the solving
+    /// request carries ([`MapRequest::with_options`]).
+    pub fn with_options(mut self, options: MapOptions) -> CacheProbe {
+        self.options = options;
         self
     }
 
@@ -274,25 +225,10 @@ impl CacheProbe {
     pub fn skeleton(&self) -> &CircuitSkeleton {
         &self.skeleton
     }
-
-    /// The cache key this probe resolves to under `engine` — field for
-    /// field what [`CacheKey::of`] builds from the materialized request.
-    fn key(&self, engine: &str) -> CacheKey {
-        CacheKey {
-            engine: engine.to_string(),
-            skeleton: self.skeleton.clone(),
-            device: self.device_fingerprint,
-            strategy: encode_strategy(&self.strategy),
-            use_subsets: self.use_subsets,
-            optimal_demanded: self.guarantee == Guarantee::Optimal,
-            upper_bound: self.upper_bound,
-            seed: self.seed,
-            budgets: Some((self.conflict_budget, self.deadline)),
-        }
-    }
 }
 
-/// Encodes a [`Strategy`] as the stable integer sequence cache keys use.
+/// Encodes a [`Strategy`] as the stable integer sequence journaled cache
+/// keys carry.
 fn encode_strategy(strategy: &Strategy) -> Vec<usize> {
     match strategy {
         Strategy::BeforeEveryGate => vec![0],
@@ -309,93 +245,128 @@ fn encode_strategy(strategy: &Strategy) -> Vec<usize> {
     }
 }
 
+/// The inverse of [`encode_strategy`]; `None` for a sequence it never
+/// produces.
+fn decode_strategy(code: &[usize]) -> Option<Strategy> {
+    Some(match code {
+        [0] => Strategy::BeforeEveryGate,
+        [1] => Strategy::DisjointQubits,
+        [2] => Strategy::OddGates,
+        [3] => Strategy::QubitTriangle,
+        [4, k] => Strategy::Window(*k),
+        [5, points @ ..] => Strategy::Custom(points.to_vec()),
+        _ => return None,
+    })
+}
+
 impl CacheKey {
-    fn of(engine: &str, request: &MapRequest, skeleton: CircuitSkeleton) -> CacheKey {
+    /// The key of a solve of `skeleton` on the device identified by
+    /// `device_fingerprint` ([`DeviceModel::fingerprint`]) under
+    /// `options`, answered by the engine with signature `engine` — the
+    /// one constructor behind lookups, inserts, skeleton probes and
+    /// `map_many`'s batch dedup. Requests pass
+    /// [`MapRequest::device_fingerprint`], which a cache hit can read
+    /// without building the model's all-pairs matrices.
+    pub(crate) fn of(
+        engine: &str,
+        skeleton: CircuitSkeleton,
+        device_fingerprint: u64,
+        options: &MapOptions,
+    ) -> CacheKey {
         CacheKey {
             engine: engine.to_string(),
             skeleton,
-            // The cheap fingerprint path: a cache hit must not pay for
-            // the model's all-pairs matrices it will never use.
-            device: request.device_fingerprint(),
-            strategy: encode_strategy(request.strategy()),
-            use_subsets: request.use_subsets(),
-            optimal_demanded: request.guarantee() == Guarantee::Optimal,
-            upper_bound: request.upper_bound(),
-            seed: request.seed(),
-            budgets: Some((request.conflict_budget(), request.deadline())),
+            device: device_fingerprint,
+            options: options.clone(),
+            proved_tier: false,
         }
     }
 
     /// The budget-erased variant under which proved-optimal results are
     /// published.
     fn proved_tier(&self) -> CacheKey {
-        CacheKey {
-            budgets: None,
-            ..self.clone()
-        }
+        let mut key = self.clone();
+        key.swap_tier(&mut (None, None));
+        key
     }
 
-    /// Serializes the key into a snapshot or journal stream.
+    /// Moves the key between its budget class and the proved tier in
+    /// place, trading its budgets with `budgets` (the proved tier holds
+    /// none): applied twice with the same `budgets`, it restores the key.
+    fn swap_tier(&mut self, budgets: &mut (Option<u64>, Option<Duration>)) {
+        std::mem::swap(&mut self.options.conflict_budget, &mut budgets.0);
+        std::mem::swap(&mut self.options.deadline, &mut budgets.1);
+        self.proved_tier = !self.proved_tier;
+    }
+
+    /// Serializes the key into a journal record.
     pub(crate) fn write(&self, w: &mut Writer) {
         w.str(&self.engine);
-        snapshot::write_skeleton(w, &self.skeleton);
+        codec::write_skeleton(w, &self.skeleton);
         w.u64(self.device);
-        w.usizes(&self.strategy);
-        let flags = u8::from(self.use_subsets) | (u8::from(self.optimal_demanded) << 1);
-        w.u8(flags);
-        w.opt_u64(self.upper_bound);
-        w.u64(self.seed);
-        match &self.budgets {
-            None => w.u8(0),
-            Some((conflicts, deadline)) => {
-                w.u8(1);
-                w.opt_u64(*conflicts);
-                match deadline {
-                    None => w.u8(0),
-                    Some(d) => {
-                        w.u8(1);
-                        w.duration(*d);
-                    }
+        let options = &self.options;
+        w.usizes(&encode_strategy(&options.strategy));
+        let optimal = options.guarantee == Guarantee::Optimal;
+        w.u8(u8::from(options.use_subsets) | (u8::from(optimal) << 1));
+        w.opt_u64(options.upper_bound);
+        w.u64(options.seed);
+        if self.proved_tier {
+            w.u8(0);
+        } else {
+            w.u8(1);
+            w.opt_u64(options.conflict_budget);
+            match options.deadline {
+                None => w.u8(0),
+                Some(d) => {
+                    w.u8(1);
+                    w.duration(d);
                 }
             }
         }
     }
 
-    /// Deserializes a key from a snapshot or journal stream.
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<CacheKey, SnapshotError> {
+    /// Deserializes a key from a journal record.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<CacheKey, JournalError> {
         let engine = r.str()?;
-        let skeleton = snapshot::read_skeleton(r)?;
+        let skeleton = codec::read_skeleton(r)?;
         let device = r.u64()?;
-        let strategy = r.usizes()?;
+        let strategy =
+            decode_strategy(&r.usizes()?).ok_or(JournalError::Corrupted("strategy code"))?;
         let flags = r.u8()?;
         if flags & !0b11 != 0 {
-            return Err(SnapshotError::Corrupted("key flags"));
+            return Err(JournalError::Corrupted("key flags"));
         }
-        let upper_bound = r.opt_u64()?;
-        let seed = r.u64()?;
-        let budgets = match r.u8()? {
-            0 => None,
+        let mut options = MapOptions {
+            guarantee: if flags & 0b10 != 0 {
+                Guarantee::Optimal
+            } else {
+                Guarantee::BestEffort
+            },
+            strategy,
+            use_subsets: flags & 0b01 != 0,
+            upper_bound: r.opt_u64()?,
+            seed: r.u64()?,
+            ..MapOptions::default()
+        };
+        let proved_tier = match r.u8()? {
+            0 => true,
             1 => {
-                let conflicts = r.opt_u64()?;
-                let deadline = match r.u8()? {
+                options.conflict_budget = r.opt_u64()?;
+                options.deadline = match r.u8()? {
                     0 => None,
                     1 => Some(r.duration()?),
-                    _ => return Err(SnapshotError::Corrupted("deadline tag")),
+                    _ => return Err(JournalError::Corrupted("deadline tag")),
                 };
-                Some((conflicts, deadline))
+                false
             }
-            _ => return Err(SnapshotError::Corrupted("budget tag")),
+            _ => return Err(JournalError::Corrupted("budget tag")),
         };
         Ok(CacheKey {
             engine,
             skeleton,
             device,
-            strategy,
-            use_subsets: flags & 0b01 != 0,
-            optimal_demanded: flags & 0b10 != 0,
-            upper_bound,
-            seed,
-            budgets,
+            options,
+            proved_tier,
         })
     }
 }
@@ -519,7 +490,12 @@ impl SolveCache {
         let start = Instant::now();
         let skeleton = CircuitSkeleton::of(request.circuit());
         let labels: Vec<usize> = skeleton.canonical_labels().to_vec();
-        let key = CacheKey::of(engine, request, skeleton);
+        let key = CacheKey::of(
+            engine,
+            skeleton,
+            request.device_fingerprint(),
+            request.options(),
+        );
         self.lookup_key(key, &labels, start)
     }
 
@@ -536,7 +512,13 @@ impl SolveCache {
     pub fn probe(&self, engine: &str, probe: &CacheProbe) -> Option<MapReport> {
         let start = Instant::now();
         let labels: Vec<usize> = probe.skeleton.canonical_labels().to_vec();
-        self.lookup_key(probe.key(engine), &labels, start)
+        let key = CacheKey::of(
+            engine,
+            probe.skeleton.clone(),
+            probe.device_fingerprint,
+            &probe.options,
+        );
+        self.lookup_key(key, &labels, start)
     }
 
     /// The shared hit path of [`SolveCache::lookup`] and
@@ -549,16 +531,17 @@ impl SolveCache {
             let tick = inner.tick;
             // The proved tier first (a certificate serves every budget
             // class), then the exact budget class — probed by flipping
-            // the key's budget field in place, so no key is cloned and
-            // the copy taken under the lock is an `Arc` pointer bump.
-            let budgets = key.budgets.take();
+            // the key's tier in place, so no key is cloned and the copy
+            // taken under the lock is an `Arc` pointer bump.
+            let mut budgets = (None, None);
+            key.swap_tier(&mut budgets);
             let probe = |inner: &mut Inner, key: &CacheKey| {
                 let entry = inner.map.get_mut(key)?;
                 entry.last_used = tick;
                 Some((Arc::clone(&entry.report), entry.canon_to_original.clone()))
             };
             let hit = probe(&mut inner, &key).or_else(|| {
-                key.budgets = budgets;
+                key.swap_tier(&mut budgets);
                 probe(&mut inner, &key)
             });
             match hit {
@@ -605,7 +588,12 @@ impl SolveCache {
         for (q, &l) in skeleton.canonical_labels().iter().enumerate() {
             canon_to_original[l] = q;
         }
-        let key = CacheKey::of(engine, request, skeleton);
+        let key = CacheKey::of(
+            engine,
+            skeleton,
+            request.device_fingerprint(),
+            request.options(),
+        );
         // A stored report must serve *any* future request with the same
         // key: the solving request's trace timeline is not part of the
         // answer and is never cached.
@@ -675,9 +663,8 @@ impl SolveCache {
     }
 
     /// Every held entry — key, correspondence, shared report, recency
-    /// stamp — sorted least-recently-used first: the shared substrate of
-    /// [`SolveCache::export_snapshot`] and journal compaction. The lock
-    /// is held only for the key clones and `Arc` bumps.
+    /// stamp — sorted least-recently-used first: what journal compaction
+    /// writes. The lock is held only for the key clones and `Arc` bumps.
     pub(crate) fn export_entries(&self) -> Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> {
         let mut entries: Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> = {
             let inner = self.inner.lock().expect("no panics under the lock");
@@ -710,9 +697,9 @@ impl SolveCache {
         key: CacheKey,
         canon_to_original: Vec<usize>,
         report: Arc<MapReport>,
-    ) -> Result<bool, SnapshotError> {
+    ) -> Result<bool, JournalError> {
         if let Some(defect) = correspondence_defect(&key, &canon_to_original) {
-            return Err(SnapshotError::Corrupted(defect));
+            return Err(JournalError::Corrupted(defect));
         }
         let bytes = approx_entry_bytes(&report, &canon_to_original);
         let mut inner = self.inner.lock().expect("no panics under the lock");
@@ -738,176 +725,6 @@ impl SolveCache {
             .entries
             .store(inner.map.len(), Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Serializes every held entry — the budget-class entries *and* the
-    /// budget-erased proved-optimal tier — into the versioned snapshot
-    /// format. Entries are written in recency
-    /// order (least-recently-used first), so an importer replaying them
-    /// reconstructs this cache's LRU order; the stream is sealed with a
-    /// checksum and carries [`SNAPSHOT_VERSION`].
-    ///
-    /// This is the serving tier's restart/replica warm-start surface:
-    /// the daemon snapshots on shutdown and imports on boot, so a
-    /// repeated request after a restart is still a sub-millisecond
-    /// cache hit.
-    pub fn export_snapshot(&self) -> Vec<u8> {
-        // Snapshot the entries under the lock — a key clone and an `Arc`
-        // bump each — and do the real work (deep circuit/layout
-        // encoding) outside it, so a live daemon's sub-millisecond
-        // lookups never stall behind a multi-megabyte serialization.
-        let entries = self.export_entries();
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        w.u64(entries.len() as u64);
-        for (key, canon_to_original, report, _) in &entries {
-            key.write(&mut w);
-            w.usizes(canon_to_original);
-            snapshot::write_report(&mut w, report);
-        }
-        let sum = snapshot::checksum(w.bytes());
-        w.u64(sum);
-        w.into_bytes()
-    }
-
-    /// Imports a snapshot produced by [`SolveCache::export_snapshot`],
-    /// merging its entries into this cache, and returns how many entries
-    /// were admitted. Imports are all-or-nothing per file: a bad magic,
-    /// a mismatched [`SNAPSHOT_VERSION`], a truncated stream, a checksum
-    /// mismatch or structurally invalid data rejects the whole snapshot
-    /// with no entry admitted.
-    ///
-    /// Keys already present keep their live entry (it is at least as
-    /// fresh as the snapshot's), and *every* live entry outranks *every*
-    /// imported one in LRU order — a snapshot is history, so capacity
-    /// pressure evicts snapshot entries before anything the running
-    /// process actually used. Among themselves, imported entries keep
-    /// the snapshot's recency order, so a capacity-constrained import
-    /// into a fresh cache keeps exactly the entries the exporter's own
-    /// LRU policy would have kept. Imported entries are charged to the
-    /// byte accounting like any insert; hit/miss counters are untouched
-    /// (they describe this process's lifetime, not the snapshot's).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SnapshotError`] describing the first defect found.
-    pub fn import_snapshot(&self, bytes: &[u8]) -> Result<usize, SnapshotError> {
-        if bytes.len() < MAGIC.len() {
-            return Err(if MAGIC.starts_with(bytes) {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::BadMagic
-            });
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut header = Reader::new(&bytes[MAGIC.len()..]);
-        let found = header.u32()?;
-        if found != SNAPSHOT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                found,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        // The trailing checksum seals everything before it; verify before
-        // trusting a single length field.
-        let content_len = bytes
-            .len()
-            .checked_sub(8)
-            .filter(|&l| l >= MAGIC.len() + 4)
-            .ok_or(SnapshotError::Truncated)?;
-        let declared = u64::from_le_bytes(bytes[content_len..].try_into().expect("8 bytes"));
-        if snapshot::checksum(&bytes[..content_len]) != declared {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-
-        // Decode every entry before touching the cache: all-or-nothing.
-        let body = &bytes[MAGIC.len() + 4..content_len];
-        let mut r = Reader::new(body);
-        let count = r.len()?;
-        // Preallocate only what the stream could actually hold: the
-        // checksum keeps honest files honest, but a buggy (or hostile)
-        // producer can seal any count it likes, and a declared count
-        // must never translate into a huge allocation before the
-        // entries that justify it are decoded. The smallest encodable
-        // entry is far above 64 bytes.
-        let mut decoded: Vec<(CacheKey, Vec<usize>, Arc<MapReport>)> =
-            Vec::with_capacity(count.min(r.remaining() / 64));
-        // Entries that serialized the same report bytes (a proved
-        // solve's base entry + proved-tier entry share one `Arc` live)
-        // get one shared `Arc` back, so a warm start costs the same
-        // report heap the exporting process paid — not double.
-        let mut shared_reports: HashMap<&[u8], Arc<MapReport>> = HashMap::new();
-        for _ in 0..count {
-            let key = CacheKey::read(&mut r)?;
-            let canon_to_original = r.usizes()?;
-            let span_start = r.position();
-            let report = snapshot::read_report(&mut r)?;
-            let report = match shared_reports.entry(&body[span_start..r.position()]) {
-                std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    Arc::clone(e.insert(Arc::new(report)))
-                }
-            };
-            // The correspondence table must be a permutation of the
-            // skeleton's labels — lookups index through it unchecked.
-            if let Some(defect) = correspondence_defect(&key, &canon_to_original) {
-                return Err(SnapshotError::Corrupted(defect));
-            }
-            decoded.push((key, canon_to_original, report));
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Corrupted("trailing bytes after entries"));
-        }
-        // Our exporter never emits a key twice; a duplicate means a
-        // corrupt or crafted file, and silently replacing the first
-        // occurrence would also desynchronize the byte accounting.
-        let mut keys = std::collections::HashSet::with_capacity(decoded.len());
-        if !decoded.iter().all(|(key, _, _)| keys.insert(key)) {
-            return Err(SnapshotError::Corrupted("duplicate entry key"));
-        }
-        drop(keys);
-
-        let mut inner = self.inner.lock().expect("no panics under the lock");
-        let to_insert: Vec<_> = decoded
-            .into_iter()
-            .filter(|(key, _, _)| !inner.map.contains_key(key))
-            .collect();
-        // Imported entries rank strictly *older* than every live entry:
-        // a snapshot is history, and a runtime import must never evict
-        // the hot working set in favor of entries that may never be
-        // asked for again. Shifting the live ticks up by the import
-        // count keeps the live order intact and frees 1..=count for the
-        // imported entries (in the snapshot's own LRU order), so
-        // capacity pressure drops stale snapshot entries first.
-        let shift = to_insert.len() as u64;
-        for entry in inner.map.values_mut() {
-            entry.last_used = entry.last_used.saturating_add(shift);
-        }
-        inner.tick = inner.tick.saturating_add(shift);
-        let admitted = to_insert.len();
-        for (age, (key, canon_to_original, report)) in to_insert.into_iter().enumerate() {
-            let bytes = approx_entry_bytes(&report, &canon_to_original);
-            self.counters
-                .approx_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
-            inner.map.insert(
-                key,
-                Entry {
-                    report,
-                    canon_to_original,
-                    approx_bytes: bytes,
-                    last_used: age as u64 + 1,
-                },
-            );
-        }
-        evict_to_capacity(&mut inner, self.capacity, &self.counters);
-        self.counters
-            .entries
-            .store(inner.map.len(), Ordering::Relaxed);
-        Ok(admitted)
     }
 
     /// Cumulative counters, the current entry count, and the entries'
@@ -948,7 +765,7 @@ impl std::fmt::Debug for SolveCache {
 
 /// Evicts least-recently-used entries until at most `capacity` remain,
 /// releasing their bytes and counting each eviction — the one eviction
-/// policy, shared by live inserts and snapshot imports.
+/// policy, shared by live inserts and journal replay.
 fn evict_to_capacity(inner: &mut Inner, capacity: usize, counters: &CacheCounters) {
     while inner.map.len() > capacity {
         let stalest = inner
@@ -967,8 +784,8 @@ fn evict_to_capacity(inner: &mut Inner, capacity: usize, counters: &CacheCounter
 
 /// Checks a decoded entry's correspondence table against its key's
 /// skeleton: it must be a permutation of the canonical labels, because
-/// lookups index through it unchecked. Shared by the snapshot import and
-/// the journal replay admission.
+/// lookups index through it unchecked. Checked by the journal replay
+/// admission.
 fn correspondence_defect(key: &CacheKey, canon_to_original: &[usize]) -> Option<&'static str> {
     let n = key.skeleton.num_qubits();
     if canon_to_original.len() != n {
@@ -1202,223 +1019,36 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_entries_and_serves_hits() {
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let solved = solve_and_insert(&cache, &request);
-
-        let bytes = cache.export_snapshot();
-        let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&bytes), Ok(1));
-        let hit = warm.lookup("naive", &request).expect("warm-started entry");
-        assert!(hit.served_from_cache);
-        assert_eq!(hit.cost, solved.cost);
-        assert_eq!(hit.mapped, solved.mapped);
-        assert_eq!(hit.initial_layout, solved.initial_layout);
-        assert_eq!(hit.runtime, solved.runtime);
-        // Byte accounting matches a live insert's.
-        assert_eq!(warm.stats().approx_bytes, cache.stats().approx_bytes);
-        // Importing on top of live entries keeps the live ones.
-        assert_eq!(cache.import_snapshot(&bytes), Ok(0));
-    }
-
-    #[test]
-    fn snapshot_preserves_the_proved_tier() {
-        let cache = SolveCache::with_capacity(8);
-        let unbudgeted = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let engine = crate::engine::ExactEngine::new();
-        let proved = engine.run(&unbudgeted).expect("in regime");
-        assert!(proved.proved_optimal);
-        cache.insert(&engine.cache_signature(), &unbudgeted, &proved);
-        assert_eq!(cache.stats().entries, 2, "base entry + proved tier");
-
-        let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&cache.export_snapshot()), Ok(2));
-        // The budget-erased tier still serves every budget class.
-        let budgeted = MapRequest::new(paper_example(), devices::ibm_qx4())
-            .with_deadline(Duration::from_millis(50));
-        let hit = warm
-            .lookup("exact", &budgeted)
-            .expect("certificates survive the round trip");
-        assert!(hit.proved_optimal && hit.served_from_cache);
-    }
-
-    #[test]
-    fn import_restores_report_sharing_across_tier_entries() {
-        // Live, a proved solve's base entry and proved-tier entry share
-        // one Arc'd report; the round trip must restore that sharing,
-        // not double the report heap on every warm start.
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let engine = crate::engine::ExactEngine::new();
-        let proved = engine.run(&request).expect("in regime");
-        cache.insert(&engine.cache_signature(), &request, &proved);
-
-        let warm = SolveCache::with_capacity(8);
-        assert_eq!(warm.import_snapshot(&cache.export_snapshot()), Ok(2));
-        let inner = warm.inner.lock().expect("no panics under the lock");
-        let reports: Vec<&Arc<MapReport>> = inner.map.values().map(|e| &e.report).collect();
-        assert_eq!(reports.len(), 2);
-        assert!(
-            Arc::ptr_eq(reports[0], reports[1]),
-            "tier entries lost their shared report on import"
-        );
-    }
-
-    #[test]
-    fn snapshot_import_respects_capacity_keeping_the_freshest() {
-        let cache = SolveCache::with_capacity(8);
-        let cm = devices::ibm_qx4();
-        let requests: Vec<MapRequest> = (2..=5)
-            .map(|n| {
-                let mut c = Circuit::new(n);
-                for q in 0..n - 1 {
-                    c.cx(q, q + 1);
-                }
-                MapRequest::new(c, cm.clone())
-            })
-            .collect();
-        for r in &requests {
-            solve_and_insert(&cache, r);
-        }
-        let bytes = cache.export_snapshot();
-        let tiny = SolveCache::with_capacity(2);
-        assert_eq!(tiny.import_snapshot(&bytes), Ok(4));
-        let stats = tiny.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 2);
-        // The most recently used entries survive, like live LRU would.
-        assert!(tiny.lookup("naive", &requests[3]).is_some());
-        assert!(tiny.lookup("naive", &requests[2]).is_some());
-        assert!(tiny.lookup("naive", &requests[0]).is_none());
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption_version_bumps_and_truncation() {
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        solve_and_insert(&cache, &request);
-        let bytes = cache.export_snapshot();
-
-        let fresh = || SolveCache::with_capacity(8);
-        // Not a snapshot at all.
-        assert_eq!(
-            fresh().import_snapshot(b"definitely not a snapshot"),
-            Err(SnapshotError::BadMagic)
-        );
-        // A version bump is a clean rejection, not a misread.
-        let mut bumped = bytes.clone();
-        bumped[MAGIC.len()] = bumped[MAGIC.len()].wrapping_add(1);
-        assert_eq!(
-            fresh().import_snapshot(&bumped),
-            Err(SnapshotError::VersionMismatch {
-                found: SNAPSHOT_VERSION + 1,
-                supported: SNAPSHOT_VERSION,
-            })
-        );
-        // Truncations anywhere reject the whole file with no entries
-        // admitted.
-        for cut in [3, MAGIC.len() + 2, bytes.len() / 2, bytes.len() - 1] {
-            let target = fresh();
-            assert!(target.import_snapshot(&bytes[..cut]).is_err(), "cut {cut}");
-            assert_eq!(target.stats().entries, 0, "cut {cut}");
-        }
-        // A flipped content byte fails the checksum.
-        let mut corrupted = bytes.clone();
-        let mid = corrupted.len() / 2;
-        corrupted[mid] ^= 0x40;
-        assert_eq!(
-            fresh().import_snapshot(&corrupted),
-            Err(SnapshotError::ChecksumMismatch)
-        );
-        // The pristine bytes still import after all those rejections.
-        assert_eq!(fresh().import_snapshot(&bytes), Ok(1));
-    }
-
-    #[test]
-    fn runtime_import_never_evicts_the_live_working_set() {
-        let cm = devices::ibm_qx4();
-        let chain_request = |n: usize| {
-            let mut c = Circuit::new(n);
-            for q in 0..n - 1 {
-                c.cx(q, q + 1);
+    fn keys_round_trip_through_the_journal_codec() {
+        let skeleton = CircuitSkeleton::of(&paper_example());
+        for strategy in [
+            Strategy::BeforeEveryGate,
+            Strategy::DisjointQubits,
+            Strategy::OddGates,
+            Strategy::QubitTriangle,
+            Strategy::Window(3),
+            Strategy::Custom(vec![1, 4]),
+        ] {
+            let options = MapOptions {
+                guarantee: Guarantee::Optimal,
+                strategy,
+                use_subsets: false,
+                conflict_budget: Some(9),
+                deadline: Some(Duration::from_millis(5)),
+                upper_bound: Some(4),
+                seed: 7,
+            };
+            let key = CacheKey::of("exact", skeleton.clone(), 42, &options);
+            for key in [key.proved_tier(), key] {
+                let mut w = Writer::new();
+                key.write(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = Reader::new(&bytes);
+                assert!(CacheKey::read(&mut r).unwrap() == key);
+                assert_eq!(r.remaining(), 0);
             }
-            MapRequest::new(c, cm.clone())
-        };
-        // A donor cache with two entries (chains 3 and 4; 4 is fresher).
-        let donor = SolveCache::with_capacity(8);
-        solve_and_insert(&donor, &chain_request(3));
-        solve_and_insert(&donor, &chain_request(4));
-        let bytes = donor.export_snapshot();
-
-        // A live cache at capacity 2 holding one *hot* entry. Importing
-        // two snapshot entries overflows by one — the eviction must land
-        // on the snapshot's stalest entry, never on the live one.
-        let live = SolveCache::with_capacity(2);
-        let hot = chain_request(2);
-        solve_and_insert(&live, &hot);
-        assert_eq!(live.import_snapshot(&bytes), Ok(2));
-        let stats = live.stats();
-        assert_eq!((stats.entries, stats.evictions), (2, 1));
-        assert!(
-            live.lookup("naive", &hot).is_some(),
-            "a runtime import evicted the live working set"
-        );
-        assert!(live.lookup("naive", &chain_request(4)).is_some());
-        assert!(live.lookup("naive", &chain_request(3)).is_none());
-    }
-
-    #[test]
-    fn snapshot_header_peek_and_hostile_counts() {
-        let cache = SolveCache::with_capacity(8);
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        solve_and_insert(&cache, &request);
-        let bytes = cache.export_snapshot();
-        assert_eq!(crate::snapshot::snapshot_entry_count(&bytes), Some(1));
-        assert_eq!(crate::snapshot::snapshot_entry_count(b"junk"), None);
-
-        // A checksum-valid stream repeating one key is corrupt, not a
-        // replacement: silently keeping the second copy would also leak
-        // the first copy's byte accounting.
-        {
-            let body_start = MAGIC.len() + 4 + 8;
-            let entry = &bytes[body_start..bytes.len() - 8];
-            let mut w = crate::snapshot::Writer::new();
-            w.raw(MAGIC);
-            w.u32(SNAPSHOT_VERSION);
-            w.u64(2);
-            w.raw(entry);
-            w.raw(entry);
-            let sum = crate::snapshot::checksum(w.bytes());
-            w.u64(sum);
-            let doubled = w.into_bytes();
-            let target = SolveCache::with_capacity(8);
-            assert_eq!(
-                target.import_snapshot(&doubled),
-                Err(SnapshotError::Corrupted("duplicate entry key"))
-            );
-            assert_eq!(target.stats().entries, 0);
         }
-
-        // Sealed-but-lying headers: a checksum-valid stream whose
-        // declared count exceeds what the body can hold must reject
-        // cleanly — whether the count outruns the byte budget entirely
-        // (the length guard) or merely the decodable entries (the
-        // capped preallocation keeps the count from ever becoming a
-        // giant allocation).
-        for declared in [1_000_000u64, 1024] {
-            let mut w = crate::snapshot::Writer::new();
-            w.raw(MAGIC);
-            w.u32(SNAPSHOT_VERSION);
-            w.u64(declared);
-            w.raw(&[0u8; 1024]);
-            let sum = crate::snapshot::checksum(w.bytes());
-            w.u64(sum);
-            let hostile = w.into_bytes();
-            let target = SolveCache::with_capacity(8);
-            assert!(target.import_snapshot(&hostile).is_err(), "{declared}");
-            assert_eq!(target.stats().entries, 0);
-        }
+        assert!(decode_strategy(&[4]).is_none(), "a window needs its k");
     }
 
     #[test]
@@ -1452,24 +1082,22 @@ mod tests {
             .with_seed(7)
             .with_deadline(Duration::from_millis(50));
         solve_and_insert(&cache, &budgeted);
-        // Matching options hit…
-        let hit = CacheProbe::new(skeleton.clone(), &cm)
-            .with_seed(7)
-            .with_deadline(Duration::from_millis(50));
+        // The request's own options hit…
+        let hit = CacheProbe::new(skeleton.clone(), &cm).with_options(budgeted.options().clone());
         assert!(cache.probe("naive", &hit).is_some());
         // …and every mismatched knob misses, exactly like a request.
-        assert!(cache
-            .probe(
-                "naive",
-                &CacheProbe::new(skeleton.clone(), &cm).with_seed(7)
-            )
-            .is_none());
-        let wrong_seed =
-            CacheProbe::new(skeleton.clone(), &cm).with_deadline(Duration::from_millis(50));
+        let options = |seed: u64, deadline: Option<Duration>| MapOptions {
+            seed,
+            deadline,
+            ..MapOptions::default()
+        };
+        let no_deadline = CacheProbe::new(skeleton.clone(), &cm).with_options(options(7, None));
+        assert!(cache.probe("naive", &no_deadline).is_none());
+        let wrong_seed = CacheProbe::new(skeleton.clone(), &cm)
+            .with_options(options(0, Some(Duration::from_millis(50))));
         assert!(cache.probe("naive", &wrong_seed).is_none());
         let wrong_device = CacheProbe::new(skeleton, &devices::ibm_qx2())
-            .with_seed(7)
-            .with_deadline(Duration::from_millis(50));
+            .with_options(options(7, Some(Duration::from_millis(50))));
         assert!(cache.probe("naive", &wrong_device).is_none());
     }
 

@@ -1,29 +1,16 @@
-//! The versioned on-disk snapshot format behind
-//! [`crate::SolveCache::export_snapshot`] /
-//! [`crate::SolveCache::import_snapshot`].
+//! The binary entry codec behind [`crate::Journal`] records: a cache
+//! key, the canonical-to-original correspondence and the stored
+//! [`MapReport`], written with the primitive [`Writer`] / [`Reader`]
+//! pair below.
 //!
-//! A snapshot is a self-contained byte stream:
-//!
-//! ```text
-//! magic  "QXSNAPSH"           8 bytes
-//! version u32 LE              bumped on any encoding change
-//! count   u64 LE              number of entries
-//! entries …                   key + stored report, recency order
-//! checksum u64 LE             FNV-1a over everything before it
-//! ```
-//!
-//! Entries are written least-recently-used first, so an importer that
-//! replays them in order reconstructs the exporter's LRU order exactly —
-//! capacity-constrained imports then keep the *freshest* entries, the
-//! same ones the exporter's own eviction policy would have kept.
-//!
-//! The format is an internal persistence layer, not an interchange
-//! format: readers reject unknown versions outright (a version bump is
-//! cheaper than a migration path for a cache that can always be
-//! re-warmed), and the trailing checksum rejects truncated or corrupted
-//! files before a single entry is admitted. All integers are
+//! The encoding is an internal persistence layer, not an interchange
+//! format: the journal header carries [`crate::JOURNAL_VERSION`], which
+//! any change to this encoding (or to the skeleton token stream it
+//! embeds) must bump, so stale files are rejected cleanly instead of
+//! misread — a cache can always be re-warmed. All integers are
 //! little-endian; angles travel as IEEE-754 bit patterns, so round-trips
-//! are exact.
+//! are exact, and every length is checked against the bytes left before
+//! anything is allocated.
 
 use std::fmt;
 use std::time::Duration;
@@ -33,20 +20,10 @@ use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind};
 
 use crate::report::{CostBreakdown, MapReport, WindowCertificate};
 
-/// Magic bytes opening every snapshot.
-pub(crate) const MAGIC: &[u8; 8] = b"QXSNAPSH";
-
-/// The snapshot encoding version this build reads and writes. Any change
-/// to the entry encoding (or to the skeleton token stream it embeds)
-/// must bump this, so stale files are rejected cleanly instead of
-/// misread.
-pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// Why a snapshot was rejected. Imports are all-or-nothing: a rejected
-/// snapshot admits no entries.
+/// Why a journal header or record was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The stream does not open with the snapshot magic — not a snapshot
+pub enum JournalError {
+    /// The stream does not open with the journal magic — not a journal
     /// file at all.
     BadMagic,
     /// The stream was written by a different (newer or older) encoding
@@ -58,51 +35,30 @@ pub enum SnapshotError {
         supported: u32,
     },
     /// The stream ended before the declared content did — a truncated
-    /// write or partial download.
+    /// write.
     Truncated,
-    /// The trailing checksum does not match the content.
-    ChecksumMismatch,
     /// The stream decodes to structurally invalid data (an impossible
     /// layout, a non-permutation label vector, an unknown tag …).
     Corrupted(&'static str),
 }
 
-impl fmt::Display for SnapshotError {
+impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a qxmap solve-cache snapshot"),
-            SnapshotError::VersionMismatch { found, supported } => write!(
+            JournalError::BadMagic => write!(f, "not a qxmap solve-cache journal"),
+            JournalError::VersionMismatch { found, supported } => write!(
                 f,
-                "snapshot version {found} is not the supported version {supported}"
+                "journal version {found} is not the supported version {supported}"
             ),
-            SnapshotError::Truncated => write!(f, "snapshot ends before its declared content"),
-            SnapshotError::ChecksumMismatch => {
-                write!(f, "snapshot checksum mismatch (corrupted content)")
-            }
-            SnapshotError::Corrupted(what) => write!(f, "snapshot decodes to invalid data: {what}"),
+            JournalError::Truncated => write!(f, "journal ends before its declared content"),
+            JournalError::Corrupted(what) => write!(f, "journal decodes to invalid data: {what}"),
         }
     }
 }
 
-impl std::error::Error for SnapshotError {}
+impl std::error::Error for JournalError {}
 
-/// The entry count a snapshot byte stream declares in its header —
-/// `None` unless the stream opens with this build's magic and
-/// [`SNAPSHOT_VERSION`]. A header peek for logging and tooling
-/// (nothing past the count is validated; importing still performs the
-/// full checksum and structural checks).
-pub fn snapshot_entry_count(bytes: &[u8]) -> Option<usize> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    if r.u32().ok()? != SNAPSHOT_VERSION {
-        return None;
-    }
-    usize::try_from(r.u64().ok()?).ok()
-}
-
-/// FNV-1a over a byte slice — the checksum sealing a snapshot.
+/// FNV-1a over a byte slice — the checksum sealing each journal record.
 pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -127,14 +83,6 @@ impl Writer {
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -165,7 +113,7 @@ impl Writer {
 
     pub(crate) fn str(&mut self, s: &str) {
         self.usize(s.len());
-        self.raw(s.as_bytes());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     pub(crate) fn u64s(&mut self, vs: &[u64]) {
@@ -189,9 +137,9 @@ impl Writer {
     }
 }
 
-/// Cursor over a snapshot's bytes with the matching primitive decoders;
+/// Cursor over a record's bytes with the matching primitive decoders;
 /// every read is bounds-checked and a short stream reads as
-/// [`SnapshotError::Truncated`].
+/// [`JournalError::Truncated`].
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -212,36 +160,36 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
         if self.remaining() < n {
-            return Err(SnapshotError::Truncated);
+            return Err(JournalError::Truncated);
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, JournalError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, JournalError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, JournalError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupted("oversized length"))
+    pub(crate) fn usize(&mut self) -> Result<usize, JournalError> {
+        usize::try_from(self.u64()?).map_err(|_| JournalError::Corrupted("oversized length"))
     }
 
     /// A length that must still fit in the stream (each element takes at
     /// least one byte) — rejects absurd lengths before any allocation.
-    pub(crate) fn len(&mut self) -> Result<usize, SnapshotError> {
+    pub(crate) fn len(&mut self) -> Result<usize, JournalError> {
         self.len_of(1)
     }
 
@@ -251,39 +199,39 @@ impl<'a> Reader<'a> {
     /// so bounding `n` by remaining *bytes* alone would let a sealed
     /// hostile stream demand several times its own file size before the
     /// first truncation error fires.
-    pub(crate) fn len_of(&mut self, width: usize) -> Result<usize, SnapshotError> {
+    pub(crate) fn len_of(&mut self, width: usize) -> Result<usize, JournalError> {
         let n = self.usize()?;
         if n > self.remaining() / width.max(1) {
-            return Err(SnapshotError::Truncated);
+            return Err(JournalError::Truncated);
         }
         Ok(n)
     }
 
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
+    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, JournalError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.u64()?)),
-            _ => Err(SnapshotError::Corrupted("option tag")),
+            _ => Err(JournalError::Corrupted("option tag")),
         }
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
+    pub(crate) fn str(&mut self) -> Result<String, JournalError> {
         let n = self.len()?;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Corrupted("non-UTF-8 string"))
+        String::from_utf8(bytes.to_vec()).map_err(|_| JournalError::Corrupted("non-UTF-8 string"))
     }
 
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
+    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, JournalError> {
         let n = self.len_of(8)?;
         (0..n).map(|_| self.u64()).collect()
     }
 
-    pub(crate) fn usizes(&mut self) -> Result<Vec<usize>, SnapshotError> {
+    pub(crate) fn usizes(&mut self) -> Result<Vec<usize>, JournalError> {
         let n = self.len_of(8)?;
         (0..n).map(|_| self.usize()).collect()
     }
 
-    pub(crate) fn duration(&mut self) -> Result<Duration, SnapshotError> {
+    pub(crate) fn duration(&mut self) -> Result<Duration, JournalError> {
         Ok(Duration::from_nanos(self.u64()?))
     }
 }
@@ -299,13 +247,13 @@ pub(crate) fn write_skeleton(w: &mut Writer, skeleton: &CircuitSkeleton) {
     w.usizes(skeleton.canonical_labels());
 }
 
-pub(crate) fn read_skeleton(r: &mut Reader<'_>) -> Result<CircuitSkeleton, SnapshotError> {
+pub(crate) fn read_skeleton(r: &mut Reader<'_>) -> Result<CircuitSkeleton, JournalError> {
     let num_qubits = r.usize()?;
     let num_clbits = r.usize()?;
     let tokens = r.u64s()?;
     let canon = r.usizes()?;
     CircuitSkeleton::from_parts(num_qubits, num_clbits, tokens, canon)
-        .ok_or(SnapshotError::Corrupted("skeleton labels"))
+        .ok_or(JournalError::Corrupted("skeleton labels"))
 }
 
 fn write_one_qubit_kind(w: &mut Writer, kind: &OneQubitKind) {
@@ -337,8 +285,8 @@ fn write_one_qubit_kind(w: &mut Writer, kind: &OneQubitKind) {
     }
 }
 
-fn read_one_qubit_kind(r: &mut Reader<'_>) -> Result<OneQubitKind, SnapshotError> {
-    let angle = |r: &mut Reader<'_>| -> Result<f64, SnapshotError> { Ok(f64::from_bits(r.u64()?)) };
+fn read_one_qubit_kind(r: &mut Reader<'_>) -> Result<OneQubitKind, JournalError> {
+    let angle = |r: &mut Reader<'_>| -> Result<f64, JournalError> { Ok(f64::from_bits(r.u64()?)) };
     Ok(match r.u8()? {
         0 => OneQubitKind::I,
         1 => OneQubitKind::X,
@@ -354,7 +302,7 @@ fn read_one_qubit_kind(r: &mut Reader<'_>) -> Result<OneQubitKind, SnapshotError
         11 => OneQubitKind::Rz(angle(r)?),
         12 => OneQubitKind::Phase(angle(r)?),
         13 => OneQubitKind::U(angle(r)?, angle(r)?, angle(r)?),
-        _ => return Err(SnapshotError::Corrupted("one-qubit gate tag")),
+        _ => return Err(JournalError::Corrupted("one-qubit gate tag")),
     })
 }
 
@@ -387,7 +335,7 @@ fn write_gate(w: &mut Writer, gate: &Gate) {
     }
 }
 
-fn read_gate(r: &mut Reader<'_>) -> Result<Gate, SnapshotError> {
+fn read_gate(r: &mut Reader<'_>) -> Result<Gate, JournalError> {
     Ok(match r.u8()? {
         1 => Gate::One {
             kind: read_one_qubit_kind(r)?,
@@ -406,7 +354,7 @@ fn read_gate(r: &mut Reader<'_>) -> Result<Gate, SnapshotError> {
             qubit: r.usize()?,
             clbit: r.usize()?,
         },
-        _ => return Err(SnapshotError::Corrupted("gate tag")),
+        _ => return Err(JournalError::Corrupted("gate tag")),
     })
 }
 
@@ -420,7 +368,7 @@ pub(crate) fn write_circuit(w: &mut Writer, circuit: &Circuit) {
     }
 }
 
-pub(crate) fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
+pub(crate) fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, JournalError> {
     let name = r.str()?;
     let num_qubits = r.usize()?;
     let num_clbits = r.usize()?;
@@ -430,7 +378,7 @@ pub(crate) fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError>
         let gate = read_gate(r)?;
         circuit
             .try_push(gate)
-            .map_err(|_| SnapshotError::Corrupted("gate out of range"))?;
+            .map_err(|_| JournalError::Corrupted("gate out of range"))?;
     }
     Ok(circuit)
 }
@@ -449,7 +397,7 @@ pub(crate) fn write_layout(w: &mut Writer, layout: &Layout) {
     }
 }
 
-pub(crate) fn read_layout(r: &mut Reader<'_>) -> Result<Layout, SnapshotError> {
+pub(crate) fn read_layout(r: &mut Reader<'_>) -> Result<Layout, JournalError> {
     let num_phys = r.usize()?;
     let n = r.len()?;
     // No up-front capacity: slots encode in as little as one byte, so a
@@ -460,10 +408,10 @@ pub(crate) fn read_layout(r: &mut Reader<'_>) -> Result<Layout, SnapshotError> {
         log2phys.push(match r.u8()? {
             0 => None,
             1 => Some(r.usize()?),
-            _ => return Err(SnapshotError::Corrupted("layout slot tag")),
+            _ => return Err(JournalError::Corrupted("layout slot tag")),
         });
     }
-    Layout::from_log2phys(log2phys, num_phys).map_err(|_| SnapshotError::Corrupted("layout"))
+    Layout::from_log2phys(log2phys, num_phys).map_err(|_| JournalError::Corrupted("layout"))
 }
 
 pub(crate) fn write_report(w: &mut Writer, report: &MapReport) {
@@ -513,11 +461,11 @@ fn write_window_certificate(w: &mut Writer, cert: &WindowCertificate) {
     w.u64(cert.bridge_cost);
 }
 
-fn read_window_certificate(r: &mut Reader<'_>) -> Result<WindowCertificate, SnapshotError> {
+fn read_window_certificate(r: &mut Reader<'_>) -> Result<WindowCertificate, JournalError> {
     let flag = |r: &mut Reader<'_>, what| match r.u8() {
         Ok(0) => Ok(false),
         Ok(1) => Ok(true),
-        Ok(_) => Err(SnapshotError::Corrupted(what)),
+        Ok(_) => Err(JournalError::Corrupted(what)),
         Err(e) => Err(e),
     };
     Ok(WindowCertificate {
@@ -534,7 +482,7 @@ fn read_window_certificate(r: &mut Reader<'_>) -> Result<WindowCertificate, Snap
     })
 }
 
-pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<MapReport, SnapshotError> {
+pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<MapReport, JournalError> {
     let engine = r.str()?;
     let winner = r.str()?;
     let mapped = read_circuit(r)?;
@@ -547,22 +495,22 @@ pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<MapReport, SnapshotError
     let proved_optimal = match r.u8()? {
         0 => false,
         1 => true,
-        _ => return Err(SnapshotError::Corrupted("proved_optimal flag")),
+        _ => return Err(JournalError::Corrupted("proved_optimal flag")),
     };
     let runtime = r.duration()?;
     let elapsed = r.duration()?;
     let subset = match r.u8()? {
         0 => None,
         1 => Some(r.usizes()?),
-        _ => return Err(SnapshotError::Corrupted("subset tag")),
+        _ => return Err(JournalError::Corrupted("subset tag")),
     };
     let num_change_points = r
         .opt_u64()?
-        .map(|v| usize::try_from(v).map_err(|_| SnapshotError::Corrupted("change points")))
+        .map(|v| usize::try_from(v).map_err(|_| JournalError::Corrupted("change points")))
         .transpose()?;
     let iterations = r
         .opt_u64()?
-        .map(|v| u32::try_from(v).map_err(|_| SnapshotError::Corrupted("iterations")))
+        .map(|v| u32::try_from(v).map_err(|_| JournalError::Corrupted("iterations")))
         .transpose()?;
     let windows = match r.u8()? {
         0 => None,
@@ -576,7 +524,7 @@ pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<MapReport, SnapshotError
             }
             Some(certs)
         }
-        _ => return Err(SnapshotError::Corrupted("windows tag")),
+        _ => return Err(JournalError::Corrupted("windows tag")),
     };
     Ok(MapReport {
         engine,
@@ -635,7 +583,7 @@ mod tests {
         assert_eq!(r.usizes().unwrap(), vec![4, 5]);
         assert_eq!(r.duration().unwrap(), Duration::from_micros(1234));
         assert_eq!(r.remaining(), 0);
-        assert_eq!(r.u8().unwrap_err(), SnapshotError::Truncated);
+        assert_eq!(r.u8().unwrap_err(), JournalError::Truncated);
     }
 
     #[test]
@@ -689,7 +637,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             read_layout(&mut Reader::new(&bytes)),
-            Err(SnapshotError::Corrupted(_))
+            Err(JournalError::Corrupted(_))
         ));
     }
 

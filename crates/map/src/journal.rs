@@ -1,12 +1,13 @@
-//! The crash-safe cache journal.
+//! The crash-safe cache journal — the solve cache's one on-disk format.
 //!
-//! [`crate::SolveCache::export_snapshot`] persists the warm working set,
-//! but only when somebody *asks* — a daemon that dies by `kill -9` (or a
-//! panic, or an OOM kill) between snapshots throws away every solve since
-//! the last one. The journal closes that gap: an append-only file of
-//! checksummed cache entries, written by a background thread off the
-//! response path, so a crash loses at most the records still sitting in
-//! the writer's queue.
+//! A daemon's warm working set should survive both a graceful restart
+//! and a `kill -9` (or a panic, or an OOM kill). The journal covers both
+//! with one file: an append-only run of checksummed cache entries,
+//! written by a background thread off the response path, so a crash
+//! loses at most the records still sitting in the writer's queue; and
+//! [`Journal::finish`] ends with a compaction that leaves exactly the
+//! live entries behind, least-recently-used first, so a graceful restart
+//! also recovers the cache's recency order.
 //!
 //! ## File format
 //!
@@ -15,33 +16,43 @@
 //! [u32 len] [u64 checksum] [payload: len bytes]  — record, repeated
 //! ```
 //!
-//! The payload reuses the QXSNAPSH entry encoding verbatim — cache key,
-//! canonical-to-original correspondence, report — so the journal and the
-//! snapshot can never drift apart structurally; the checksum is the same
-//! FNV-1a the snapshot trailer uses, but sealed *per record*.
+//! Each payload is one cache entry — cache key, canonical-to-original
+//! correspondence, report — in the crate's binary entry codec, sealed
+//! by a per-record FNV-1a checksum. [`JOURNAL_VERSION`] is bumped on any
+//! change to that codec.
 //!
 //! ## Replay semantics
 //!
-//! Unlike a snapshot import (all-or-nothing: one flipped bit rejects the
-//! whole file), journal replay is per-record: a record whose checksum or
-//! decode fails is skipped and counted in [`JournalReplay::rejected`],
-//! and replay continues at the next record. A record whose *length* runs
-//! past the end of the file is the torn tail an interrupted append
-//! leaves behind — replay stops there, flags [`JournalReplay::torn`],
-//! and [`JournalReplay::bytes_consumed`] marks the last byte of intact
+//! Replay is per-record: a record whose checksum or decode fails is
+//! skipped and counted in [`JournalReplay::rejected`], and replay
+//! continues at the next record. A record whose *length* runs past the
+//! end of the file is the torn tail an interrupted append leaves behind
+//! — replay stops there, flags [`JournalReplay::torn`], and
+//! [`JournalReplay::bytes_consumed`] marks the last byte of intact
 //! data. That offset is also the tail-following cursor: a warm-sharing
 //! replica re-reads the file from its previous `bytes_consumed`, feeds
 //! the new bytes to [`replay_records`], and admits whatever complete
-//! records have landed since.
+//! records have landed since. Such a replica only reads the file: one
+//! [`Journal`] writes each path, since attaching truncates a torn tail
+//! and compaction renames a new file over the path.
+//!
+//! Records are admitted in file order, each as the most recently used
+//! entry so far, so replaying a compacted file rebuilds the writer's
+//! LRU order and a capacity-limited replay keeps the freshest entries.
+//! Records whose report payloads are byte-identical — a proved solve's
+//! budget-class entry and its proved-tier twin — share one report in
+//! memory, as they did in the writing process.
 //!
 //! ## Compaction
 //!
 //! An append-only file grows without bound while the cache it shadows is
-//! a bounded LRU. After every `compact_after` appended records the
-//! writer thread rewrites the journal from the cache's current contents
-//! (write-temp-then-rename, so a crash mid-compaction leaves the old
-//! file intact) and resumes appending.
+//! a bounded LRU. After every `compact_after` appended records, and once
+//! more when the journal is finished, the writer thread rewrites the
+//! journal from the cache's current contents (write-temp-then-rename, so
+//! a crash mid-compaction leaves the old file intact) and resumes
+//! appending.
 
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -51,8 +62,8 @@ use std::sync::Arc;
 use std::thread;
 
 use crate::cache::{CacheKey, SolveCache};
+use crate::codec::{self, JournalError, Reader, Writer};
 use crate::report::MapReport;
-use crate::snapshot::{self, Reader, SnapshotError, Writer};
 
 /// The journal file's magic prefix.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"QXJOURNL";
@@ -90,7 +101,8 @@ pub struct JournalReplay {
 pub struct JournalStats {
     /// Records appended (and flushed) since attach.
     pub appended: u64,
-    /// Snapshot compactions of the journal file since attach.
+    /// Compactions of the journal file since attach, including the
+    /// final one at [`Journal::finish`].
     pub compactions: u64,
     /// Filesystem errors the writer hit; after the first, the journal
     /// stops writing (the error also surfaces via [`Journal::finish`]).
@@ -113,13 +125,14 @@ pub(crate) enum Event {
         canon_to_original: Vec<usize>,
         report: Arc<MapReport>,
     },
-    /// Drain what is queued, then exit the writer thread.
+    /// Drain what is queued, compact the file to the cache's live
+    /// entries, then exit the writer thread.
     Shutdown,
 }
 
 /// A handle to the background journal writer attached to a
 /// [`SolveCache`]. Dropping it (or calling [`Journal::finish`]) detaches
-/// the cache, drains the queue and joins the thread.
+/// the cache, drains the queue, compacts the file and joins the thread.
 pub struct Journal {
     cache: &'static SolveCache,
     tx: mpsc::Sender<Event>,
@@ -209,17 +222,15 @@ impl Journal {
         }
     }
 
-    /// Detaches the cache, drains every queued record to disk, joins the
-    /// writer thread and surfaces any write error it hit.
+    /// Detaches the cache, drains every queued record to disk, rewrites
+    /// the file as exactly the cache's live entries in least-recently-used
+    /// order, joins the writer thread and surfaces any write error it
+    /// hit. Idempotent; [`Journal::stats`] stays readable afterwards.
     ///
     /// # Errors
     ///
     /// The first filesystem error the writer thread encountered, if any.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.shutdown()
-    }
-
-    fn shutdown(&mut self) -> io::Result<()> {
+    pub fn finish(&mut self) -> io::Result<()> {
         let Some(thread) = self.thread.take() else {
             return Ok(());
         };
@@ -233,7 +244,7 @@ impl Journal {
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        let _ = self.shutdown();
+        let _ = self.finish();
     }
 }
 
@@ -246,9 +257,9 @@ impl std::fmt::Debug for Journal {
 }
 
 /// The writer thread: append (and flush) one record per event, compact
-/// after every `compact_after` appends, and keep draining — but stop
-/// writing — after the first filesystem error, which is reported through
-/// [`Journal::finish`].
+/// after every `compact_after` appends and once more at shutdown, and
+/// keep draining — but stop writing — after the first filesystem error,
+/// which is reported through [`Journal::finish`].
 fn writer_loop(
     cache: &'static SolveCache,
     mut file: File,
@@ -260,6 +271,17 @@ fn writer_loop(
     let compact_after = compact_after.max(1);
     let mut since_compact = 0usize;
     let mut failed: Option<io::Error> = None;
+    let compact_now = |failed: &mut Option<io::Error>| match compact(cache, path) {
+        Ok(compacted) => {
+            stats.compactions.fetch_add(1, Ordering::Relaxed);
+            Some(compacted)
+        }
+        Err(e) => {
+            stats.write_errors.fetch_add(1, Ordering::Relaxed);
+            *failed = Some(e);
+            None
+        }
+    };
     while let Ok(event) = rx.recv() {
         let Event::Entry {
             key,
@@ -275,7 +297,8 @@ fn writer_loop(
         let record = encode_record(&key, &canon_to_original, &report);
         // write_all + flush per record: once the write returns, the
         // record is in the OS page cache and survives a `kill -9` of
-        // this process (machine-level durability is the snapshot's job).
+        // this process (the journal never fsyncs, so a machine crash
+        // can still lose what the OS had not written back).
         if let Err(e) = file.write_all(&record).and_then(|()| file.flush()) {
             stats.write_errors.fetch_add(1, Ordering::Relaxed);
             failed = Some(e);
@@ -284,18 +307,14 @@ fn writer_loop(
         stats.appended.fetch_add(1, Ordering::Relaxed);
         since_compact += 1;
         if since_compact >= compact_after {
-            match compact(cache, path) {
-                Ok(compacted) => {
-                    file = compacted;
-                    since_compact = 0;
-                    stats.compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    stats.write_errors.fetch_add(1, Ordering::Relaxed);
-                    failed = Some(e);
-                }
+            if let Some(compacted) = compact_now(&mut failed) {
+                file = compacted;
+                since_compact = 0;
             }
         }
+    }
+    if failed.is_none() {
+        compact_now(&mut failed);
     }
     match failed {
         Some(e) => Err(e),
@@ -324,13 +343,13 @@ fn header_bytes() -> Vec<u8> {
     buf
 }
 
-/// One journal record: length-prefixed QXSNAPSH entry payload sealed by
-/// a per-record FNV-1a checksum.
+/// One journal record: a length-prefixed entry payload sealed by a
+/// per-record FNV-1a checksum.
 fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport) -> Vec<u8> {
     let mut w = Writer::new();
     key.write(&mut w);
     w.usizes(canon_to_original);
-    snapshot::write_report(&mut w, report);
+    codec::write_report(&mut w, report);
     let payload = w.into_bytes();
     let mut out = Vec::with_capacity(payload.len() + 12);
     out.extend_from_slice(
@@ -338,7 +357,7 @@ fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport
             .expect("record < 4 GiB")
             .to_le_bytes(),
     );
-    out.extend_from_slice(&snapshot::checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -349,24 +368,24 @@ fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport
 ///
 /// # Errors
 ///
-/// [`SnapshotError::BadMagic`], [`SnapshotError::VersionMismatch`] or
-/// [`SnapshotError::Truncated`] when the 12-byte header is not an intact
+/// [`JournalError::BadMagic`], [`JournalError::VersionMismatch`] or
+/// [`JournalError::Truncated`] when the 12-byte header is not an intact
 /// journal header. Everything after the header is handled tolerantly and
 /// reported through the returned [`JournalReplay`].
-pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay, SnapshotError> {
+pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay, JournalError> {
     if bytes.len() < HEADER_LEN as usize {
         return Err(if JOURNAL_MAGIC.starts_with(bytes) {
-            SnapshotError::Truncated
+            JournalError::Truncated
         } else {
-            SnapshotError::BadMagic
+            JournalError::BadMagic
         });
     }
     if &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-        return Err(SnapshotError::BadMagic);
+        return Err(JournalError::BadMagic);
     }
     let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if found != JOURNAL_VERSION {
-        return Err(SnapshotError::VersionMismatch {
+        return Err(JournalError::VersionMismatch {
             found,
             supported: JOURNAL_VERSION,
         });
@@ -382,6 +401,9 @@ pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay,
 /// [`JournalReplay::bytes_consumed`] to its cursor.
 pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
     let mut replay = JournalReplay::default();
+    // Decoded reports by their payload bytes: a record repeating an
+    // earlier record's report bytes shares that record's `Arc`.
+    let mut reports: HashMap<&[u8], Arc<MapReport>> = HashMap::new();
     let mut at = 0usize;
     while at < bytes.len() {
         // A record is [u32 len][u64 checksum][payload]; anything that
@@ -400,17 +422,17 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
         };
         at += 12 + len;
         replay.bytes_consumed = at as u64;
-        if snapshot::checksum(payload) != declared {
+        if codec::checksum(payload) != declared {
             replay.rejected += 1;
             continue;
         }
-        match decode_payload(payload) {
+        match decode_payload(payload, &mut reports) {
             Ok((key, canon_to_original, report)) => {
-                match cache.admit_decoded(key, canon_to_original, Arc::new(report)) {
+                match cache.admit_decoded(key, canon_to_original, report) {
                     Ok(true) => replay.admitted += 1,
-                    // The key is already live (snapshot import beat us,
-                    // or a compacted record repeats an append): the live
-                    // entry wins, and the record is neither new nor bad.
+                    // The key is already live (this process solved it,
+                    // or a later append repeats a key): the live entry
+                    // wins, and the record is neither new nor bad.
                     Ok(false) => {}
                     Err(_) => replay.rejected += 1,
                 }
@@ -422,15 +444,25 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
 }
 
 /// Decodes one record payload: key, correspondence, report — rejecting
-/// trailing bytes (a checksummed payload is exactly one entry).
-fn decode_payload(payload: &[u8]) -> Result<(CacheKey, Vec<usize>, MapReport), SnapshotError> {
+/// trailing bytes (a checksummed payload is exactly one entry). The
+/// report is the payload's tail, so bytes already decoded by an earlier
+/// record are served from `reports` instead of decoded again.
+fn decode_payload<'a>(
+    payload: &'a [u8],
+    reports: &mut HashMap<&'a [u8], Arc<MapReport>>,
+) -> Result<(CacheKey, Vec<usize>, Arc<MapReport>), JournalError> {
     let mut r = Reader::new(payload);
     let key = CacheKey::read(&mut r)?;
     let canon_to_original = r.usizes()?;
-    let report = snapshot::read_report(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SnapshotError::Corrupted("trailing bytes after record"));
+    let report_bytes = &payload[r.position()..];
+    if let Some(report) = reports.get(report_bytes) {
+        return Ok((key, canon_to_original, Arc::clone(report)));
     }
+    let report = Arc::new(codec::read_report(&mut r)?);
+    if r.remaining() != 0 {
+        return Err(JournalError::Corrupted("trailing bytes after record"));
+    }
+    reports.insert(report_bytes, Arc::clone(&report));
     Ok((key, canon_to_original, report))
 }
 
@@ -485,7 +517,7 @@ mod tests {
         let path = temp("round-trip");
         let _ = fs::remove_file(&path);
         let source = leaked(8);
-        let (journal, replay) = Journal::attach(source, &path, 1024).unwrap();
+        let (mut journal, replay) = Journal::attach(source, &path, 1024).unwrap();
         assert_eq!(
             replay,
             JournalReplay {
@@ -517,7 +549,7 @@ mod tests {
         let path = temp("torn");
         let _ = fs::remove_file(&path);
         let source = leaked(8);
-        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
         insert_seeded(source, 0);
         insert_seeded(source, 1);
         journal.finish().unwrap();
@@ -542,7 +574,7 @@ mod tests {
         // Re-attaching truncates the partial record, so new appends land
         // on intact data and the whole file replays cleanly again.
         let recovered = leaked(8);
-        let (journal, replay) = Journal::attach(recovered, &path, 1024).unwrap();
+        let (mut journal, replay) = Journal::attach(recovered, &path, 1024).unwrap();
         assert!(replay.torn);
         insert_seeded(recovered, 2);
         journal.finish().unwrap();
@@ -556,14 +588,14 @@ mod tests {
         let path = temp("corrupt");
         let _ = fs::remove_file(&path);
         let source = leaked(8);
-        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
         for seed in 0..3 {
             insert_seeded(source, seed);
         }
         journal.finish().unwrap();
 
-        // Flip one payload byte in the middle record: unlike a snapshot
-        // import, the damage stays contained — records 1 and 3 admit.
+        // Flip one payload byte in the middle record: the damage stays
+        // contained — records 1 and 3 admit.
         let mut bytes = fs::read(&path).unwrap();
         let spans = record_spans(&bytes);
         assert_eq!(spans.len(), 3);
@@ -586,7 +618,7 @@ mod tests {
         // Capacity 2, compact after every 2 appends: the file tracks the
         // LRU's survivors instead of the full append history.
         let source = leaked(2);
-        let (journal, _) = Journal::attach(source, &path, 2).unwrap();
+        let (mut journal, _) = Journal::attach(source, &path, 2).unwrap();
         for seed in 0..6 {
             insert_seeded(source, seed);
         }
@@ -609,11 +641,69 @@ mod tests {
     }
 
     #[test]
+    fn finish_compacts_to_the_live_entries_in_lru_order() {
+        let path = temp("finish-order");
+        let _ = fs::remove_file(&path);
+        let source = leaked(8);
+        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        for seed in [0, 1, 2, 1] {
+            insert_seeded(source, seed);
+        }
+        // A hit refreshes seed 0: recency is now 2, 1, 0 (stalest first).
+        assert!(lookup_seeded(source, 0).is_some());
+        journal.finish().unwrap();
+        assert_eq!(journal.stats().appended, 4);
+        assert_eq!(journal.stats().compactions, 1);
+
+        // Four appends, three live entries: one record each.
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(record_spans(&bytes).len(), 3);
+        // Replay admits in file order, so a capacity-limited restart
+        // keeps exactly the entries the writer used most recently.
+        let one = leaked(1);
+        assert_eq!(replay_journal(one, &bytes).unwrap().admitted, 3);
+        assert!(lookup_seeded(one, 0).is_some());
+        let two = leaked(2);
+        replay_journal(two, &bytes).unwrap();
+        assert!(lookup_seeded(two, 2).is_none(), "the stalest entry goes");
+        assert!(lookup_seeded(two, 1).is_some());
+        assert!(lookup_seeded(two, 0).is_some());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn replay_shares_one_report_between_a_proved_pair() {
+        let path = temp("proved-pair");
+        let _ = fs::remove_file(&path);
+        let source = leaked(8);
+        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
+        let engine = crate::engine::ExactEngine::new();
+        let proved = engine.run(&request).expect("in regime");
+        assert!(proved.proved_optimal);
+        source.insert(&engine.cache_signature(), &request, &proved);
+        journal.finish().unwrap();
+
+        // Live, the budget-class entry and its proved-tier twin share one
+        // report; a replay must restore that, not hold it twice.
+        let restored = leaked(8);
+        let replay = replay_journal(restored, &fs::read(&path).unwrap()).unwrap();
+        assert_eq!((replay.admitted, replay.rejected), (2, 0));
+        let entries = restored.export_entries();
+        assert_eq!(entries.len(), 2);
+        assert!(
+            Arc::ptr_eq(&entries[0].2, &entries[1].2),
+            "the proved pair lost its shared report on replay"
+        );
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn a_foreign_file_is_reset_not_appended_to() {
         let path = temp("foreign");
         fs::write(&path, b"definitely not a journal").unwrap();
         let source = leaked(8);
-        let (journal, replay) = Journal::attach(source, &path, 1024).unwrap();
+        let (mut journal, replay) = Journal::attach(source, &path, 1024).unwrap();
         assert!(replay.reset);
         assert_eq!(replay.admitted, 0);
         insert_seeded(source, 0);
@@ -631,7 +721,7 @@ mod tests {
         let path = temp("tail-follow");
         let _ = fs::remove_file(&path);
         let source = leaked(8);
-        let (journal, _) = Journal::attach(source, &path, 1024).unwrap();
+        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
         insert_seeded(source, 0);
         // The append is asynchronous — wait for the writer to land it.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

@@ -7,8 +7,9 @@
 //! construction versus `Mapper::map(&Circuit, &CouplingMap)`). This crate
 //! redesigns the public surface around three types:
 //!
-//! * [`MapRequest`] — a builder bundling the circuit, device, cost model,
-//!   [`Guarantee`] level, permutation strategy, conflict budget and seed;
+//! * [`MapRequest`] — a builder bundling the circuit, device, cost model
+//!   and [`MapOptions`] ([`Guarantee`] level, permutation strategy,
+//!   budgets, seed — the same options a [`CacheProbe`] carries);
 //! * [`MapReport`] — one uniform answer: the hardware circuit, both
 //!   layouts, a [`CostBreakdown`], a `proved_optimal` certificate, the
 //!   runtime and the engine that produced it;
@@ -63,18 +64,19 @@
 
 mod batch;
 mod cache;
+mod codec;
 mod engine;
 mod error;
 mod journal;
 mod portfolio;
 mod report;
 mod request;
-mod snapshot;
 
 pub use batch::{map_many, map_many_with};
 pub use cache::{
     CacheProbe, SolveCache, SolveCacheStats, DEFAULT_SOLVE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY_ENV,
 };
+pub use codec::JournalError;
 pub use engine::{Baseline, Engine, ExactEngine, HeuristicEngine};
 pub use error::MapperError;
 pub use journal::{
@@ -83,8 +85,7 @@ pub use journal::{
 };
 pub use portfolio::Portfolio;
 pub use report::{CostBreakdown, MapReport, WindowCertificate};
-pub use request::{Guarantee, MapRequest};
-pub use snapshot::{snapshot_entry_count, SnapshotError, SNAPSHOT_VERSION};
+pub use request::{Guarantee, MapOptions, MapRequest};
 
 /// Maps one request with the default [`Portfolio`] engine, answered from
 /// the process-wide [`SolveCache`] when the same request (or a

@@ -8,7 +8,7 @@ use qxmap_circuit::Circuit;
 use qxmap_core::{SpanRecorder, Strategy};
 
 /// How strong a result the caller demands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Guarantee {
     /// The result must carry a proof of minimality; engines error out when
     /// they cannot provide one (e.g. the device exceeds the exact method's
@@ -18,6 +18,64 @@ pub enum Guarantee {
     /// fall back to heuristics and `proved_optimal` may be `false`.
     #[default]
     BestEffort,
+}
+
+/// The options that steer an engine's answer besides the circuit and the
+/// device — declared once and shared by [`MapRequest`], the
+/// skeleton-first [`crate::CacheProbe`] and the serving tier's wire
+/// parser, so the three can never disagree on a solve-cache key.
+///
+/// [`Default`] is what [`MapRequest::new`] uses: best-effort guarantee,
+/// permutations before every gate, the Section 4.1 subset optimization
+/// enabled, no budgets, no declared upper bound, seed 0.
+///
+/// ```
+/// use std::time::Duration;
+/// use qxmap_arch::devices;
+/// use qxmap_circuit::paper_example;
+/// use qxmap_map::{MapOptions, MapRequest};
+///
+/// let options = MapOptions {
+///     deadline: Some(Duration::from_millis(250)),
+///     seed: 7,
+///     ..MapOptions::default()
+/// };
+/// let request = MapRequest::new(paper_example(), devices::ibm_qx4()).with_options(options);
+/// assert_eq!(request.seed(), 7);
+/// assert!(request.use_subsets());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MapOptions {
+    /// The demanded guarantee level.
+    pub guarantee: Guarantee,
+    /// The permutation-site strategy used by exact engines (Section 4.2
+    /// of the paper).
+    pub strategy: Strategy,
+    /// Whether the connected-subset optimization (Section 4.1) is on.
+    pub use_subsets: bool,
+    /// Cap on the total SAT conflicts exact engines may spend.
+    pub conflict_budget: Option<u64>,
+    /// Cap on the request's wall-clock time.
+    pub deadline: Option<Duration>,
+    /// An externally known achievable cost; engines only return results
+    /// strictly below it.
+    pub upper_bound: Option<u64>,
+    /// Seed for randomized engines.
+    pub seed: u64,
+}
+
+impl Default for MapOptions {
+    fn default() -> MapOptions {
+        MapOptions {
+            guarantee: Guarantee::default(),
+            strategy: Strategy::default(),
+            use_subsets: true,
+            conflict_budget: None,
+            deadline: None,
+            upper_bound: None,
+            seed: 0,
+        }
+    }
 }
 
 /// Everything a mapping engine needs to answer one mapping question.
@@ -60,13 +118,7 @@ pub struct MapRequest {
     model: OnceLock<DeviceModel>,
     explicit_model: bool,
     cost_model: CostModel,
-    guarantee: Guarantee,
-    strategy: Strategy,
-    use_subsets: bool,
-    conflict_budget: Option<u64>,
-    deadline: Option<Duration>,
-    upper_bound: Option<u64>,
-    seed: u64,
+    options: MapOptions,
     /// Trace recorder engines report their phase spans to. Defaults to
     /// the disabled recorder (free no-ops); deliberately **not** part of
     /// the request's cache identity — traced and untraced requests share
@@ -75,9 +127,9 @@ pub struct MapRequest {
 }
 
 impl MapRequest {
-    /// A request with default settings: the paper's 7/4 cost model,
-    /// [`Guarantee::BestEffort`], permutations before every gate, the
-    /// Section 4.1 subset optimization enabled, no budgets, seed 0.
+    /// A request with default settings: the paper's 7/4 cost model and
+    /// [`MapOptions::default`] (best-effort, permutations before every
+    /// gate, subsets on, no budgets, seed 0).
     pub fn new(circuit: Circuit, device: CouplingMap) -> MapRequest {
         MapRequest {
             circuit,
@@ -85,13 +137,7 @@ impl MapRequest {
             model: OnceLock::new(),
             explicit_model: false,
             cost_model: CostModel::default(),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: MapOptions::default(),
             trace: SpanRecorder::disabled(),
         }
     }
@@ -117,13 +163,7 @@ impl MapRequest {
             model: OnceLock::from(model),
             explicit_model: true,
             cost_model: CostModel::default(),
-            guarantee: Guarantee::default(),
-            strategy: Strategy::default(),
-            use_subsets: true,
-            conflict_budget: None,
-            deadline: None,
-            upper_bound: None,
-            seed: 0,
+            options: MapOptions::default(),
             trace: SpanRecorder::disabled(),
         }
     }
@@ -151,28 +191,35 @@ impl MapRequest {
         self
     }
 
+    /// Replaces all seven [`MapOptions`] at once — what the serving tier
+    /// applies to a request parsed off the wire.
+    pub fn with_options(mut self, options: MapOptions) -> MapRequest {
+        self.options = options;
+        self
+    }
+
     /// Sets the demanded guarantee level.
     pub fn with_guarantee(mut self, guarantee: Guarantee) -> MapRequest {
-        self.guarantee = guarantee;
+        self.options.guarantee = guarantee;
         self
     }
 
     /// Sets the permutation-site strategy used by exact engines
     /// (Section 4.2 of the paper).
     pub fn with_strategy(mut self, strategy: Strategy) -> MapRequest {
-        self.strategy = strategy;
+        self.options.strategy = strategy;
         self
     }
 
     /// Enables/disables the connected-subset optimization (Section 4.1).
     pub fn with_subsets(mut self, on: bool) -> MapRequest {
-        self.use_subsets = on;
+        self.options.use_subsets = on;
         self
     }
 
     /// Caps the total SAT conflicts exact engines may spend.
     pub fn with_conflict_budget(mut self, budget: Option<u64>) -> MapRequest {
-        self.conflict_budget = budget;
+        self.options.conflict_budget = budget;
         self
     }
 
@@ -182,7 +229,7 @@ impl MapRequest {
     /// `proved_optimal` only if the proof closed in time. Heuristic
     /// engines are fast and run to completion regardless.
     pub fn with_deadline(mut self, deadline: Duration) -> MapRequest {
-        self.deadline = Some(deadline);
+        self.options.deadline = Some(deadline);
         self
     }
 
@@ -192,13 +239,13 @@ impl MapRequest {
     /// engine additionally tightens it with its own heuristic pass and
     /// never falls back to a result at or above it.
     pub fn with_upper_bound(mut self, bound: Option<u64>) -> MapRequest {
-        self.upper_bound = bound;
+        self.options.upper_bound = bound;
         self
     }
 
     /// Seeds randomized engines (the stochastic baseline).
     pub fn with_seed(mut self, seed: u64) -> MapRequest {
-        self.seed = seed;
+        self.options.seed = seed;
         self
     }
 
@@ -279,39 +326,45 @@ impl MapRequest {
         self.cost_model
     }
 
+    /// The request's options — the part of its cache identity besides
+    /// the circuit, the device and the answering engine.
+    pub fn options(&self) -> &MapOptions {
+        &self.options
+    }
+
     /// The demanded guarantee level.
     pub fn guarantee(&self) -> Guarantee {
-        self.guarantee
+        self.options.guarantee
     }
 
     /// The permutation-site strategy for exact engines.
     pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+        &self.options.strategy
     }
 
     /// Whether the subset optimization is enabled.
     pub fn use_subsets(&self) -> bool {
-        self.use_subsets
+        self.options.use_subsets
     }
 
     /// The exact engines' conflict budget.
     pub fn conflict_budget(&self) -> Option<u64> {
-        self.conflict_budget
+        self.options.conflict_budget
     }
 
     /// The wall-clock budget, if any.
     pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+        self.options.deadline
     }
 
     /// The externally known achievable cost, if any.
     pub fn upper_bound(&self) -> Option<u64> {
-        self.upper_bound
+        self.options.upper_bound
     }
 
     /// The seed for randomized engines.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.options.seed
     }
 
     /// The attached trace recorder (disabled by default).
@@ -334,6 +387,7 @@ mod tests {
         assert_eq!(req.deadline(), None);
         assert_eq!(req.upper_bound(), None);
         assert_eq!(req.seed(), 0);
+        assert_eq!(req.options(), &MapOptions::default());
     }
 
     #[test]

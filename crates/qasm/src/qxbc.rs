@@ -4,7 +4,7 @@
 //! and gate inlining on every read. QXBC is the fast lane: a flat,
 //! little-endian encoding of an already-elaborated [`Circuit`] that
 //! decodes in one allocation-bounded pass, with the same hostile-input
-//! discipline as the solve-cache snapshot format — sized fields are
+//! discipline as the solve-cache journal's entry codec — sized fields are
 //! validated against the bytes actually present *before* any
 //! preallocation, unknown versions are rejected by number before any
 //! content is trusted, and an FNV-1a checksum over the whole payload
@@ -88,7 +88,7 @@ impl fmt::Display for QxbcError {
 
 impl Error for QxbcError {}
 
-/// FNV-1a over a byte slice — same mix as the snapshot format and
+/// FNV-1a over a byte slice — same mix as the solve-cache journal and
 /// [`CircuitSkeleton::fingerprint`].
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

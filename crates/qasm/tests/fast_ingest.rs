@@ -159,7 +159,7 @@ proptest! {
 
 /// A header that declares billions of gates (or aux words) backed by a
 /// tiny payload must fail from the *declared-vs-available* check before
-/// any allocation — mirroring the snapshot format's length-bomb
+/// any allocation — mirroring the solve-cache journal codec's length-bomb
 /// discipline.
 #[test]
 fn declared_length_bombs_are_bounded_before_allocation() {

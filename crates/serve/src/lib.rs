@@ -22,14 +22,14 @@
 //!   and a `metrics` surface exposing [`qxmap_map::SolveCacheStats`],
 //!   queue depth, queue-wait/slack distributions and request latency
 //!   counters;
-//! * **cache persistence**: the daemon snapshots the process-wide
-//!   [`qxmap_map::SolveCache`] on shutdown, warm-starts from the
-//!   snapshot on boot (the entry keys are stable across processes —
-//!   canonical circuit skeletons × device-model fingerprints), and can
-//!   additionally append every solve to a crash-safe
-//!   [`qxmap_map::Journal`] so even a `kill -9` loses only the unsynced
-//!   tail — restarts and replicas answer repeated requests in
-//!   microseconds.
+//! * **cache persistence**: the daemon appends every solve admitted to
+//!   the process-wide [`qxmap_map::SolveCache`] to a crash-safe
+//!   [`qxmap_map::Journal`], compacts it to the live entries on
+//!   shutdown, and replays it on boot (the entry keys are stable across
+//!   processes — canonical circuit skeletons × device-model
+//!   fingerprints), so even a `kill -9` loses only the unsynced tail —
+//!   restarts, and replicas booted on a copy of a compacted journal,
+//!   answer repeated requests in microseconds.
 //!
 //! The `qxmap-serve` binary wires these together; see the repository
 //! `GUIDE.md` ("Running the server") for protocol examples.
@@ -59,4 +59,4 @@ pub mod server;
 
 pub use json::{Json, JsonError};
 pub use proto::{MapJob, Rejection, Request};
-pub use server::{load_snapshot, save_snapshot, Handled, Server, ServerConfig, WarmStart};
+pub use server::{Handled, Server, ServerConfig};

@@ -2,7 +2,7 @@
 //! line-delimited JSON protocol (see `qxmap_serve::proto`).
 //!
 //! ```text
-//! qxmap-serve [--listen ADDR] [--snapshot PATH] [--journal PATH]
+//! qxmap-serve [--listen ADDR] [--journal PATH]
 //!             [--workers N] [--queue-depth N] [--batch N] [--pipeline N]
 //!             [--slowlog N] [--trace-log PATH]
 //! ```
@@ -11,14 +11,13 @@
 //! ephemeral port) and announces the bound address on stdout as
 //! `{"type":"listening","addr":"..."}` — machine-readable, so harnesses
 //! can connect without racing the bind. Without `--listen` it serves
-//! stdin/stdout. With `--snapshot` it warm-starts the solve cache from
-//! the file on boot (a missing file is a cold start; a corrupted or
-//! version-mismatched one is reported and skipped) and persists the
-//! cache back on graceful shutdown (a `shutdown` request, or stdin EOF
-//! in stdio mode). With `--journal` it additionally replays the
-//! append-only cache journal on boot (torn or corrupt records are
-//! rejected individually) and appends every new solve to it in the
-//! background, so crash-killed processes lose only the unsynced tail.
+//! stdin/stdout. With `--journal` it warm-starts the solve cache by
+//! replaying the append-only cache journal on boot (a missing file is a
+//! cold start; torn or corrupt records are rejected individually),
+//! appends every new solve to it in the background, so crash-killed
+//! processes lose only the unsynced tail, and compacts it to the live
+//! entries on graceful shutdown (a `shutdown` request, or stdin EOF in
+//! stdio mode).
 //! `--pipeline` caps how many mapping jobs one connection may have in
 //! flight at once. `--slowlog` sizes the slow-request ring dumped by
 //! `{"type":"slowlog"}` (default 8), and `--trace-log` appends every
@@ -35,7 +34,7 @@ struct Args {
     config: ServerConfig,
 }
 
-const USAGE: &str = "usage: qxmap-serve [--listen ADDR] [--snapshot PATH] [--journal PATH] \
+const USAGE: &str = "usage: qxmap-serve [--listen ADDR] [--journal PATH] \
                      [--workers N] [--queue-depth N] [--batch N] [--pipeline N] \
                      [--slowlog N] [--trace-log PATH]";
 
@@ -52,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--listen" => args.listen = Some(value("--listen")?),
-            "--snapshot" => args.config.snapshot = Some(PathBuf::from(value("--snapshot")?)),
             "--journal" => args.config.journal = Some(PathBuf::from(value("--journal")?)),
             "--workers" => {
                 args.config.workers = parse_positive("--workers", &value("--workers")?)?;
@@ -99,28 +97,18 @@ fn main() -> ExitCode {
 
     let server = Server::start(args.config);
     match server.warm_start() {
-        Ok(warm) => {
-            if warm.snapshot_entries > 0 {
-                eprintln!(
-                    "qxmap-serve: warm start with {} cached solves",
-                    warm.snapshot_entries
-                );
-            }
-            if let Some(replay) = warm.journal {
-                eprintln!(
-                    "qxmap-serve: journal replay admitted {} entries \
-                     ({} rejected{}{})",
-                    replay.admitted,
-                    replay.rejected,
-                    if replay.torn {
-                        ", torn tail truncated"
-                    } else {
-                        ""
-                    },
-                    if replay.reset { ", file reset" } else { "" },
-                );
-            }
-        }
+        Ok(Some(replay)) => eprintln!(
+            "qxmap-serve: journal replay admitted {} entries ({} rejected{}{})",
+            replay.admitted,
+            replay.rejected,
+            if replay.torn {
+                ", torn tail truncated"
+            } else {
+                ""
+            },
+            if replay.reset { ", file reset" } else { "" },
+        ),
+        Ok(None) => {}
         Err(message) => eprintln!("qxmap-serve: starting cold: {message}"),
     }
 
@@ -144,13 +132,9 @@ fn main() -> ExitCode {
         eprintln!("qxmap-serve: serve loop failed: {e}");
     }
 
-    match server.finish() {
-        Ok(Some(entries)) => eprintln!("qxmap-serve: snapshotted {entries} cached solves"),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("qxmap-serve: persisting warm state failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = server.finish() {
+        eprintln!("qxmap-serve: persisting warm state failed: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -25,7 +25,7 @@
 //! * `{"type": "metrics"}` — cache statistics, queue state, latency
 //!   counters.
 //! * `{"type": "shutdown"}` — graceful shutdown: queued work finishes,
-//!   the solve cache is snapshotted, the daemon exits.
+//!   the cache journal (when configured) is compacted, the daemon exits.
 //!
 //! The `device` field is either a name from the topology library
 //! (`"qx4"`, `"ring-6"`, `"heavy-hex-1"`, …) or an object
@@ -60,7 +60,9 @@ use std::time::Duration;
 use qxmap_arch::{calibration, devices, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::CircuitSkeleton;
 use qxmap_core::{Strategy, MAX_EXACT_QUBITS};
-use qxmap_map::{CacheProbe, Guarantee, MapReport, MapRequest, MapperError, WindowCertificate};
+use qxmap_map::{
+    CacheProbe, Guarantee, MapOptions, MapReport, MapRequest, MapperError, WindowCertificate,
+};
 use qxmap_window::WindowOptions;
 
 use crate::json::Json;
@@ -109,9 +111,13 @@ pub struct MapJob {
     skeleton: CircuitSkeleton,
     /// The validated device.
     device: ParsedDevice,
-    /// The request options, applied identically to the cache probe and
-    /// the materialized request.
+    /// The request options; fields the wire did not send keep
+    /// [`MapOptions::default`], which is also [`MapRequest::new`]'s.
+    /// Applied whole to the cache probe and the materialized request.
     options: MapOptions,
+    /// Whether the request asked for a trace timeline — not an option:
+    /// tracing never affects cache identity.
+    trace: bool,
     /// The request's window-decomposition choice; resolved against the
     /// device and guarantee by [`MapJob::windowed_options`].
     pub windowed: WindowedChoice,
@@ -141,21 +147,6 @@ enum Ingest {
     Qxbc(Vec<u8>),
 }
 
-/// Request options in wire form. `None` means "not sent" — both the
-/// probe and the materialized request then keep the library defaults,
-/// which [`CacheProbe`] and [`MapRequest`] pin to the same values.
-#[derive(Debug, Default)]
-struct MapOptions {
-    guarantee: Option<Guarantee>,
-    strategy: Option<Strategy>,
-    subsets: Option<bool>,
-    deadline: Option<Duration>,
-    conflict_budget: Option<u64>,
-    upper_bound: Option<u64>,
-    seed: Option<u64>,
-    trace: bool,
-}
-
 impl MapJob {
     /// The per-request deadline, if one was sent.
     pub fn deadline(&self) -> Option<Duration> {
@@ -168,7 +159,7 @@ impl MapJob {
     /// affects cache identity, so a traced request still hits the warm
     /// path (and gets a timeline of the lookup itself).
     pub fn wants_trace(&self) -> bool {
-        self.options.trace
+        self.trace
     }
 
     /// The payload's canonical skeleton.
@@ -194,7 +185,7 @@ impl MapJob {
                     ParsedDevice::Named(cm) => cm.num_qubits(),
                     ParsedDevice::Model(model) => model.num_qubits(),
                 };
-                let optimal = self.options.guarantee == Some(Guarantee::Optimal);
+                let optimal = self.options.guarantee == Guarantee::Optimal;
                 (qubits > MAX_EXACT_QUBITS && !optimal).then(WindowOptions::default)
             }
         }
@@ -207,32 +198,11 @@ impl MapJob {
         if self.windowed_options().is_some() {
             return None;
         }
-        let mut probe = match &self.device {
+        let probe = match &self.device {
             ParsedDevice::Named(cm) => CacheProbe::new(self.skeleton.clone(), cm),
             ParsedDevice::Model(model) => CacheProbe::for_model(self.skeleton.clone(), model),
         };
-        if let Some(g) = self.options.guarantee {
-            probe = probe.with_guarantee(g);
-        }
-        if let Some(s) = &self.options.strategy {
-            probe = probe.with_strategy(s.clone());
-        }
-        if let Some(on) = self.options.subsets {
-            probe = probe.with_subsets(on);
-        }
-        if let Some(d) = self.options.deadline {
-            probe = probe.with_deadline(d);
-        }
-        if let Some(b) = self.options.conflict_budget {
-            probe = probe.with_conflict_budget(Some(b));
-        }
-        if let Some(b) = self.options.upper_bound {
-            probe = probe.with_upper_bound(Some(b));
-        }
-        if let Some(s) = self.options.seed {
-            probe = probe.with_seed(s);
-        }
-        Some(probe)
+        Some(probe.with_options(self.options.clone()))
     }
 
     /// Builds the engine-ready [`MapRequest`] — the first (and only)
@@ -252,32 +222,11 @@ impl MapJob {
                 Rejection::bad_request(self.id.clone(), format!("invalid QXBC payload: {e}"))
             })?,
         };
-        let mut request = match &self.device {
+        let request = match &self.device {
             ParsedDevice::Named(cm) => MapRequest::new(circuit, cm.clone()),
             ParsedDevice::Model(model) => MapRequest::for_model(circuit, model.clone()),
         };
-        if let Some(g) = self.options.guarantee {
-            request = request.with_guarantee(g);
-        }
-        if let Some(s) = &self.options.strategy {
-            request = request.with_strategy(s.clone());
-        }
-        if let Some(on) = self.options.subsets {
-            request = request.with_subsets(on);
-        }
-        if let Some(d) = self.options.deadline {
-            request = request.with_deadline(d);
-        }
-        if let Some(b) = self.options.conflict_budget {
-            request = request.with_conflict_budget(Some(b));
-        }
-        if let Some(b) = self.options.upper_bound {
-            request = request.with_upper_bound(Some(b));
-        }
-        if let Some(s) = self.options.seed {
-            request = request.with_seed(s);
-        }
-        Ok(request)
+        Ok(request.with_options(self.options.clone()))
     }
 }
 
@@ -424,7 +373,7 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
 
     let mut options = MapOptions::default();
     if let Some(guarantee) = value.get("guarantee") {
-        options.guarantee = Some(match guarantee.as_str() {
+        options.guarantee = match guarantee.as_str() {
             Some("optimal") => Guarantee::Optimal,
             Some("best_effort") => Guarantee::BestEffort,
             _ => {
@@ -432,16 +381,15 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
                     "\"guarantee\" must be \"optimal\" or \"best_effort\"".to_string()
                 ))
             }
-        });
+        };
     }
     if let Some(strategy) = value.get("strategy") {
-        options.strategy = Some(parse_strategy(strategy).map_err(&bad)?);
+        options.strategy = parse_strategy(strategy).map_err(&bad)?;
     }
     if let Some(subsets) = value.get("subsets") {
-        let on = subsets
+        options.use_subsets = subsets
             .as_bool()
             .ok_or_else(|| bad("\"subsets\" must be a boolean".to_string()))?;
-        options.subsets = Some(on);
     }
     if let Some(deadline) = value.get("deadline_ms") {
         let ms = deadline
@@ -463,16 +411,16 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
         options.upper_bound = Some(bound);
     }
     if let Some(seed) = value.get("seed") {
-        let seed = seed
+        options.seed = seed
             .as_u64()
             .ok_or_else(|| bad("\"seed\" must be a non-negative integer".to_string()))?;
-        options.seed = Some(seed);
     }
-    if let Some(trace) = value.get("trace") {
-        options.trace = trace
+    let trace = match value.get("trace") {
+        Some(trace) => trace
             .as_bool()
-            .ok_or_else(|| bad("\"trace\" must be a boolean".to_string()))?;
-    }
+            .ok_or_else(|| bad("\"trace\" must be a boolean".to_string()))?,
+        None => false,
+    };
     let windowed = match value.get("windowed") {
         Some(w) => parse_windowed(w).map_err(&bad)?,
         None => WindowedChoice::Auto,
@@ -483,6 +431,7 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
         skeleton,
         device,
         options,
+        trace,
         windowed,
     })
 }
@@ -785,11 +734,11 @@ fn micros(d: Duration) -> Json {
     Json::num(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
 }
 
-/// Renders a [`SolveTrace`] as the wire `trace` object: its own
-/// `elapsed_us` (measured from the trace origin — line receipt for
-/// server-side traces, so it covers ingest and queue wait on top of the
-/// report's solve-only `elapsed_us`) plus every closed span in start
-/// order.
+/// Renders a [`qxmap_core::trace::SolveTrace`] as the wire `trace`
+/// object: its own `elapsed_us` (measured from the trace origin — line
+/// receipt for server-side traces, so it covers ingest and queue wait on
+/// top of the report's solve-only `elapsed_us`) plus every closed span
+/// in start order.
 pub fn trace_json(trace: &qxmap_core::trace::SolveTrace) -> Json {
     let spans = trace
         .spans

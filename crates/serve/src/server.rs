@@ -1,7 +1,7 @@
 //! The server core: a deadline-aware admission queue feeding a fixed
 //! worker pool, pipelined connections, explicit overload and deadline
 //! shedding, graceful shutdown, metrics, and crash-safe solve-cache
-//! persistence (snapshot plus append-only journal).
+//! persistence (an append-only journal).
 //!
 //! ## Request lifecycle
 //!
@@ -43,28 +43,27 @@
 //!
 //! A `shutdown` request (or stdin EOF in stdio mode) begins a graceful
 //! wind-down: admission closes (`shutting_down` rejections), workers
-//! drain every already-admitted job, and [`Server::finish`] snapshots
-//! the solve cache to the configured path — so the next boot (or a
-//! replica seeded from the same file) starts warm and answers repeated
-//! requests in microseconds. Snapshots are written to a temporary file
-//! and renamed into place, so a crash mid-write never corrupts the
-//! previous good snapshot; corrupted or version-mismatched snapshots
-//! are rejected at boot and the daemon starts cold.
+//! drain every already-admitted job, and [`Server::finish`] finishes the
+//! cache journal.
 //!
-//! Snapshots only cover *graceful* exits. With a journal configured
-//! ([`ServerConfig::journal`]), every solve admitted to the
-//! process-wide cache is also appended to a crash-safe
-//! [`qxmap_map::Journal`] by a background thread off the response path:
-//! a `kill -9` loses at most the unsynced tail of the file, and the
-//! next boot replays it record by record — rejecting torn or corrupt
-//! records individually, keeping everything intact — on top of whatever
-//! the snapshot recovered. A replica may warm-share by tail-following
-//! the same file with [`qxmap_map::replay_records`].
+//! With a journal configured ([`ServerConfig::journal`]), every solve
+//! admitted to the process-wide cache is appended to a crash-safe
+//! [`qxmap_map::Journal`] by a background thread off the response path,
+//! and [`Server::finish`] compacts the file to exactly the live entries
+//! in least-recently-used order (write-temp-then-rename, so a crash
+//! mid-compaction keeps the previous file). The next boot replays it
+//! record by record — rejecting torn or corrupt records individually,
+//! keeping everything intact — so a graceful restart comes back with the
+//! same entries in the same recency order, and a `kill -9` loses at most
+//! the unsynced tail. Each daemon owns its journal file; a replica
+//! reads another daemon's journal without writing it — booting on a
+//! copy of a compacted file, or tail-following the live one with
+//! [`qxmap_map::replay_records`] — and journals to a path of its own.
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -72,8 +71,7 @@ use std::time::{Duration, Instant};
 
 use qxmap_core::trace::{SolveTrace, SpanRecorder};
 use qxmap_map::{
-    Engine as _, Journal, JournalReplay, JournalStats, MapReport, MapRequest, MapperError,
-    SolveCache,
+    Engine as _, Journal, JournalReplay, MapReport, MapRequest, MapperError, SolveCache,
 };
 use qxmap_window::{WindowOptions, WindowedEngine};
 
@@ -96,14 +94,12 @@ pub struct ServerConfig {
     /// once; at the cap the connection's reader stops consuming input
     /// (TCP backpressure). Defaults to 32.
     pub pipeline_depth: usize,
-    /// Snapshot file for warm starts: imported by
-    /// [`Server::warm_start`], written by [`Server::finish`].
-    pub snapshot: Option<PathBuf>,
-    /// Append-only cache journal for crash-safe warm state: replayed and
-    /// attached by [`Server::warm_start`], drained by [`Server::finish`].
+    /// Append-only cache journal for warm state across restarts and
+    /// crashes: replayed and attached by [`Server::warm_start`], drained
+    /// and compacted by [`Server::finish`].
     pub journal: Option<PathBuf>,
-    /// Journal records appended between snapshot compactions of the
-    /// journal file. Defaults to 1024.
+    /// Journal records appended between compactions of the journal
+    /// file. Defaults to 1024.
     pub journal_compact_after: usize,
     /// Entries kept in the slow-request ring — the N slowest completed
     /// solves, with their traces when the request carried
@@ -124,7 +120,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             batch_max: 8,
             pipeline_depth: 32,
-            snapshot: None,
             journal: None,
             journal_compact_after: 1024,
             slowlog_capacity: 8,
@@ -152,15 +147,6 @@ impl Handled {
             Handled::Reply(r) | Handled::ReplyAndShutdown(r) => r,
         }
     }
-}
-
-/// What [`Server::warm_start`] recovered before serving.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WarmStart {
-    /// Entries admitted from the snapshot file.
-    pub snapshot_entries: usize,
-    /// Journal replay summary, when a journal is configured.
-    pub journal: Option<JournalReplay>,
 }
 
 /// How an admitted job left the queue: solved (or failed) by a worker,
@@ -513,8 +499,8 @@ struct Outgoing {
     then_shutdown: bool,
 }
 
-/// The mapping daemon: admission queue, worker pool, metrics, snapshot
-/// and journal persistence. Construct with [`Server::start`], feed it
+/// The mapping daemon: admission queue, worker pool, metrics and
+/// journal persistence. Construct with [`Server::start`], feed it
 /// request lines with [`Server::handle_line`] (or let
 /// [`Server::serve_tcp`] / [`Server::serve_stdio`] do it), and call
 /// [`Server::finish`] to drain and persist on the way out.
@@ -539,16 +525,13 @@ pub struct Server {
     trace_log: Mutex<Option<io::BufWriter<std::fs::File>>>,
     /// When the server booted (the `metrics` response's `uptime_us`).
     started: Instant,
-    /// What [`Server::warm_start`] recovered, for the `metrics`
-    /// response's journal-health section.
-    warm: Mutex<WarmStart>,
-    /// The journal writer's final counters, captured by
-    /// [`Server::finish`] before detaching (so a post-drain `metrics`
-    /// read still reports them).
-    journal_final: Mutex<Option<JournalStats>>,
+    /// What [`Server::warm_start`]'s journal replay recovered, for the
+    /// `metrics` response's journal-health section.
+    replay: Mutex<Option<JournalReplay>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// The attached cache journal, when configured and booted via
-    /// [`Server::warm_start`]; drained and joined by [`Server::finish`].
+    /// [`Server::warm_start`]; finished by [`Server::finish`] and kept,
+    /// so a post-drain `metrics` read still reports its counters.
     journal: Mutex<Option<Journal>>,
     /// Responses accepted for delivery but not yet flushed to their
     /// sockets — what [`Server::finish`] waits out so an answered job's
@@ -598,8 +581,7 @@ impl Server {
             slowlog: Mutex::new(Vec::new()),
             trace_log: Mutex::new(trace_log),
             started: Instant::now(),
-            warm: Mutex::new(WarmStart::default()),
-            journal_final: Mutex::new(None),
+            replay: Mutex::new(None),
             journal: Mutex::new(None),
             busy_lines: AtomicU64::new(0),
             solver,
@@ -1226,22 +1208,17 @@ impl Server {
     fn journal_health(&self) -> Option<Json> {
         self.config.journal.as_ref()?;
         let replay = self
-            .warm
+            .replay
             .lock()
             .expect("no panics under the lock")
-            .journal
             .unwrap_or_default();
-        let stats = {
-            let live = self.journal.lock().expect("no panics under the lock");
-            match live.as_ref() {
-                Some(journal) => journal.stats(),
-                None => self
-                    .journal_final
-                    .lock()
-                    .expect("no panics under the lock")
-                    .unwrap_or_default(),
-            }
-        };
+        let stats = self
+            .journal
+            .lock()
+            .expect("no panics under the lock")
+            .as_ref()
+            .map(Journal::stats)
+            .unwrap_or_default();
         Some(Json::obj([
             ("appended", Json::num(stats.appended)),
             ("compactions", Json::num(stats.compactions)),
@@ -1477,16 +1454,15 @@ impl Server {
     }
 
     /// Drains the pool (joining every worker — every admitted job is
-    /// answered first), drains and detaches the cache journal, and
-    /// snapshots the solve cache to the configured path. Returns the
-    /// number of entries persisted, `None` when no snapshot path is
-    /// configured.
+    /// answered first), then finishes the cache journal: drains and
+    /// detaches it, and compacts the file to the cache's live entries in
+    /// least-recently-used order ([`Journal::finish`]).
     ///
     /// # Errors
     ///
-    /// Propagates journal- and snapshot-write I/O errors; the drain
-    /// itself cannot fail.
-    pub fn finish(&self) -> io::Result<Option<usize>> {
+    /// Propagates journal-write I/O errors; the drain itself cannot
+    /// fail.
+    pub fn finish(&self) -> io::Result<()> {
         self.begin_shutdown();
         let workers = std::mem::take(&mut *self.workers.lock().expect("no panics under the lock"));
         for worker in workers {
@@ -1501,17 +1477,6 @@ impl Server {
         while self.busy_lines.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let journal = self
-            .journal
-            .lock()
-            .expect("no panics under the lock")
-            .take();
-        if let Some(journal) = journal {
-            // Final counters survive the detach so a post-drain
-            // `metrics` read still reports journal health.
-            *self.journal_final.lock().expect("no panics under the lock") = Some(journal.stats());
-            journal.finish()?;
-        }
         if let Some(log) = self
             .trace_log
             .lock()
@@ -1520,43 +1485,42 @@ impl Server {
         {
             let _ = log.flush();
         }
-        match &self.config.snapshot {
-            None => Ok(None),
-            Some(path) => save_snapshot(path).map(Some),
+        match self
+            .journal
+            .lock()
+            .expect("no panics under the lock")
+            .as_mut()
+        {
+            Some(journal) => journal.finish(),
+            None => Ok(()),
         }
     }
 
-    /// Recovers warm state into the process-wide [`SolveCache`]: the
-    /// configured snapshot first, then the configured journal — which
-    /// is replayed record by record (torn or corrupt records rejected
-    /// individually) and left attached, so every solve from here on is
-    /// journaled by a background thread until [`Server::finish`]. A
-    /// missing file is a cold start; a rejected snapshot (corrupted,
-    /// truncated, version-mismatched) is reported as the error string
-    /// and the cache is left untouched — the daemon should log it and
-    /// start cold rather than refuse to boot.
+    /// Recovers warm state into the process-wide [`SolveCache`] from
+    /// the configured journal, replayed record by record (torn or
+    /// corrupt records rejected individually) and left attached, so
+    /// every solve from here on is journaled by a background thread
+    /// until [`Server::finish`]. A missing file is a cold start. Returns
+    /// the replay summary, or `None` when no journal is configured.
     ///
     /// # Errors
     ///
-    /// Returns a description of why the snapshot was rejected or the
-    /// journal could not be attached.
-    pub fn warm_start(&self) -> Result<WarmStart, String> {
-        let mut warm = WarmStart::default();
-        if let Some(path) = &self.config.snapshot {
-            warm.snapshot_entries = load_snapshot(path)?;
-        }
-        if let Some(path) = &self.config.journal {
-            let (journal, replay) = Journal::attach(
-                SolveCache::shared(),
-                path,
-                self.config.journal_compact_after,
-            )
-            .map_err(|e| format!("attaching journal {}: {e}", path.display()))?;
-            *self.journal.lock().expect("no panics under the lock") = Some(journal);
-            warm.journal = Some(replay);
-        }
-        *self.warm.lock().expect("no panics under the lock") = warm;
-        Ok(warm)
+    /// Returns a description of why the journal could not be attached;
+    /// the daemon should log it and start cold rather than refuse to
+    /// boot.
+    pub fn warm_start(&self) -> Result<Option<JournalReplay>, String> {
+        let Some(path) = &self.config.journal else {
+            return Ok(None);
+        };
+        let (journal, replay) = Journal::attach(
+            SolveCache::shared(),
+            path,
+            self.config.journal_compact_after,
+        )
+        .map_err(|e| format!("attaching journal {}: {e}", path.display()))?;
+        *self.journal.lock().expect("no panics under the lock") = Some(journal);
+        *self.replay.lock().expect("no panics under the lock") = Some(replay);
+        Ok(Some(replay))
     }
 
     /// Accept loop: serves connections until shutdown begins, then
@@ -1574,7 +1538,7 @@ impl Server {
             // Checked every iteration, not only when accept() idles: a
             // stream of reconnecting clients (each now due a
             // shutting_down rejection) must not keep the accept loop —
-            // and with it the shutdown snapshot — alive forever.
+            // and with it the shutdown drain — alive forever.
             if self.is_shutting_down() {
                 return Ok(());
             }
@@ -1851,45 +1815,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Writes the process-wide cache's snapshot to `path` atomically (temp
-/// file + rename), returning the entry count persisted.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_snapshot(path: &Path) -> io::Result<usize> {
-    let bytes = SolveCache::shared().export_snapshot();
-    // Report what the file actually holds — the cache can move between
-    // any two lock acquisitions, so the count comes from the exported
-    // header, not a separate stats() read.
-    let entries = qxmap_map::snapshot_entry_count(&bytes).unwrap_or(0);
-    // The temp name is per-process: replicas legitimately share one
-    // snapshot path, and concurrent shutdowns must each publish a
-    // complete file (last rename wins) rather than racing on one temp.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(entries)
-}
-
-/// Imports the snapshot at `path` into the process-wide cache. A
-/// missing file is a cold start (`Ok(0)`).
-///
-/// # Errors
-///
-/// Returns a description of the I/O failure or snapshot defect; the
-/// cache is untouched on error.
-pub fn load_snapshot(path: &Path) -> Result<usize, String> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("reading {}: {e}", path.display())),
-    };
-    SolveCache::shared()
-        .import_snapshot(&bytes)
-        .map_err(|e| format!("rejected snapshot {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -2426,9 +2351,9 @@ mod tests {
             journal: Some(path.clone()),
             ..ServerConfig::default()
         };
+        // A missing file is a cold start.
         let server = Server::start(journaled.clone());
-        let warm = server.warm_start().unwrap();
-        let replay = warm.journal.expect("journal configured");
+        let replay = server.warm_start().unwrap().expect("journal configured");
         assert_eq!(replay.admitted, 0, "fresh journal has nothing to replay");
         // A unique seed forces a real solve — and so a journal append.
         let unique = format!(
@@ -2442,6 +2367,12 @@ mod tests {
             handled.response()
         );
         server.finish().unwrap();
+        // The finished journal's counters stay readable, final
+        // compaction included.
+        let metrics = server.metrics_json(None);
+        let journal = metrics.get("journal").expect("journal health");
+        assert!(journal.get("appended").and_then(Json::as_u64).unwrap() >= 1);
+        assert!(journal.get("compactions").and_then(Json::as_u64).unwrap() >= 1);
         let written = std::fs::metadata(&path).unwrap().len();
         assert!(
             written > 12,
@@ -2451,48 +2382,25 @@ mod tests {
         // A second boot replays the journal; every record is already
         // live in this process's shared cache, so none are admitted —
         // and none are rejected either (the file is intact).
-        let second = Server::start(journaled);
-        let warm = second.warm_start().unwrap();
-        let replay = warm.journal.expect("journal configured");
+        let second = Server::start(journaled.clone());
+        let replay = second.warm_start().unwrap().expect("journal configured");
         assert_eq!(replay.rejected, 0);
         assert_eq!(replay.admitted, 0, "all records already live in-process");
         assert!(!replay.torn);
         assert!(!replay.reset);
         second.finish().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn snapshot_files_round_trip_and_reject_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "qxmap-serve-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.qxsnap");
-
-        // Populate the process-wide cache with one solved entry.
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let engine = qxmap_map::Portfolio::new();
-        let _ = engine.run_cached(&request).unwrap();
-        let persisted = save_snapshot(&path).unwrap();
-        assert!(persisted >= 1);
-        let imported = load_snapshot(&path).unwrap();
-        // Every persisted key is already live in this process's cache.
-        assert_eq!(imported, 0);
-
-        // Corruption is rejected with a description, not a crash.
+        // Corruption is rejected record by record, not with a crash: a
+        // flipped byte in the first record's payload costs that record
+        // alone.
         let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
+        bytes[12 + 12 + 1] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_snapshot(&path).unwrap_err();
-        assert!(err.contains("rejected snapshot"), "{err}");
-
-        // A missing file is a cold start.
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(load_snapshot(&path), Ok(0));
+        let third = Server::start(journaled);
+        let replay = third.warm_start().unwrap().expect("journal configured");
+        assert_eq!(replay.rejected, 1);
+        assert!(!replay.torn);
+        third.finish().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

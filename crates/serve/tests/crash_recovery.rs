@@ -1,8 +1,8 @@
 //! Crash-safety of the warm state, end to end: boot the daemon with a
 //! cache journal, push traffic, `kill -9` the process (no graceful
-//! shutdown, no snapshot), restart on the same journal, and assert the
-//! replayed cache still answers the pre-crash requests as warm hits —
-//! losing at most the bounded unsynced tail.
+//! shutdown, no final compaction), restart on the same journal, and
+//! assert the replayed cache still answers the pre-crash requests as
+//! warm hits — losing at most the bounded unsynced tail.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -67,7 +67,7 @@ impl Daemon {
         Json::parse(&response).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
     }
 
-    /// `kill -9`: no shutdown request, no drain, no snapshot. The whole
+    /// `kill -9`: no shutdown request, no drain, no compaction. The whole
     /// point of the journal is surviving exactly this.
     fn sigkill(mut self) {
         self.child.kill().expect("SIGKILL lands");
@@ -136,7 +136,7 @@ fn sigkill_loses_at_most_the_unsynced_tail_and_restart_serves_warm_hits() {
     let first_layout = first.get("initial_layout").cloned().expect("layout");
 
     // The journal writer is a background thread fed over a channel; give
-    // it a beat to drain, then pull the rug. No shutdown, no snapshot.
+    // it a beat to drain, then pull the rug. No shutdown, no compaction.
     std::thread::sleep(Duration::from_millis(300));
     daemon.sigkill();
     assert!(journal.exists(), "journaling daemon wrote no journal");

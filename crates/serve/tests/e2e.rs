@@ -1,6 +1,6 @@
 //! End-to-end test of the `qxmap-serve` binary: boot on a loopback
 //! port, round-trip a QASM mapping request and a metrics request,
-//! shut down (writing the cache snapshot), restart from the snapshot,
+//! shut down (compacting the cache journal), restart from the journal,
 //! and assert the repeated request is a sub-millisecond warm cache hit
 //! with the same layout and cost as the original solve — the serving
 //! tier's whole reason to exist, exercised over the real wire.
@@ -30,18 +30,18 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn boot(snapshot: &std::path::Path) -> Daemon {
-        Daemon::boot_with(snapshot, &[])
+    fn boot(journal: &std::path::Path) -> Daemon {
+        Daemon::boot_with(journal, &[])
     }
 
     /// Boots with extra command-line flags (worker/queue shaping).
-    fn boot_with(snapshot: &std::path::Path, extra: &[&str]) -> Daemon {
+    fn boot_with(journal: &std::path::Path, extra: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_qxmap-serve"))
             .args([
                 "--listen",
                 "127.0.0.1:0",
-                "--snapshot",
-                snapshot.to_str().expect("UTF-8 temp path"),
+                "--journal",
+                journal.to_str().expect("UTF-8 temp path"),
             ])
             .args(extra)
             .stdout(Stdio::piped())
@@ -112,10 +112,10 @@ fn ladder_qasm(n: usize) -> String {
 fn windowed_requests_round_trip_with_certificates() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-win-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot: PathBuf = dir.join("solves.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
 
-    let daemon = Daemon::boot(&snapshot);
+    let daemon = Daemon::boot(&journal);
     // A 10-qubit ladder on linear-12: past the exact regime, so the
     // windowed engine slices, solves and stitches.
     let line = format!(
@@ -188,10 +188,10 @@ fn windowed_requests_round_trip_with_certificates() {
 fn pipelined_connections_stream_responses_in_completion_order() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-pipe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot: PathBuf = dir.join("solves.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
 
-    let daemon = Daemon::boot_with(&snapshot, &["--workers", "2"]);
+    let daemon = Daemon::boot_with(&journal, &["--workers", "2"]);
     // Warm the cache so the fast requests are microsecond hits.
     let warm = daemon.request(&map_line());
     assert_eq!(warm.get("type").and_then(Json::as_str), Some("result"));
@@ -257,11 +257,11 @@ fn flooding_the_admission_queue_rejects_cleanly_without_dropping_replies() {
 
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-flood-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot: PathBuf = dir.join("solves.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
 
     let daemon = std::sync::Arc::new(Daemon::boot_with(
-        &snapshot,
+        &journal,
         &["--workers", "1", "--queue-depth", "1", "--batch", "1"],
     ));
     // A windowed 52-qubit map on heavy-hex takes long enough that the
@@ -364,10 +364,10 @@ fn flooding_the_admission_queue_rejects_cleanly_without_dropping_replies() {
 fn qxbc_payloads_round_trip_and_hostile_ones_reject_structurally() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-qxbc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot: PathBuf = dir.join("solves.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
 
-    let daemon = Daemon::boot(&snapshot);
+    let daemon = Daemon::boot(&journal);
     let first = daemon.request(&map_line());
     assert_eq!(
         first.get("type").and_then(Json::as_str),
@@ -438,14 +438,14 @@ fn qxbc_payloads_round_trip_and_hostile_ones_reject_structurally() {
 }
 
 #[test]
-fn restart_serves_warm_cache_hits_from_the_snapshot() {
+fn restart_serves_warm_cache_hits_from_the_journal() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshot: PathBuf = dir.join("solves.qxsnap");
-    let _ = std::fs::remove_file(&snapshot);
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
 
     // Boot 1: cold. Solve once, check the answer and the metrics.
-    let daemon = Daemon::boot(&snapshot);
+    let daemon = Daemon::boot(&journal);
     let first = daemon.request(&map_line());
     assert_eq!(
         first.get("type").and_then(Json::as_str),
@@ -476,13 +476,16 @@ fn restart_serves_warm_cache_hits_from_the_snapshot() {
         Some(0)
     );
 
-    // Graceful shutdown persists the snapshot.
+    // Graceful shutdown leaves the compacted journal behind.
     daemon.shutdown_and_wait();
-    assert!(snapshot.exists(), "shutdown wrote no snapshot");
+    assert!(
+        std::fs::metadata(&journal).unwrap().len() > 12,
+        "shutdown left no journal records"
+    );
 
     // Boot 2: warm. The identical request is a sub-millisecond cache
     // hit with the original solve's layout and cost.
-    let daemon = Daemon::boot(&snapshot);
+    let daemon = Daemon::boot(&journal);
     let second = daemon.request(&map_line());
     assert_eq!(
         second.get("served_from_cache").and_then(Json::as_bool),
@@ -515,7 +518,33 @@ fn restart_serves_warm_cache_hits_from_the_snapshot() {
     let metrics = daemon.request("{\"type\":\"metrics\"}");
     let cache = metrics.get("cache").expect("cache stats");
     assert!(cache.get("hits").and_then(Json::as_u64).unwrap() >= 1);
+    let replayed = metrics.get("journal").expect("journal health");
+    assert!(
+        replayed
+            .get("replay_admitted")
+            .and_then(Json::as_u64)
+            .unwrap()
+            >= 1,
+        "{metrics}"
+    );
     daemon.shutdown_and_wait();
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flags the daemon does not know — including retired ones — fail the
+/// boot with the usage line instead of being ignored.
+#[test]
+fn unknown_flags_fail_with_the_usage_line() {
+    let out = Command::new(env!("CARGO_BIN_EXE_qxmap-serve"))
+        .args(["--no-such-flag", "x"])
+        .output()
+        .expect("binary built by cargo");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag \"--no-such-flag\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: qxmap-serve"), "{stderr}");
 }

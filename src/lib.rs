@@ -21,7 +21,7 @@
 //! | [`heuristic`] | `qxmap-heuristic` | stochastic-swap / A* / SABRE / naive baselines |
 //! | [`map`] | `qxmap-map` | **the unified mapping surface**: `MapRequest` → `MapReport` over every engine, portfolio runner, batch entry point |
 //! | [`window`] | `qxmap-window` | window-decomposed mapping past the 8-qubit wall: slice → exact-solve → stitch, with per-window certificates |
-//! | [`serve`] | `qxmap-serve` | **the serving tier**: mapping daemon, JSON wire protocol, solve-cache snapshots |
+//! | [`serve`] | `qxmap-serve` | **the serving tier**: mapping daemon, JSON wire protocol, solve-cache journal |
 //! | [`sim`] | `qxmap-sim` | statevector simulation & equivalence checking |
 //! | [`benchmarks`] | `qxmap-benchmarks` | Table 1 profiles, generators, `.real` parser |
 //!
