@@ -10,9 +10,9 @@
 //!
 //! The artifact also carries an `ingest` section: the largest corpus
 //! circuits tiled to MB-scale payloads and timed through every ingest
-//! path — sequential text parse, parallel text parse, QXBC binary
-//! decode, and the two skeleton-only variants — so the fast-ingest
-//! speedup is a diffed trajectory, not a one-off claim.
+//! path — text parse, QXBC binary decode, and the two skeleton-only
+//! variants — so the fast-ingest speedup is a diffed trajectory, not a
+//! one-off claim.
 //!
 //! Flags:
 //!
@@ -199,8 +199,7 @@ fn best_ms(mut work: impl FnMut()) -> f64 {
 }
 
 /// One fast-ingest trajectory row, plus the row's headline speedup: the
-/// sequential text parse against the best of the new ingest paths
-/// (parallel text parse or QXBC decode) for the same circuit.
+/// text parse against the QXBC decode of the same circuit.
 fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
     let big = tiled(circuit, INGEST_TARGET_GATES);
     let text = qxmap_qasm::to_qasm(&big);
@@ -225,9 +224,6 @@ fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
     let parse_seq_ms = best_ms(|| {
         qxmap_qasm::to_circuit(&qxmap_qasm::parse_program(&text).unwrap()).unwrap();
     });
-    let parse_par_ms = best_ms(|| {
-        qxmap_qasm::to_circuit(&qxmap_qasm::parse_program_parallel(&text).unwrap()).unwrap();
-    });
     let skeleton_ms = best_ms(|| {
         qxmap_qasm::parse_skeleton(&text).unwrap();
     });
@@ -240,15 +236,14 @@ fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
 
     let mb = text.len() as f64 / (1024.0 * 1024.0);
     let mb_per_s = |ms: f64| ((mb / (ms / 1e3)) * 10.0).round() / 10.0;
-    let speedup = parse_seq_ms / parse_par_ms.min(qxbc_decode_ms);
+    let speedup = parse_seq_ms / qxbc_decode_ms;
     println!(
-        "ingest {:<22} {:>6.2} MiB | seq {:>7.1} ms ({:>6.1} MB/s) | par {:>7.1} ms | \
+        "ingest {:<22} {:>6.2} MiB | seq {:>7.1} ms ({:>6.1} MB/s) | \
          qxbc {:>7.1} ms | skeleton {:>7.1} ms | speedup {:>5.1}x",
         source,
         mb,
         parse_seq_ms,
         mb_per_s(parse_seq_ms),
-        parse_par_ms,
         qxbc_decode_ms,
         skeleton_ms,
         speedup,
@@ -261,7 +256,6 @@ fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
         ("qasm_bytes", Json::num(text.len() as u64)),
         ("qxbc_bytes", Json::num(bytes.len() as u64)),
         ("parse_seq_ms", Json::Num(stats::round_ms(parse_seq_ms))),
-        ("parse_par_ms", Json::Num(stats::round_ms(parse_par_ms))),
         ("skeleton_ms", Json::Num(stats::round_ms(skeleton_ms))),
         ("qxbc_decode_ms", Json::Num(stats::round_ms(qxbc_decode_ms))),
         (
@@ -269,7 +263,6 @@ fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
             Json::Num(stats::round_ms(qxbc_skeleton_ms)),
         ),
         ("seq_mb_per_s", Json::Num(mb_per_s(parse_seq_ms))),
-        ("par_mb_per_s", Json::Num(mb_per_s(parse_par_ms))),
         ("speedup", Json::Num((speedup * 10.0).round() / 10.0)),
     ]);
     (row, speedup)
@@ -420,9 +413,8 @@ fn main() {
             break;
         }
     }
-    // The tentpole's headline: on MB-scale payloads the best new ingest
-    // path (parallel parse or QXBC decode) must at least double the
-    // sequential text parser's throughput. Smoke runs on shared CI
+    // The fast-ingest headline: on MB-scale payloads the QXBC decode
+    // must at least double the text parser's throughput. Smoke runs on shared CI
     // runners report the numbers without making them a hard promise.
     assert!(
         flags.smoke || min_speedup >= 2.0,

@@ -223,7 +223,9 @@ fn diff_corpus(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<Stri
                 ));
             }
         }
-        for key in ["parse_par_ms", "qxbc_decode_ms"] {
+        // Each ingest path is gated on its own time: `speedup` (text
+        // parse over QXBC decode) would *rise* if the text parser slowed.
+        for key in ["parse_seq_ms", "skeleton_ms", "qxbc_decode_ms"] {
             if slower(
                 field(base, key),
                 field(row, key),
@@ -353,7 +355,7 @@ mod tests {
                 Json::Arr(vec![Json::obj([
                     ("name", Json::str("ingest_big")),
                     ("parse_seq_ms", Json::Num(400.0)),
-                    ("parse_par_ms", Json::Num(110.0)),
+                    ("skeleton_ms", Json::Num(300.0)),
                     ("qxbc_decode_ms", Json::Num(40.0)),
                     ("speedup", Json::Num(10.0)),
                 ])]),
@@ -446,17 +448,17 @@ mod tests {
         let baseline = corpus_doc(200.0, 4, 0.8);
         // A collapsed ingest speedup (10x -> 1x) and a 10x slower QXBC
         // decode both trip the gate.
-        let mut fresh = corpus_doc(200.0, 4, 0.8);
-        set_ingest(
-            &mut fresh,
+        let ingest_row = |seq: f64, skeleton: f64, qxbc: f64| {
             Json::Arr(vec![Json::obj([
                 ("name", Json::str("ingest_big")),
-                ("parse_seq_ms", Json::Num(400.0)),
-                ("parse_par_ms", Json::Num(400.0)),
-                ("qxbc_decode_ms", Json::Num(400.0)),
-                ("speedup", Json::Num(1.0)),
-            ])]),
-        );
+                ("parse_seq_ms", Json::Num(seq)),
+                ("skeleton_ms", Json::Num(skeleton)),
+                ("qxbc_decode_ms", Json::Num(qxbc)),
+                ("speedup", Json::Num(seq / qxbc)),
+            ])])
+        };
+        let mut fresh = corpus_doc(200.0, 4, 0.8);
+        set_ingest(&mut fresh, ingest_row(400.0, 300.0, 400.0));
         let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("ingest speedup")),
@@ -466,6 +468,14 @@ mod tests {
             regressions.iter().any(|r| r.contains("qxbc_decode_ms")),
             "{regressions:?}"
         );
+        // A 10x slower text parser leaves the speedup where it was (or
+        // raises it), so the text paths are gated on their own times.
+        let mut slow_text = corpus_doc(200.0, 4, 0.8);
+        set_ingest(&mut slow_text, ingest_row(4000.0, 3000.0, 40.0));
+        let regressions = diff(&baseline, &slow_text, &Thresholds::default()).unwrap();
+        assert_eq!(regressions.len(), 2, "{regressions:?}");
+        assert!(regressions[0].contains("parse_seq_ms"), "{regressions:?}");
+        assert!(regressions[1].contains("skeleton_ms"), "{regressions:?}");
 
         // A baseline predating the ingest section (or a fresh run not
         // measuring it) compares cleanly — absence never regresses.

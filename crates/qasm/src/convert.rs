@@ -1,6 +1,7 @@
 //! AST → circuit conversion with hierarchical gate inlining.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind, SkeletonBuilder};
 
@@ -65,7 +66,7 @@ struct Converter {
 /// Returns [`ParseQasmError`] on unknown registers or gates, index or
 /// arity violations, or broadcast-size mismatches.
 pub fn to_circuit(program: &Program) -> Result<Circuit, ParseQasmError> {
-    let conv = Converter::of(program);
+    let conv = Converter::of(program)?;
     let mut circuit = Circuit::with_clbits(conv.num_qubits, conv.num_clbits);
     conv.run(program, &mut |g| circuit.push(g))?;
     crate::hooks::note_circuit_built();
@@ -86,15 +87,46 @@ pub fn to_circuit(program: &Program) -> Result<Circuit, ParseQasmError> {
 /// Returns exactly the [`ParseQasmError`] that [`to_circuit`] would
 /// return on the same program (both run the same conversion).
 pub fn to_skeleton(program: &Program) -> Result<CircuitSkeleton, ParseQasmError> {
-    let conv = Converter::of(program);
+    let conv = Converter::of(program)?;
     let mut builder = SkeletonBuilder::new(conv.num_qubits, conv.num_clbits);
     conv.run(program, &mut |g| builder.push(&g))?;
     Ok(builder.finish())
 }
 
+impl Program {
+    /// The number of qubits the program's `qreg`s declare: the width of
+    /// the circuit [`to_circuit`] builds. Only the declarations are read,
+    /// so a caller can bound the width before conversion allocates
+    /// per-qubit state.
+    ///
+    /// # Errors
+    ///
+    /// The sizes overflow `usize` when summed; conversion fails with the
+    /// same error.
+    pub fn num_qubits(&self) -> Result<usize, ParseQasmError> {
+        self.statements
+            .iter()
+            .try_fold(0, |total, stmt| match stmt {
+                Statement::QReg { name, size } => grow(total, name, *size),
+                _ => Ok(total),
+            })
+    }
+}
+
+/// `total` plus one more register of `size`, refusing a sum that
+/// overflows.
+fn grow(total: usize, name: &str, size: usize) -> Result<usize, ParseQasmError> {
+    total.checked_add(size).ok_or_else(|| {
+        ParseQasmError::new(
+            None,
+            format!("register `{name}[{size}]` overflows the total register size"),
+        )
+    })
+}
+
 impl Converter {
     /// First pass: registers and gate definitions.
-    fn of(program: &Program) -> Converter {
+    fn of(program: &Program) -> Result<Converter, ParseQasmError> {
         let mut conv = Converter {
             qubit_offset: HashMap::new(),
             clbit_offset: HashMap::new(),
@@ -108,12 +140,12 @@ impl Converter {
                 Statement::QReg { name, size } => {
                     conv.qubit_offset
                         .insert(name.clone(), (conv.num_qubits, *size));
-                    conv.num_qubits += size;
+                    conv.num_qubits = grow(conv.num_qubits, name, *size)?;
                 }
                 Statement::CReg { name, size } => {
                     conv.clbit_offset
                         .insert(name.clone(), (conv.num_clbits, *size));
-                    conv.num_clbits += size;
+                    conv.num_clbits = grow(conv.num_clbits, name, *size)?;
                 }
                 Statement::GateDef {
                     name,
@@ -133,7 +165,7 @@ impl Converter {
                 _ => {}
             }
         }
-        conv
+        Ok(conv)
     }
 
     /// Second pass: applications, streamed into `sink` in program order.
@@ -152,7 +184,7 @@ impl Converter {
                             format!("measure size mismatch: {qubit} vs {clbit}"),
                         ));
                     }
-                    for (q, c) in qs.into_iter().zip(cs) {
+                    for (q, c) in qs.zip(cs) {
                         sink(Gate::Measure { qubit: q, clbit: c });
                     }
                 }
@@ -169,35 +201,37 @@ impl Converter {
         Ok(())
     }
 
-    /// Expands a register argument to concrete global indices.
+    /// Expands a register argument to its range of global indices —
+    /// a range, not a list, so a huge declared register costs nothing
+    /// until a gate is emitted on it.
     fn expand(
         &self,
         arg: &Arg,
         table: &HashMap<String, (usize, usize)>,
-    ) -> Result<Vec<usize>, ParseQasmError> {
+    ) -> Result<Range<usize>, ParseQasmError> {
         let (offset, size) = table.get(&arg.register).ok_or_else(|| {
             ParseQasmError::new(None, format!("unknown register `{}`", arg.register))
         })?;
         match arg.index {
-            Some(i) if i < *size => Ok(vec![offset + i]),
+            Some(i) if i < *size => Ok(offset + i..offset + i + 1),
             Some(i) => Err(ParseQasmError::new(
                 None,
                 format!("index {i} out of range for `{}[{size}]`", arg.register),
             )),
-            None => Ok((*offset..offset + size).collect()),
+            None => Ok(*offset..offset + size),
         }
     }
 
     /// Applies a top-level gate op, broadcasting over registers.
     fn apply(&self, sink: &mut dyn FnMut(Gate), op: &GateOp) -> Result<(), ParseQasmError> {
-        let expanded: Vec<Vec<usize>> = op
+        let expanded: Vec<Range<usize>> = op
             .args
             .iter()
             .map(|a| self.expand(a, &self.qubit_offset))
             .collect::<Result<_, _>>()?;
         let width = expanded
             .iter()
-            .map(Vec::len)
+            .map(ExactSizeIterator::len)
             .filter(|&l| l > 1)
             .max()
             .unwrap_or(1);
@@ -223,9 +257,9 @@ impl Converter {
                 .iter()
                 .map(|lane| {
                     if lane.len() == 1 {
-                        lane[0]
+                        lane.start
                     } else {
-                        lane[lane_idx]
+                        lane.start + lane_idx
                     }
                 })
                 .collect();
@@ -505,6 +539,32 @@ mod tests {
             super::to_skeleton(&bad).unwrap_err(),
             to_circuit(&bad).unwrap_err()
         );
+    }
+
+    #[test]
+    fn register_sizes_that_overflow_are_errors() {
+        let src = "qreg a[18446744073709551615];\nqreg b[2];\ncx b[0], b[1];";
+        let program = parse_program(src).unwrap();
+        let message = "register `b[2]` overflows the total register size";
+        assert_eq!(program.num_qubits().unwrap_err().to_string(), message);
+        assert_eq!(to_circuit(&program).unwrap_err().to_string(), message);
+        assert_eq!(
+            super::to_skeleton(&program).unwrap_err().to_string(),
+            message
+        );
+        let clbits = "qreg q[1];\ncreg a[18446744073709551615];\ncreg b[1];";
+        assert!(to_circuit(&parse_program(clbits).unwrap()).is_err());
+        let program = parse_program("qreg a[2];\ncreg c[9];\nqreg b[3];").unwrap();
+        assert_eq!(program.num_qubits(), Ok(5));
+    }
+
+    #[test]
+    fn a_huge_register_allocates_nothing_until_a_gate_uses_it() {
+        // The measure's size mismatch is found from the two ranges, before
+        // anything the size of the classical register is built.
+        let src = "qreg q[2];\ncreg c[4000000000000];\nmeasure q -> c;";
+        let err = to_circuit(&parse_program(src).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("measure size mismatch"), "{err}");
     }
 
     #[test]

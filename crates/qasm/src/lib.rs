@@ -40,7 +40,6 @@ mod ast;
 mod convert;
 pub mod hooks;
 mod lex;
-mod parallel;
 mod parse;
 mod qelib;
 mod qxbc;
@@ -48,27 +47,27 @@ mod write;
 
 pub use ast::{Arg, EvalError, Expr, GateOp, Program, Statement};
 pub use convert::{to_circuit, to_skeleton};
-pub use parallel::{
-    parse_program_chunked, parse_program_fast, parse_program_parallel, DEFAULT_PARALLEL_THRESHOLD,
-    PARALLEL_THRESHOLD_ENV,
-};
+/// [`parse_program`] under its former name, kept as an alias for callers
+/// that still use it.
+pub use parse::parse_program as parse_program_fast;
 pub use parse::{parse_program, ParseQasmError};
 pub use qxbc::{
-    decode_qxbc, decode_qxbc_skeleton, encode_qxbc, QxbcError, QXBC_MAGIC, QXBC_VERSION,
+    decode_qxbc, decode_qxbc_skeleton, encode_qxbc, qxbc_num_qubits, QxbcError, QXBC_MAGIC,
+    QXBC_VERSION,
 };
 pub use write::to_qasm;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton};
 
-/// Parses OpenQASM 2.0 source into a circuit, splitting large inputs
-/// across threads (see [`parse_program_fast`]).
+/// Parses OpenQASM 2.0 source into a circuit: [`parse_program`], then
+/// [`to_circuit`].
 ///
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] on syntax errors, unknown gates or
 /// registers, arity mismatches, or unsupported statements.
 pub fn parse(source: &str) -> Result<Circuit, ParseQasmError> {
-    let program = parse_program_fast(source)?;
+    let program = parse_program(source)?;
     to_circuit(&program)
 }
 
@@ -81,6 +80,6 @@ pub fn parse(source: &str) -> Result<Circuit, ParseQasmError> {
 ///
 /// Exactly those of [`parse`].
 pub fn parse_skeleton(source: &str) -> Result<CircuitSkeleton, ParseQasmError> {
-    let program = parse_program_fast(source)?;
+    let program = parse_program(source)?;
     to_skeleton(&program)
 }

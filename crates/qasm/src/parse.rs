@@ -40,64 +40,41 @@ impl Error for ParseQasmError {}
 
 /// Parses source into an AST (no semantic checks beyond syntax).
 ///
-/// `include "qelib1.inc";` splices the embedded standard library; any
-/// other include is an error (the parser has no filesystem access).
+/// `include "qelib1.inc";` selects the embedded standard library; any
+/// other include is an error (the parser has no filesystem access). The
+/// whole source is tokenized before any of it is parsed, so a lex error
+/// anywhere outranks an earlier parse error.
 ///
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] with line information on malformed input.
 pub fn parse_program(source: &str) -> Result<Program, ParseQasmError> {
-    parse_chunk(source, 1, true)
-}
-
-/// Parses one chunk of a statement-aligned source split: `source` starts
-/// at 1-based line `start_line` of the original document, and only the
-/// first chunk (`allow_header`) may consume an `OPENQASM` header —
-/// anywhere else the keyword lexes as an ordinary identifier, exactly as
-/// the sequential parser treats a mid-document header. Token lines are
-/// shifted so statement line info (and thus conversion errors) report
-/// original-document positions. Chunk *errors* are advisory only: the
-/// parallel driver re-parses the whole source sequentially on any chunk
-/// failure, so the canonical error always comes from [`parse_program`].
-pub(crate) fn parse_chunk(
-    source: &str,
-    start_line: usize,
-    allow_header: bool,
-) -> Result<Program, ParseQasmError> {
-    let offset = start_line.saturating_sub(1);
-    let mut tokens =
-        tokenize(source).map_err(|e| ParseQasmError::new(Some(e.line + offset), e.message))?;
-    if offset > 0 {
-        for t in &mut tokens {
-            t.line += offset;
-        }
-    }
+    let tokens = tokenize(source).map_err(|e| ParseQasmError::new(Some(e.line), e.message))?;
     let mut parser = Parser {
         tokens,
         pos: 0,
         program: Program::default(),
-        allow_header,
     };
     parser.run()?;
     Ok(parser.program)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     program: Program,
-    allow_header: bool,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn run(&mut self) -> Result<(), ParseQasmError> {
         // Optional OPENQASM header.
-        if self.allow_header && self.peek_ident() == Some("OPENQASM") {
-            self.next();
-            let version = match self.next_kind()? {
+        if self.peek_ident() == Some("OPENQASM") {
+            self.skip();
+            let t = self.next_token()?;
+            let version = match t.kind {
                 TokenKind::Real(v) => format!("{v:.1}"),
                 TokenKind::Int(v) => format!("{v}"),
-                other => return Err(self.err(format!("expected version, found {other}"))),
+                _ => return Err(self.expected("version", t)),
             };
             self.expect(TokenKind::Semicolon)?;
             self.program.version = version;
@@ -109,16 +86,16 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<(), ParseQasmError> {
-        let name = match self.peek_ident() {
-            Some(name) => name.to_string(),
-            None => {
-                let t = self.next_kind()?;
-                return Err(self.err(format!("expected statement, found {t}")));
-            }
+        let Some(name) = self.peek_ident() else {
+            let t = self.next_token()?;
+            return Err(ParseQasmError::new(
+                Some(t.line),
+                format!("expected statement, found {}", t.kind),
+            ));
         };
-        match name.as_str() {
+        match name {
             "qreg" | "creg" => {
-                self.next();
+                self.skip();
                 let reg = self.expect_ident()?;
                 self.expect(TokenKind::LBracket)?;
                 let size = self.expect_int()? as usize;
@@ -131,10 +108,11 @@ impl Parser {
                 });
             }
             "include" => {
-                self.next();
-                let file = match self.next_kind()? {
-                    TokenKind::Str(s) => s,
-                    other => return Err(self.err(format!("expected filename, found {other}"))),
+                let line = self.line();
+                self.skip();
+                let t = self.next_token()?;
+                let TokenKind::Str(file) = t.kind else {
+                    return Err(self.expected("filename", t));
                 };
                 self.expect(TokenKind::Semicolon)?;
                 if file == "qelib1.inc" {
@@ -145,22 +123,25 @@ impl Parser {
                     // dominated the serving tier's warm-hit path.
                     self.program.includes_qelib = true;
                 } else {
-                    return Err(self.err(format!(
-                        "cannot include \"{file}\": only the embedded qelib1.inc is available"
-                    )));
+                    return Err(ParseQasmError::new(
+                        Some(line),
+                        format!(
+                            "cannot include \"{file}\": only the embedded qelib1.inc is available"
+                        ),
+                    ));
                 }
             }
             "gate" => {
-                self.next();
+                self.skip();
                 let gname = self.expect_ident()?;
                 let mut params = Vec::new();
-                if self.peek_is(&TokenKind::LParen) {
-                    self.next();
-                    if !self.peek_is(&TokenKind::RParen) {
+                if self.peek_is(TokenKind::LParen) {
+                    self.skip();
+                    if !self.peek_is(TokenKind::RParen) {
                         loop {
                             params.push(self.expect_ident()?);
-                            if self.peek_is(&TokenKind::Comma) {
-                                self.next();
+                            if self.peek_is(TokenKind::Comma) {
+                                self.skip();
                             } else {
                                 break;
                             }
@@ -171,23 +152,19 @@ impl Parser {
                 let mut qargs = Vec::new();
                 loop {
                     qargs.push(self.expect_ident()?);
-                    if self.peek_is(&TokenKind::Comma) {
-                        self.next();
+                    if self.peek_is(TokenKind::Comma) {
+                        self.skip();
                     } else {
                         break;
                     }
                 }
                 self.expect(TokenKind::LBrace)?;
                 let mut body = Vec::new();
-                while !self.peek_is(&TokenKind::RBrace) {
+                while !self.peek_is(TokenKind::RBrace) {
                     if self.peek_ident() == Some("barrier") {
                         // Barriers inside gate bodies are scheduling hints;
                         // skip them during inlining.
-                        self.next();
-                        while !self.peek_is(&TokenKind::Semicolon) {
-                            self.next();
-                        }
-                        self.next();
+                        while self.next_token()?.kind != TokenKind::Semicolon {}
                         continue;
                     }
                     body.push(self.gate_op()?);
@@ -208,7 +185,7 @@ impl Parser {
                 ));
             }
             "measure" => {
-                self.next();
+                self.skip();
                 let qubit = self.arg()?;
                 self.expect(TokenKind::Arrow)?;
                 let clbit = self.arg()?;
@@ -218,12 +195,12 @@ impl Parser {
                     .push(Statement::Measure { qubit, clbit });
             }
             "barrier" => {
-                self.next();
+                self.skip();
                 let mut args = Vec::new();
                 loop {
                     args.push(self.arg()?);
-                    if self.peek_is(&TokenKind::Comma) {
-                        self.next();
+                    if self.peek_is(TokenKind::Comma) {
+                        self.skip();
                     } else {
                         break;
                     }
@@ -258,13 +235,13 @@ impl Parser {
         let line = self.line();
         let name = self.expect_ident()?;
         let mut params = Vec::new();
-        if self.peek_is(&TokenKind::LParen) {
-            self.next();
-            if !self.peek_is(&TokenKind::RParen) {
+        if self.peek_is(TokenKind::LParen) {
+            self.skip();
+            if !self.peek_is(TokenKind::RParen) {
                 loop {
                     params.push(self.expr()?);
-                    if self.peek_is(&TokenKind::Comma) {
-                        self.next();
+                    if self.peek_is(TokenKind::Comma) {
+                        self.skip();
                     } else {
                         break;
                     }
@@ -275,8 +252,8 @@ impl Parser {
         let mut args = Vec::new();
         loop {
             args.push(self.arg()?);
-            if self.peek_is(&TokenKind::Comma) {
-                self.next();
+            if self.peek_is(TokenKind::Comma) {
+                self.skip();
             } else {
                 break;
             }
@@ -292,8 +269,8 @@ impl Parser {
 
     fn arg(&mut self) -> Result<Arg, ParseQasmError> {
         let register = self.expect_ident()?;
-        let index = if self.peek_is(&TokenKind::LBracket) {
-            self.next();
+        let index = if self.peek_is(TokenKind::LBracket) {
+            self.skip();
             let i = self.expect_int()? as usize;
             self.expect(TokenKind::RBracket)?;
             Some(i)
@@ -312,14 +289,14 @@ impl Parser {
     fn expr_additive(&mut self) -> Result<Expr, ParseQasmError> {
         let mut lhs = self.expr_multiplicative()?;
         loop {
-            let op = if self.peek_is(&TokenKind::Plus) {
+            let op = if self.peek_is(TokenKind::Plus) {
                 BinOp::Add
-            } else if self.peek_is(&TokenKind::Minus) {
+            } else if self.peek_is(TokenKind::Minus) {
                 BinOp::Sub
             } else {
                 break;
             };
-            self.next();
+            self.skip();
             let rhs = self.expr_multiplicative()?;
             lhs = Expr::Bin {
                 op,
@@ -333,14 +310,14 @@ impl Parser {
     fn expr_multiplicative(&mut self) -> Result<Expr, ParseQasmError> {
         let mut lhs = self.expr_unary()?;
         loop {
-            let op = if self.peek_is(&TokenKind::Star) {
+            let op = if self.peek_is(TokenKind::Star) {
                 BinOp::Mul
-            } else if self.peek_is(&TokenKind::Slash) {
+            } else if self.peek_is(TokenKind::Slash) {
                 BinOp::Div
             } else {
                 break;
             };
-            self.next();
+            self.skip();
             let rhs = self.expr_unary()?;
             lhs = Expr::Bin {
                 op,
@@ -352,8 +329,8 @@ impl Parser {
     }
 
     fn expr_unary(&mut self) -> Result<Expr, ParseQasmError> {
-        if self.peek_is(&TokenKind::Minus) {
-            self.next();
+        if self.peek_is(TokenKind::Minus) {
+            self.skip();
             return Ok(Expr::Neg(Box::new(self.expr_unary()?)));
         }
         self.expr_power()
@@ -361,8 +338,8 @@ impl Parser {
 
     fn expr_power(&mut self) -> Result<Expr, ParseQasmError> {
         let base = self.expr_atom()?;
-        if self.peek_is(&TokenKind::Caret) {
-            self.next();
+        if self.peek_is(TokenKind::Caret) {
+            self.skip();
             let exp = self.expr_unary()?; // right-associative
             return Ok(Expr::Bin {
                 op: BinOp::Pow,
@@ -374,7 +351,8 @@ impl Parser {
     }
 
     fn expr_atom(&mut self) -> Result<Expr, ParseQasmError> {
-        match self.next_kind()? {
+        let t = self.next_token()?;
+        match t.kind {
             TokenKind::Real(v) => Ok(Expr::Num(v)),
             TokenKind::Int(v) => Ok(Expr::Num(v as f64)),
             TokenKind::LParen => {
@@ -382,26 +360,27 @@ impl Parser {
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) if name == "pi" => Ok(Expr::Pi),
+            TokenKind::Ident("pi") => Ok(Expr::Pi),
             TokenKind::Ident(name) => {
-                if self.peek_is(&TokenKind::LParen) {
-                    self.next();
+                if self.peek_is(TokenKind::LParen) {
+                    self.skip();
                     let arg = self.expr()?;
                     self.expect(TokenKind::RParen)?;
                     Ok(Expr::Func {
-                        func: name,
+                        func: name.to_string(),
                         arg: Box::new(arg),
                     })
                 } else {
-                    Ok(Expr::Ident(name))
+                    Ok(Expr::Ident(name.to_string()))
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other}"))),
+            _ => Err(self.expected("expression", t)),
         }
     }
 
     // --- token plumbing ----------------------------------------------------
 
+    /// Line of the next token, or of the last one at end of input.
     fn line(&self) -> usize {
         self.tokens
             .get(self.pos)
@@ -409,58 +388,69 @@ impl Parser {
             .map_or(0, |t| t.line)
     }
 
-    fn err(&self, message: String) -> ParseQasmError {
-        ParseQasmError::new(Some(self.line()), message)
+    /// `found` (just consumed) stands where `what` belongs. The error
+    /// names the line of the token before it — where the missing piece
+    /// belonged — so a missing `;` points at its own statement rather
+    /// than at whatever follows on a later line.
+    fn expected(&self, what: impl fmt::Display, found: Token<'_>) -> ParseQasmError {
+        let before = self.pos.checked_sub(2).and_then(|i| self.tokens.get(i));
+        ParseQasmError::new(
+            Some(before.map_or(found.line, |t| t.line)),
+            format!("expected {what}, found {}", found.kind),
+        )
     }
 
-    fn next(&mut self) -> Option<&Token> {
-        let t = self.tokens.get(self.pos);
+    fn skip(&mut self) {
         self.pos += 1;
-        t
     }
 
-    fn next_kind(&mut self) -> Result<TokenKind, ParseQasmError> {
-        let line = self.line();
-        match self.next() {
-            Some(t) => Ok(t.kind.clone()),
-            None => Err(ParseQasmError::new(Some(line), "unexpected end of input")),
+    fn next_token(&mut self) -> Result<Token<'a>, ParseQasmError> {
+        match self.tokens.get(self.pos) {
+            Some(&t) => {
+                self.pos += 1;
+                Ok(t)
+            }
+            None => Err(ParseQasmError::new(
+                Some(self.line()),
+                "unexpected end of input",
+            )),
         }
     }
 
-    fn peek_is(&self, kind: &TokenKind) -> bool {
-        self.tokens.get(self.pos).is_some_and(|t| &t.kind == kind)
+    fn peek_is(&self, kind: TokenKind<'_>) -> bool {
+        self.tokens.get(self.pos).is_some_and(|t| t.kind == kind)
     }
 
-    fn peek_ident(&self) -> Option<&str> {
-        match self.tokens.get(self.pos) {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) => Some(s),
+    fn peek_ident(&self) -> Option<&'a str> {
+        match self.tokens.get(self.pos)?.kind {
+            TokenKind::Ident(s) => Some(s),
             _ => None,
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<(), ParseQasmError> {
-        let found = self.next_kind()?;
-        if found == kind {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseQasmError> {
+        let t = self.next_token()?;
+        if t.kind == kind {
             Ok(())
         } else {
-            Err(self.err(format!("expected {kind}, found {found}")))
+            Err(self.expected(kind, t))
         }
     }
 
+    /// An identifier, copied out of the source as it enters the AST.
     fn expect_ident(&mut self) -> Result<String, ParseQasmError> {
-        match self.next_kind()? {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        let t = self.next_token()?;
+        match t.kind {
+            TokenKind::Ident(s) => Ok(s.to_string()),
+            _ => Err(self.expected("identifier", t)),
         }
     }
 
     fn expect_int(&mut self) -> Result<u64, ParseQasmError> {
-        match self.next_kind()? {
+        let t = self.next_token()?;
+        match t.kind {
             TokenKind::Int(v) => Ok(v),
-            other => Err(self.err(format!("expected integer, found {other}"))),
+            _ => Err(self.expected("integer", t)),
         }
     }
 }
@@ -565,5 +555,37 @@ mod tests {
         let err = parse_program("qreg q[2];\nqreg r[;\n").unwrap_err();
         assert_eq!(err.line(), Some(2));
         assert!(err.to_string().contains("line 2"));
+        // The offending line, not the line of whatever follows it.
+        let err = parse_program("qreg q[2];\nh q[0];\nqreg r[;\nh q[1];\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: expected integer, found ;");
+        // A missing `;` belongs to its own statement, even when the next
+        // token sits lines later.
+        let err = parse_program("qreg q[2];\nh q[0]\n\n\nh q[1];").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: expected ;, found `h`");
+        let err = parse_program("include \"other.inc\";\n\nqreg q[1];").unwrap_err();
+        assert_eq!(err.line(), Some(1));
+        let err = parse_program("qreg q[2];\n\n}").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: expected statement, found }");
+        let err = parse_program("qreg q[2];\ncx q[0],\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unexpected end of input");
+    }
+
+    #[test]
+    fn a_lex_error_outranks_an_earlier_parse_error() {
+        // The whole document is tokenized before any of it is parsed.
+        let err = parse_program("qreg q[2];\nqreg r[;\nh q[0];\n@;\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 4: unexpected character `@`");
+    }
+
+    #[test]
+    fn a_header_only_counts_at_the_start() {
+        assert!(parse_program("qreg q[1];\nOPENQASM 2.0;\nh q[0];\n").is_err());
+        assert_eq!(parse_program("OPENQASM 3;").unwrap().version, "3");
+    }
+
+    #[test]
+    fn an_unterminated_barrier_in_a_gate_body_ends_at_end_of_input() {
+        let err = parse_program("gate g a { barrier a").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: unexpected end of input");
     }
 }

@@ -263,10 +263,9 @@ struct Header<'a> {
     records: &'a [u8],
 }
 
-/// Validates framing (magic, version, sizes, checksum, no trailing
-/// bytes) and splits the payload into header, records and aux table.
-fn open(bytes: &[u8]) -> Result<Header<'_>, QxbcError> {
-    let mut r = Reader { bytes, pos: 0 };
+/// Reads the header up to and including `num_qubits`: magic, version
+/// and name.
+fn open_prefix<'a>(r: &mut Reader<'a>) -> Result<(&'a str, usize), QxbcError> {
     if r.take(8)? != QXBC_MAGIC {
         return Err(QxbcError::BadMagic);
     }
@@ -280,7 +279,27 @@ fn open(bytes: &[u8]) -> Result<Header<'_>, QxbcError> {
     let name_len = r.count_of(1)?;
     let name = std::str::from_utf8(r.take(name_len)?)
         .map_err(|_| QxbcError::Corrupted("circuit name is not UTF-8"))?;
-    let num_qubits = r.u32()? as usize;
+    Ok((name, r.u32()? as usize))
+}
+
+/// The qubit count a QXBC payload's header declares, read without
+/// decoding or checksumming the rest: a cheap bound to check before
+/// [`decode_qxbc`] or [`decode_qxbc_skeleton`] size anything by it.
+/// Both decoders still validate the whole payload.
+///
+/// # Errors
+///
+/// A header that is not a well-formed QXBC header (bad magic, another
+/// version, a truncated or non-UTF-8 name).
+pub fn qxbc_num_qubits(bytes: &[u8]) -> Result<usize, QxbcError> {
+    open_prefix(&mut Reader { bytes, pos: 0 }).map(|(_, num_qubits)| num_qubits)
+}
+
+/// Validates framing (magic, version, sizes, checksum, no trailing
+/// bytes) and splits the payload into header, records and aux table.
+fn open(bytes: &[u8]) -> Result<Header<'_>, QxbcError> {
+    let mut r = Reader { bytes, pos: 0 };
+    let (name, num_qubits) = open_prefix(&mut r)?;
     let num_clbits = r.u32()? as usize;
     let gate_count = r.count_of(RECORD_BYTES)?;
     let aux_count = {
@@ -454,6 +473,16 @@ mod tests {
             decode_qxbc(&trailing).unwrap_err(),
             QxbcError::Corrupted("trailing bytes after checksum")
         );
+    }
+
+    #[test]
+    fn the_declared_width_reads_from_the_header_alone() {
+        let bytes = encode_qxbc(&sample());
+        assert_eq!(qxbc_num_qubits(&bytes), Ok(4));
+        // The width field ends 26 bytes in ("sample" is 6 bytes long).
+        assert_eq!(qxbc_num_qubits(&bytes[..26]), Ok(4));
+        assert_eq!(qxbc_num_qubits(&bytes[..25]), Err(QxbcError::Truncated));
+        assert_eq!(qxbc_num_qubits(b"NOTQXBC!"), Err(QxbcError::BadMagic));
     }
 
     #[test]

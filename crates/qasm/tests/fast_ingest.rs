@@ -3,10 +3,8 @@
 //! * text ↔ QXBC round-trips produce identical circuits, and the
 //!   skeleton-only decoders land on the same canonical skeleton (and
 //!   fingerprint) as the full materializing paths;
-//! * the parallel QASM parser is indistinguishable from the sequential
-//!   one — same program on success, same error (line attribution
-//!   included) on failure — across generated, truncated and corrupted
-//!   sources;
+//! * the QASM text parser fails closed on truncated and corrupted
+//!   sources: an error with a source line, never a panic;
 //! * hostile QXBC bytes (any flip, any truncation, version bumps,
 //!   declared-length bombs) are rejected structurally, with preallocation
 //!   bounded by the actual payload size.
@@ -14,8 +12,8 @@
 use proptest::prelude::*;
 use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind};
 use qxmap_qasm::{
-    decode_qxbc, decode_qxbc_skeleton, encode_qxbc, parse_program, parse_program_chunked,
-    QxbcError, QXBC_MAGIC, QXBC_VERSION,
+    decode_qxbc, decode_qxbc_skeleton, encode_qxbc, parse_program, QxbcError, QXBC_MAGIC,
+    QXBC_VERSION,
 };
 
 fn kind_strategy() -> impl Strategy<Value = OneQubitKind> {
@@ -89,38 +87,44 @@ proptest! {
         prop_assert_eq!(text_skel.fingerprint(), full.fingerprint());
     }
 
-    /// The parallel parser is equivalent to the sequential one on valid
-    /// sources, on truncated sources (frequently malformed mid-token)
-    /// and on sources with an injected hostile byte — same `Ok`, or the
-    /// same error with the same line.
+    /// The text parser fails closed on damaged input: any truncation of
+    /// valid text (frequently mid-token) and any single character
+    /// replaced by a hostile one (ASCII or multi-byte) parses, or fails
+    /// with an error naming a source line, and never panics. The
+    /// skeleton-only path agrees with the full parse on every such input.
     #[test]
-    fn parallel_parse_is_indistinguishable_from_sequential(
+    fn damaged_text_parses_or_fails_with_a_line(
         c in circuit_strategy(),
-        chunks in 2usize..9,
         cut in 0usize..1_000_000,
         idx in 0usize..1_000_000,
         hostile in prop_oneof![
-            Just(b'}'), Just(b'{'), Just(b';'), Just(b'@'), Just(b'"'), Just(b'['),
+            Just("}"), Just("{"), Just(";"), Just("@"), Just("\""), Just("["), Just("="),
+            Just("\n"), Just("\r"), Just("/"), Just("-"), Just("."), Just("e"), Just("λ"),
+            Just("\u{a0}"), Just("\u{2028}"),
         ],
     ) {
         let text = qxmap_qasm::to_qasm(&c);
-        prop_assert_eq!(parse_program_chunked(&text, chunks), parse_program(&text));
+        prop_assert!(parse_program(&text).is_ok());
 
         // QASM text is ASCII, so any byte index is a char boundary.
         let truncated = &text[..cut % (text.len() + 1)];
-        prop_assert_eq!(
-            parse_program_chunked(truncated, chunks),
-            parse_program(truncated)
-        );
-
-        let mut corrupted = text.into_bytes();
+        let mut corrupted = text.clone();
         let i = idx % corrupted.len();
-        corrupted[i] = hostile;
-        let corrupted = String::from_utf8(corrupted).expect("ASCII stays ASCII");
-        prop_assert_eq!(
-            parse_program_chunked(&corrupted, chunks),
-            parse_program(&corrupted)
-        );
+        corrupted.replace_range(i..=i, hostile);
+        for source in [truncated, corrupted.as_str()] {
+            let lines = source.split('\n').count();
+            if let Err(e) = parse_program(source) {
+                let line = e.line();
+                prop_assert!(
+                    line.is_some_and(|l| (1..=lines).contains(&l)),
+                    "{:?} for {:?}", line, source
+                );
+            }
+            prop_assert_eq!(
+                qxmap_qasm::parse_skeleton(source).map(|s| s.fingerprint()),
+                qxmap_qasm::parse(source).map(|c| CircuitSkeleton::of(&c).fingerprint())
+            );
+        }
     }
 
     /// Every checksummed byte matters and every prefix is incomplete:

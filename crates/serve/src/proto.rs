@@ -181,12 +181,9 @@ impl MapJob {
             WindowedChoice::On(options) => Some(options),
             WindowedChoice::Off => None,
             WindowedChoice::Auto => {
-                let qubits = match &self.device {
-                    ParsedDevice::Named(cm) => cm.num_qubits(),
-                    ParsedDevice::Model(model) => model.num_qubits(),
-                };
                 let optimal = self.options.guarantee == Guarantee::Optimal;
-                (qubits > MAX_EXACT_QUBITS && !optimal).then(WindowOptions::default)
+                (self.device.num_qubits() > MAX_EXACT_QUBITS && !optimal)
+                    .then(WindowOptions::default)
             }
         }
     }
@@ -239,8 +236,10 @@ pub struct Rejection {
     pub message: String,
     /// The offending request's `id`, echoed when it was recoverable.
     pub id: Option<Json>,
-    /// The 1-based source line a QASM parse defect was attributed to.
-    pub line: Option<usize>,
+    /// Structured detail rendered after `code` and `message`: the source
+    /// `line` a QASM defect was attributed to, or the fields of an
+    /// engine error (as in [`error_response`]).
+    pub fields: Vec<(&'static str, Json)>,
 }
 
 impl Rejection {
@@ -249,7 +248,42 @@ impl Rejection {
             code: "bad_request",
             message: message.into(),
             id,
-            line: None,
+            fields: Vec::new(),
+        }
+    }
+
+    /// An engine error as a rejection, with one stable code per
+    /// [`MapperError`] variant and the variant's fields carried
+    /// alongside — the body of [`error_response`].
+    fn from_error(id: Option<Json>, error: &MapperError) -> Rejection {
+        let (code, fields): (&'static str, Vec<(&'static str, Json)>) = match error {
+            MapperError::TooManyQubits { logical, physical } => (
+                "too_many_qubits",
+                vec![
+                    ("logical", Json::num(*logical as u64)),
+                    ("physical", Json::num(*physical as u64)),
+                ],
+            ),
+            MapperError::Infeasible => ("infeasible", vec![]),
+            MapperError::BudgetExhausted => ("budget_exhausted", vec![]),
+            MapperError::DeviceTooLarge { qubits, max } => (
+                "device_too_large",
+                vec![
+                    ("qubits", Json::num(*qubits as u64)),
+                    ("max", Json::num(*max as u64)),
+                ],
+            ),
+            MapperError::Unroutable => ("unroutable", vec![]),
+            MapperError::BoundUnmet { bound } => {
+                ("bound_unmet", vec![("bound", Json::num(*bound))])
+            }
+            MapperError::OptimalityUnavailable { .. } => ("optimality_unavailable", vec![]),
+        };
+        Rejection {
+            code,
+            message: error.to_string(),
+            id,
+            fields,
         }
     }
 }
@@ -259,7 +293,11 @@ impl Rejection {
 /// it out of the message text).
 fn invalid_qasm(id: Option<Json>, error: &qxmap_qasm::ParseQasmError) -> Rejection {
     Rejection {
-        line: error.line(),
+        fields: error
+            .line()
+            .map(|line| ("line", Json::num(line as u64)))
+            .into_iter()
+            .collect(),
         ..Rejection::bad_request(id, format!("invalid QASM: {error}"))
     }
 }
@@ -275,7 +313,7 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         code: "parse",
         message: format!("malformed JSON: {e}"),
         id: None,
-        line: None,
+        fields: Vec::new(),
     })?;
     if value.as_object().is_none() {
         return Err(Rejection::bad_request(
@@ -364,12 +402,12 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
     reject_unknown_keys(value, MAP_KEYS, id.clone())?;
     let bad = |message: String| Rejection::bad_request(id.clone(), message);
 
-    let (ingest, skeleton) = parse_payload(value, &id)?;
-
     let Some(device) = value.get("device") else {
         return Err(bad("missing field \"device\"".to_string()));
     };
     let device = parse_device(device).map_err(&bad)?;
+
+    let (ingest, skeleton) = parse_payload(value, &id, device.num_qubits())?;
 
     let mut options = MapOptions::default();
     if let Some(guarantee) = value.get("guarantee") {
@@ -439,8 +477,23 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
 /// Validates the circuit payload (`"qasm"` text by default, base64 QXBC
 /// bytes under `"format": "qxbc"`) and computes its canonical skeleton
 /// in the same pass — without materializing a circuit.
-fn parse_payload(value: &Json, id: &Option<Json>) -> Result<(Ingest, CircuitSkeleton), Rejection> {
+///
+/// A payload declaring more qubits than the device's `physical` is
+/// answered `too_many_qubits` before anything is sized by its width:
+/// the declared width is hostile input until checked.
+fn parse_payload(
+    value: &Json,
+    id: &Option<Json>,
+    physical: usize,
+) -> Result<(Ingest, CircuitSkeleton), Rejection> {
     let bad = |message: String| Rejection::bad_request(id.clone(), message);
+    let fits = |logical: usize| {
+        if logical > physical {
+            let error = MapperError::TooManyQubits { logical, physical };
+            return Err(Rejection::from_error(id.clone(), &error));
+        }
+        Ok(())
+    };
     let format = match value.get("format") {
         None => "qasm",
         Some(f) => f
@@ -461,8 +514,9 @@ fn parse_payload(value: &Json, id: &Option<Json>) -> Result<(Ingest, CircuitSkel
         };
         let bytes = crate::base64::decode(encoded)
             .map_err(|e| bad(format!("invalid \"qxbc\" base64: {e}")))?;
-        let skeleton = qxmap_qasm::decode_qxbc_skeleton(&bytes)
-            .map_err(|e| bad(format!("invalid QXBC payload: {e}")))?;
+        let invalid = |e: qxmap_qasm::QxbcError| bad(format!("invalid QXBC payload: {e}"));
+        fits(qxmap_qasm::qxbc_num_qubits(&bytes).map_err(invalid)?)?;
+        let skeleton = qxmap_qasm::decode_qxbc_skeleton(&bytes).map_err(invalid)?;
         Ok((Ingest::Qxbc(bytes), skeleton))
     } else {
         if value.get("qxbc").is_some() {
@@ -473,10 +527,10 @@ fn parse_payload(value: &Json, id: &Option<Json>) -> Result<(Ingest, CircuitSkel
         let Some(qasm) = value.get("qasm").and_then(Json::as_str) else {
             return Err(bad("missing string field \"qasm\"".to_string()));
         };
-        let program =
-            qxmap_qasm::parse_program_fast(qasm).map_err(|e| invalid_qasm(id.clone(), &e))?;
-        let skeleton =
-            qxmap_qasm::to_skeleton(&program).map_err(|e| invalid_qasm(id.clone(), &e))?;
+        let invalid = |e| invalid_qasm(id.clone(), &e);
+        let program = qxmap_qasm::parse_program(qasm).map_err(invalid)?;
+        fits(program.num_qubits().map_err(invalid)?)?;
+        let skeleton = qxmap_qasm::to_skeleton(&program).map_err(invalid)?;
         Ok((Ingest::Text(program), skeleton))
     }
 }
@@ -525,6 +579,15 @@ enum ParsedDevice {
     /// under a hardware-derived [`DeviceModel`] with the overrides
     /// applied.
     Model(DeviceModel),
+}
+
+impl ParsedDevice {
+    fn num_qubits(&self) -> usize {
+        match self {
+            ParsedDevice::Named(cm) => cm.num_qubits(),
+            ParsedDevice::Model(model) => model.num_qubits(),
+        }
+    }
 }
 
 fn parse_device(device: &Json) -> Result<ParsedDevice, String> {
@@ -840,48 +903,24 @@ pub fn result_response(id: Option<Json>, report: &MapReport) -> Json {
 /// stable code per [`MapperError`] variant and the variant's fields
 /// carried alongside.
 pub fn error_response(id: Option<Json>, error: &MapperError) -> Json {
-    let (code, extra): (&str, Vec<(&'static str, Json)>) = match error {
-        MapperError::TooManyQubits { logical, physical } => (
-            "too_many_qubits",
-            vec![
-                ("logical", Json::num(*logical as u64)),
-                ("physical", Json::num(*physical as u64)),
-            ],
-        ),
-        MapperError::Infeasible => ("infeasible", vec![]),
-        MapperError::BudgetExhausted => ("budget_exhausted", vec![]),
-        MapperError::DeviceTooLarge { qubits, max } => (
-            "device_too_large",
-            vec![
-                ("qubits", Json::num(*qubits as u64)),
-                ("max", Json::num(*max as u64)),
-            ],
-        ),
-        MapperError::Unroutable => ("unroutable", vec![]),
-        MapperError::BoundUnmet { bound } => ("bound_unmet", vec![("bound", Json::num(*bound))]),
-        MapperError::OptimalityUnavailable { .. } => ("optimality_unavailable", vec![]),
-    };
-    let mut pairs = vec![
-        ("type".to_string(), Json::str("error")),
-        ("code".to_string(), Json::str(code)),
-        ("message".to_string(), Json::str(error.to_string())),
-    ];
-    pairs.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
-    with_id(id, pairs)
+    rejection_response(&Rejection::from_error(id, error))
 }
 
-/// Builds an `error` response from a protocol-level rejection, with the
-/// parser's source-line attribution as a structured `"line"` field when
-/// one exists.
+/// Builds an `error` response from a rejection, its structured
+/// [`fields`](Rejection::fields) (such as a QASM defect's `"line"`)
+/// following `code` and `message`.
 pub fn rejection_response(rejection: &Rejection) -> Json {
     let mut pairs = vec![
         ("type".to_string(), Json::str("error")),
         ("code".to_string(), Json::str(rejection.code)),
         ("message".to_string(), Json::str(&rejection.message)),
     ];
-    if let Some(line) = rejection.line {
-        pairs.push(("line".to_string(), Json::num(line as u64)));
-    }
+    pairs.extend(
+        rejection
+            .fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone())),
+    );
     with_id(rejection.id.clone(), pairs)
 }
 
@@ -970,7 +1009,7 @@ cx q[1], q[2];
             let e = parse_request(&line).unwrap_err();
             assert_eq!(e.code, "bad_request", "{line}");
             assert!(e.message.contains(needle), "{line} -> {}", e.message);
-            assert!(e.line.is_none());
+            assert!(e.fields.is_empty());
         }
     }
 
@@ -982,7 +1021,7 @@ cx q[1], q[2];
         );
         let e = parse_request(&line).unwrap_err();
         assert_eq!(e.code, "bad_request");
-        assert_eq!(e.line, Some(2));
+        assert_eq!(e.fields, [("line", Json::num(2))]);
         assert!(e.message.contains("unknown gate"));
         let r = rejection_response(&e);
         assert_eq!(r.get("line").and_then(Json::as_u64), Some(2));
@@ -990,6 +1029,58 @@ cx q[1], q[2];
         // Non-parse rejections carry no line field.
         let r = rejection_response(&parse_request("{\"type\":\"map\"}").unwrap_err());
         assert!(r.get("line").is_none());
+    }
+
+    #[test]
+    fn too_wide_payloads_are_rejected_before_they_are_sized() {
+        // Declared widths past the device answer exactly as a too-wide
+        // circuit does after a solve, without a skeleton or a circuit
+        // ever being built at that width.
+        let too_wide = |qasm: &str| {
+            let line = format!(
+                "{{\"type\":\"map\",\"id\":7,\"qasm\":{},\"device\":\"qx4\"}}",
+                Json::str(qasm)
+            );
+            rejection_response(&parse_request(&line).unwrap_err())
+        };
+        let expected = |logical| {
+            error_response(
+                Some(Json::num(7)),
+                &MapperError::TooManyQubits {
+                    logical,
+                    physical: 5,
+                },
+            )
+        };
+        assert_eq!(
+            too_wide("qreg q[4000000000];\nh q[0];"),
+            expected(4_000_000_000)
+        );
+        assert_eq!(
+            too_wide("qreg a[3];\nqreg b[3];\ncx a[0], b[0];"),
+            expected(6)
+        );
+        // A sum that overflows is a QASM defect.
+        let r = too_wide("qreg a[18446744073709551615]; qreg b[2]; cx b[0],b[1];");
+        assert_eq!(r.get("code").and_then(Json::as_str), Some("bad_request"));
+        let message = r.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("overflows"), "{message}");
+
+        let mut wide = qxmap_circuit::Circuit::new(6);
+        wide.cx(0, 5);
+        let mut bytes = qxmap_qasm::encode_qxbc(&wide);
+        let line = |bytes: &[u8]| {
+            format!(
+                "{{\"type\":\"map\",\"id\":7,\"format\":\"qxbc\",\"qxbc\":\"{}\",\"device\":\"qx4\"}}",
+                crate::base64::encode(bytes)
+            )
+        };
+        let r = rejection_response(&parse_request(&line(&bytes)).unwrap_err());
+        assert_eq!(r, expected(6));
+        // The header's width field (bytes 16..20 for an unnamed circuit).
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let r = rejection_response(&parse_request(&line(&bytes)).unwrap_err());
+        assert_eq!(r, expected(u32::MAX as usize));
     }
 
     #[test]
@@ -1140,7 +1231,9 @@ cx q[1], q[2];
     #[test]
     fn defects_reject_with_bad_request() {
         for (line, needle) in [
-            ("{\"type\":\"map\"}", "qasm"),
+            // The device parses first: a payload is sized against it.
+            ("{\"type\":\"map\"}", "device"),
+            ("{\"type\":\"map\",\"device\":\"qx4\"}", "qasm"),
             (map_line(",\"deadine_ms\":5").as_str(), "deadine_ms"),
             (map_line(",\"deadline_ms\":0").as_str(), "deadline_ms"),
             (map_line(",\"strategy\":\"nope\"").as_str(), "strategy"),
@@ -1179,7 +1272,7 @@ cx q[1], q[2];
             code: "overloaded",
             message: "queue full".to_string(),
             id: Some(Json::num(9)),
-            line: None,
+            fields: Vec::new(),
         };
         let r = rejection_response(&rejection);
         assert_eq!(r.get("type").and_then(Json::as_str), Some("error"));

@@ -719,7 +719,7 @@ impl Server {
                 code: "shutting_down",
                 message: "the server is shutting down and admits no new work".to_string(),
                 id,
-                line: None,
+                fields: Vec::new(),
             });
         }
         if q.jobs.len() >= self.config.queue_depth {
@@ -731,7 +731,7 @@ impl Server {
                     q.jobs.len()
                 ),
                 id,
-                line: None,
+                fields: Vec::new(),
             });
         }
         let seq = q.next_seq;
@@ -984,7 +984,7 @@ impl Server {
                         waited.as_millis()
                     ),
                     id,
-                    line: None,
+                    fields: Vec::new(),
                 };
                 proto::rejection_response(&rejection).to_string()
             }

@@ -438,6 +438,79 @@ fn qxbc_payloads_round_trip_and_hostile_ones_reject_structurally() {
 }
 
 #[test]
+fn hostile_register_sizes_get_structured_errors_and_the_daemon_keeps_answering() {
+    let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
+    let daemon = Daemon::boot(&journal);
+
+    // Each of these once asked the allocator for tens of gigabytes (or
+    // wrapped the qubit count) while the payload was being validated.
+    let text_line = |id: &str, qasm: &str| {
+        format!(
+            "{{\"type\":\"map\",\"id\":\"{id}\",\"qasm\":{},\"device\":\"qx4\"}}",
+            Json::str(qasm)
+        )
+    };
+    let mut wide = qxmap_circuit::Circuit::new(4);
+    wide.cx(0, 1);
+    let mut bytes = qxmap_qasm::encode_qxbc(&wide);
+    // The header's width field (bytes 16..20 for an unnamed circuit).
+    bytes[16..20].copy_from_slice(&4_000_000_000u32.to_le_bytes());
+    let qxbc_line = format!(
+        "{{\"type\":\"map\",\"id\":\"bin\",\"format\":\"qxbc\",\"qxbc\":\"{}\",\"device\":\"qx4\"}}",
+        qxmap_serve::base64::encode(&bytes)
+    );
+    for (line, id, code, logical) in [
+        (
+            text_line("wide", "qreg q[4000000000];\nh q[0];"),
+            "wide",
+            "too_many_qubits",
+            Some(4_000_000_000),
+        ),
+        (
+            text_line(
+                "wrap",
+                "qreg a[18446744073709551615]; qreg b[2]; cx b[0],b[1];",
+            ),
+            "wrap",
+            "bad_request",
+            None,
+        ),
+        (
+            text_line(
+                "creg",
+                "qreg q[2];\ncreg c[4000000000000];\nmeasure q -> c;",
+            ),
+            "creg",
+            "bad_request",
+            None,
+        ),
+        (qxbc_line, "bin", "too_many_qubits", Some(4_000_000_000)),
+    ] {
+        let e = daemon.request(&line);
+        assert_eq!(e.get("type").and_then(Json::as_str), Some("error"), "{e}");
+        assert_eq!(e.get("code").and_then(Json::as_str), Some(code), "{e}");
+        assert_eq!(e.get("id").and_then(Json::as_str), Some(id), "{e}");
+        assert_eq!(e.get("logical").and_then(Json::as_u64), logical, "{e}");
+        if logical.is_some() {
+            assert_eq!(e.get("physical").and_then(Json::as_u64), Some(5), "{e}");
+        }
+    }
+
+    // The same daemon still answers ordinary work.
+    let ok = daemon.request(&map_line());
+    assert_eq!(
+        ok.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{ok}"
+    );
+    daemon.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn restart_serves_warm_cache_hits_from_the_journal() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
