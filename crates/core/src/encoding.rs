@@ -17,6 +17,12 @@
 //! each permutation and the reversal surcharge of each edge — is read from
 //! the [`DeviceModel`], the workspace's single authority on device costs;
 //! the paper's uniform 7/4 accounting is simply the default model.
+//!
+//! The objective is handed to the minimizer as at-most-one groups, one per
+//! change point (its cost-bearing `y^k_π`, exactly-one by construction)
+//! and one per gate (its cost-bearing edge-use selectors, exclusive since
+//! each logical qubit sits on exactly one physical qubit), so the
+//! objective's totalizer builds one leaf per exclusive choice.
 
 use std::collections::BTreeSet;
 
@@ -38,7 +44,7 @@ pub struct EncodingStats {
     pub change_points: usize,
     /// Permutations considered per change point (`|Π|`).
     pub permutations: usize,
-    /// Objective terms in Eq. (5).
+    /// Objective terms in Eq. (5), over all groups.
     pub objective_terms: usize,
     /// Wall-clock time the encoding took to build, in microseconds —
     /// the per-subset counter solve traces attach to their `encode`
@@ -58,8 +64,10 @@ pub(crate) struct Encoding {
     y: Vec<(usize, Vec<Lit>)>,
     /// All realizable permutations of the local subgraph (sorted).
     perms: Vec<Permutation>,
-    /// The weighted objective terms of Eq. (5).
-    pub objective: Vec<(u64, Lit)>,
+    /// The weighted objective terms of Eq. (5), as at-most-one groups:
+    /// one per change point and one per gate, each holding only its
+    /// cost-bearing selectors (groups left empty are dropped).
+    pub objective: Vec<Vec<(u64, Lit)>>,
     num_logical: usize,
     num_phys: usize,
     build_time: std::time::Duration,
@@ -115,7 +123,7 @@ impl Encoding {
         debug_assert!(change_points.iter().all(|&k| k >= 1 && k < k_gates));
 
         let mut solver = Solver::new();
-        let mut objective: Vec<(u64, Lit)> = Vec::new();
+        let mut objective: Vec<Vec<(u64, Lit)>> = Vec::new();
 
         // --- mapping variables + Eq. (1) -----------------------------------
         let mut x: Vec<Vec<Vec<Lit>>> = Vec::with_capacity(k_gates);
@@ -143,6 +151,7 @@ impl Encoding {
                 return None;
             }
             let mut options: Vec<Lit> = Vec::new();
+            let mut costs: Vec<(u64, Lit)> = Vec::new();
             for (a, b) in local_cm.edges().collect::<Vec<_>>() {
                 // Forward use: control on a, target on b. The selector
                 // carries the hosting edge's execution overhead — the
@@ -155,7 +164,7 @@ impl Encoding {
                     .execution_overhead(a, b)
                     .expect("(a,b) is an edge");
                 if w > 0 {
-                    objective.push((w, u));
+                    costs.push((w, u));
                 }
                 options.push(u);
                 // Reversed use (only when the opposite edge is absent;
@@ -163,9 +172,9 @@ impl Encoding {
                 // use and costs nothing). The selector carries the edge's
                 // own 4-H repair weight plus its CNOT surcharge, so
                 // calibration-skewed costs price each hosting edge
-                // differently; a minimal model never pays for more than
-                // one cost-bearing selector per gate (clearing an
-                // unneeded one only lowers cost).
+                // differently. Every selector pins the gate's control and
+                // target to one ordered pair of physical qubits, so at
+                // most one of a gate's selectors holds.
                 if !local_cm.has_edge(b, a) {
                     let ur = solver.new_lit();
                     solver.add_clause([!ur, x[k][b][c]]);
@@ -174,13 +183,16 @@ impl Encoding {
                         .execution_overhead(b, a)
                         .expect("(a,b) exists and (b,a) does not");
                     if w > 0 {
-                        objective.push((w, ur));
+                        costs.push((w, ur));
                     }
                     options.push(ur);
                 }
             }
             // Eq. (2): some edge hosts the gate.
             encode::at_least_one(&mut solver, &options);
+            if !costs.is_empty() {
+                objective.push(costs);
+            }
         }
 
         // --- transitions: frame equality or selected permutation ------------
@@ -190,6 +202,7 @@ impl Encoding {
             if change_points.contains(&k) {
                 let selectors: Vec<Lit> = (0..perms.len()).map(|_| solver.new_lit()).collect();
                 encode::exactly_one(&mut solver, &selectors);
+                let mut costs: Vec<(u64, Lit)> = Vec::new();
                 for (pi_idx, pi) in perms.iter().enumerate() {
                     if interrupted() {
                         return None;
@@ -206,8 +219,11 @@ impl Encoding {
                     }
                     let cost = table.cost(pi).expect("perm comes from the table");
                     if cost > 0 {
-                        objective.push((cost, sel));
+                        costs.push((cost, sel));
                     }
+                }
+                if !costs.is_empty() {
+                    objective.push(costs);
                 }
                 y.push((k, selectors));
             } else {
@@ -240,7 +256,7 @@ impl Encoding {
             mapping_variables: self.x.len() * self.num_phys * self.num_logical,
             change_points: self.y.len(),
             permutations: self.perms.len(),
-            objective_terms: self.objective.len(),
+            objective_terms: self.objective.iter().map(Vec::len).sum(),
             build_us: u64::try_from(self.build_time.as_micros()).unwrap_or(u64::MAX),
         }
     }
@@ -315,6 +331,13 @@ mod tests {
         assert!(st.variables >= st.mapping_variables);
         assert!(st.clauses > 0);
         assert!(st.objective_terms > 0);
+        // One group per change point and one per gate: QX4 has no
+        // bidirectional edge, so every gate has cost-bearing reversals.
+        assert_eq!(enc.objective.len(), 4 + 5);
+        assert_eq!(
+            st.objective_terms,
+            enc.objective.iter().map(Vec::len).sum::<usize>()
+        );
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl ExactMapper {
             encode_span.counter("clauses", enc_stats.clauses as u64);
             encode_span.counter("build_us", enc_stats.build_us);
             encode_span.end();
-            let objective = enc.objective.clone();
+            let objective = std::mem::take(&mut enc.objective);
             enc.solver.set_interrupt(Some(Arc::clone(&shared.cancel)));
             enc.solver.set_deadline(shared.deadline);
             enc.solver
@@ -348,6 +348,14 @@ impl ExactMapper {
             let mut minimize_span = trace.span(&format!("subset{i}/minimize"));
             let outcome = minimize(&mut enc.solver, &objective, options);
             minimize_span.counter("conflicts", enc.solver.stats().conflicts - conflicts_before);
+            // The objective encoding's size, beside the encode span's
+            // `clauses`: one totalizer leaf per group, and the problem
+            // clauses minimize added (0 when no bound was ever needed).
+            minimize_span.counter("objective_leaves", objective.len() as u64);
+            minimize_span.counter(
+                "objective_clauses",
+                (enc.solver.num_clauses() - enc_stats.clauses) as u64,
+            );
             match &outcome {
                 Ok(min) => minimize_span.counter("iterations", u64::from(min.iterations)),
                 Err(MinimizeError::Unsatisfiable) => minimize_span.counter("unsat", 1),
@@ -649,6 +657,32 @@ mod tests {
         trivial.h(0);
         let stats = mapper.encoding_stats(&trivial).unwrap();
         assert_eq!(stats.variables, 0);
+    }
+
+    #[test]
+    fn minimize_spans_report_the_objective_encoding() {
+        let trace = crate::trace::SpanRecorder::new();
+        let mapper = ExactMapper::with_config(
+            devices::ibm_qx4(),
+            MapperConfig::minimal().with_trace(trace.clone()),
+        );
+        mapper.map(&paper_example()).unwrap();
+        let spans = trace.finish().expect("enabled").spans;
+        let minimize = spans
+            .iter()
+            .find(|s| s.path == "subset0/minimize")
+            .expect("one subinstance");
+        let counter = |name: &str| {
+            minimize
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+        };
+        // One leaf per change point and one per gate: every gate carries
+        // reversal costs, since no QX4 edge runs both ways.
+        assert_eq!(counter("objective_leaves"), Some(4 + 5));
+        assert!(counter("objective_clauses").is_some_and(|c| c > 0));
     }
 
     #[test]

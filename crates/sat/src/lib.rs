@@ -17,8 +17,9 @@
 //!   other solvers (one atomic drawn from per conflict) — the primitives
 //!   behind `qxmap`'s parallel per-subset solves and racing portfolio.
 //! * [`encode`] — at-most-one / exactly-one / cardinality encodings.
-//! * [`totalizer`] — a *generalized totalizer* for weighted sums, whose
-//!   output literals can be assumed to bound the objective incrementally.
+//! * [`totalizer`] — a *generalized totalizer* for weighted sums given as
+//!   at-most-one groups (one leaf per group), whose output literals can be
+//!   assumed to bound the objective incrementally.
 //! * [`optimize`] — model-improving minimization of `F = Σ wᵢ·ℓᵢ`
 //!   (Definition 3's extended interpretation).
 //! * [`dimacs`] — DIMACS CNF import/export.

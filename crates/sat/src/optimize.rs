@@ -1,9 +1,10 @@
 //! Objective minimization (the "extended interpretation" of Definition 3).
 //!
-//! Given a satisfiable formula and an objective `F = Σ wᵢ·ℓᵢ`, find a model
-//! minimizing `F`. Two complementary search schedules are provided, both
-//! driven by [`Totalizer`] bound literals assumed incrementally (the clause
-//! database, including everything learnt, is reused across iterations):
+//! Given a satisfiable formula and an objective `F = Σ wᵢ·ℓᵢ` split into
+//! at-most-one groups, find a model minimizing `F`. Two complementary
+//! search schedules are provided, both driven by [`Totalizer`] bound
+//! literals assumed incrementally (the clause database, including
+//! everything learnt, is reused across iterations):
 //!
 //! * **linear descent** (default): solve, read off the model cost `C`,
 //!   assume `F ≤ C − 1`, repeat until unsatisfiable — matching the paper's
@@ -103,6 +104,14 @@ pub struct Minimum {
 
 /// Minimizes `Σ wᵢ·ℓᵢ` subject to the clauses already in `solver`.
 ///
+/// The objective is a list of **at-most-one groups** (see
+/// [`crate::totalizer`]): the caller promises that no model of the
+/// clauses makes two terms of one group true. A flat sum passes each term
+/// as its own group. The promise is checked where it matters: every model
+/// found must cost no more than the bound it was asked for. A model that
+/// breaks its bound stops the search — the cheapest model seen is
+/// returned with `proved_optimal: false`, never certified.
+///
 /// The solver is left with only the original clauses plus consequences
 /// (bounds are applied via assumptions, never as permanent clauses), so it
 /// can be reused.
@@ -127,14 +136,14 @@ pub struct Minimum {
 /// s.add_clause([x1, x2, !x3]);
 /// s.add_clause([!x1, x3]);
 /// s.add_clause([!x2, x3]);
-/// let min = minimize(&mut s, &[(1, x1), (1, x2), (1, x3)],
+/// let min = minimize(&mut s, &[vec![(1, x1)], vec![(1, x2)], vec![(1, x3)]],
 ///                    MinimizeOptions::default()).expect("satisfiable");
 /// assert_eq!(min.cost, 0);
 /// assert!(min.proved_optimal);
 /// ```
 pub fn minimize(
     solver: &mut Solver,
-    objective: &[(u64, Lit)],
+    objective: &[Vec<(u64, Lit)>],
     options: MinimizeOptions,
 ) -> Result<Minimum, MinimizeError> {
     // The budget is shared by the *whole* minimization: each solve call
@@ -188,115 +197,66 @@ pub fn minimize(
         }
     };
     let mut best_cost = evaluate(objective, &best);
-    if best_cost == 0 {
-        solver.set_conflict_budget(None);
-        return Ok(Minimum {
-            cost: 0,
-            model: best,
-            proved_optimal: true,
-            iterations,
-        });
-    }
 
-    // Encode the objective once (unless the upper bound already did),
-    // clamped at the first model's cost: all future bounds are strictly
-    // below it. On a large objective this encoding can dwarf a deadline
-    // that the first model only just beat — when the solver's stop state
-    // fires mid-encoding, the first model is returned, honestly unproved,
-    // instead of overshooting the budget.
-    let totalizer = match totalizer {
-        Some(t) => t,
-        None => match Totalizer::encode_interruptible(solver, objective, best_cost) {
+    // Every exit below that is not a completed refutation leaves the best
+    // model unproved.
+    let proved = 'search: {
+        if options
+            .initial_upper_bound
+            .is_some_and(|ub| best_cost >= ub)
+        {
+            // The bound did not hold: some group is not at-most-one.
+            break 'search false;
+        }
+        if best_cost == 0 {
+            break 'search true;
+        }
+        // Encode the objective once (unless the upper bound already did),
+        // clamped at the first model's cost: all future bounds are
+        // strictly below it. On a large objective this encoding can dwarf
+        // a deadline that the first model only just beat — when the
+        // solver's stop state fires mid-encoding, the first model is
+        // returned, honestly unproved, instead of overshooting the budget.
+        let totalizer = match totalizer {
             Some(t) => t,
-            None => {
-                solver.set_conflict_budget(None);
-                return Ok(Minimum {
-                    cost: best_cost,
-                    model: best,
-                    proved_optimal: false,
-                    iterations,
-                });
+            None => match Totalizer::encode_interruptible(solver, objective, best_cost) {
+                Some(t) => t,
+                None => break 'search false,
+            },
+        };
+        // Both schedules narrow `[lo, best_cost)`, the costs neither
+        // refuted nor attained: linear descent always asks for
+        // `best − 1`, binary search for the midpoint.
+        let mut lo = 0u64;
+        while lo < best_cost {
+            let target = match options.strategy {
+                MinimizeStrategy::LinearDescent => best_cost - 1,
+                MinimizeStrategy::BinarySearch => lo + (best_cost - lo) / 2,
+            };
+            // `best_cost` is attainable and at most the cap, so with
+            // at-most-one groups an output above `target` always exists.
+            let Some(bl) = totalizer.bound_literal(target) else {
+                break 'search false;
+            };
+            iterations += 1;
+            match budgeted_solve(solver, &[!bl]) {
+                SolveResult::Sat(m) => {
+                    let c = evaluate(objective, &m);
+                    if c < best_cost {
+                        best = m;
+                        best_cost = c;
+                    }
+                    if c > target {
+                        // The model broke the bound it was asked for.
+                        break 'search false;
+                    }
+                }
+                SolveResult::Unsat => lo = target + 1,
+                SolveResult::Unknown => break 'search false,
             }
-        },
+        }
+        true
     };
-    let mut proved = false;
-
-    match options.strategy {
-        MinimizeStrategy::LinearDescent => {
-            loop {
-                let target = best_cost - 1;
-                let Some(bl) = totalizer.bound_literal(target) else {
-                    // No attainable sum exceeds target — cost can't be
-                    // bounded further by this encoding; best is optimal
-                    // among attainable sums.
-                    proved = true;
-                    break;
-                };
-                match budgeted_solve(solver, &[!bl]) {
-                    SolveResult::Sat(m) => {
-                        iterations += 1;
-                        let c = evaluate(objective, &m);
-                        debug_assert!(c < best_cost);
-                        best = m;
-                        best_cost = c;
-                        if best_cost == 0 {
-                            proved = true;
-                            break;
-                        }
-                    }
-                    SolveResult::Unsat => {
-                        iterations += 1;
-                        proved = true;
-                        break;
-                    }
-                    SolveResult::Unknown => {
-                        iterations += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        MinimizeStrategy::BinarySearch => {
-            let mut lo = 0u64; // F ≥ lo is known possible-optimal region floor
-            let mut hi = best_cost; // best known achievable
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let Some(bl) = totalizer.bound_literal(mid) else {
-                    // Nothing attainable above mid: any model has cost ≤ mid.
-                    hi = mid.min(hi);
-                    if hi == 0 {
-                        break;
-                    }
-                    // Without a literal we cannot query below; fall back to
-                    // linear reasoning: attainable sums ≤ mid only.
-                    proved = true;
-                    break;
-                };
-                match budgeted_solve(solver, &[!bl]) {
-                    SolveResult::Sat(m) => {
-                        iterations += 1;
-                        let c = evaluate(objective, &m);
-                        debug_assert!(c <= mid);
-                        best = m;
-                        best_cost = c;
-                        hi = c;
-                    }
-                    SolveResult::Unsat => {
-                        iterations += 1;
-                        lo = mid + 1;
-                    }
-                    SolveResult::Unknown => {
-                        iterations += 1;
-                        lo = hi; // abandon: return best so far, unproved
-                        break;
-                    }
-                }
-            }
-            if lo >= best_cost {
-                proved = true;
-            }
-        }
-    }
 
     solver.set_conflict_budget(None);
     Ok(Minimum {
@@ -316,6 +276,11 @@ mod tests {
         (0..n).map(|_| s.new_lit()).collect()
     }
 
+    /// Each term as its own group: the flat form of a weighted sum.
+    fn singletons(terms: &[(u64, Lit)]) -> Vec<Vec<(u64, Lit)>> {
+        terms.iter().map(|&t| vec![t]).collect()
+    }
+
     #[test]
     fn unsat_formula_returns_none() {
         let mut s = Solver::new();
@@ -323,7 +288,7 @@ mod tests {
         s.add_clause([a]);
         s.add_clause([!a]);
         assert_eq!(
-            minimize(&mut s, &[(1, a)], MinimizeOptions::default()),
+            minimize(&mut s, &[vec![(1, a)]], MinimizeOptions::default()),
             Err(MinimizeError::Unsatisfiable)
         );
     }
@@ -337,7 +302,8 @@ mod tests {
             let mut s = Solver::new();
             let v = lits(&mut s, 4);
             exactly_one(&mut s, &v);
-            let obj = vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])];
+            // The exactly-one selectors form one group.
+            let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
             let min = minimize(
                 &mut s,
                 &obj,
@@ -359,7 +325,12 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
         s.add_clause([v[0], v[1]]);
-        let min = minimize(&mut s, &[(7, v[0]), (4, v[1])], MinimizeOptions::default()).unwrap();
+        let min = minimize(
+            &mut s,
+            &singletons(&[(7, v[0]), (4, v[1])]),
+            MinimizeOptions::default(),
+        )
+        .unwrap();
         assert_eq!(min.cost, 4);
         assert!(!min.model.value(v[0]) && min.model.value(v[1]));
     }
@@ -370,7 +341,7 @@ mod tests {
         let v = lits(&mut s, 2);
         s.add_clause([v[0], v[1]]); // free to pick either; obj over other vars
         let w = s.new_lit();
-        let min = minimize(&mut s, &[(3, w)], MinimizeOptions::default()).unwrap();
+        let min = minimize(&mut s, &[vec![(3, w)]], MinimizeOptions::default()).unwrap();
         assert_eq!(min.cost, 0);
         assert_eq!(min.iterations, 1);
     }
@@ -384,7 +355,8 @@ mod tests {
             let mut s = Solver::new();
             let v = lits(&mut s, 4);
             exactly_one(&mut s, &v);
-            let obj = vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])];
+            // The exactly-one selectors form one group.
+            let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
             let min = minimize(
                 &mut s,
                 &obj,
@@ -408,7 +380,7 @@ mod tests {
         s.add_clause([v[0], v[1]]);
         let err = minimize(
             &mut s,
-            &[(7, v[0]), (4, v[1])],
+            &singletons(&[(7, v[0]), (4, v[1])]),
             MinimizeOptions {
                 initial_upper_bound: Some(4),
                 ..Default::default()
@@ -419,7 +391,7 @@ mod tests {
         // A zero bound can never be beaten.
         let err = minimize(
             &mut s,
-            &[(7, v[0]), (4, v[1])],
+            &singletons(&[(7, v[0]), (4, v[1])]),
             MinimizeOptions {
                 initial_upper_bound: Some(0),
                 ..Default::default()
@@ -445,7 +417,7 @@ mod tests {
         s.set_interrupt(Some(Arc::new(AtomicBool::new(true))));
         let err = minimize(
             &mut s,
-            &[(1, v[0]), (1, v[1]), (1, v[2])],
+            &singletons(&[(1, v[0]), (1, v[1]), (1, v[2])]),
             MinimizeOptions {
                 initial_upper_bound: Some(3),
                 ..Default::default()
@@ -460,11 +432,81 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         exactly_one(&mut s, &v);
-        let obj: Vec<(u64, Lit)> = vec![(1, v[0]), (2, v[1]), (3, v[2])];
+        let obj = vec![vec![(1, v[0]), (2, v[1]), (3, v[2])]];
         let min = minimize(&mut s, &obj, MinimizeOptions::default()).unwrap();
         assert_eq!(min.cost, 1);
         // The formula is still just "exactly one": forcing v[2] must work.
         assert!(s.solve_with_assumptions(&[v[2]]).is_sat());
+    }
+
+    #[test]
+    fn a_group_that_is_not_at_most_one_is_never_certified() {
+        // `a` and `b` can both be true, so their group undercounts: the
+        // encoded sum of a ∧ b ∧ ¬c is 5 while its true cost is 10. Every
+        // search reaches a bound that admits that model, and the model
+        // breaks it.
+        for strategy in [
+            MinimizeStrategy::LinearDescent,
+            MinimizeStrategy::BinarySearch,
+        ] {
+            for ub in [None, Some(7), Some(11)] {
+                let mut s = Solver::new();
+                let v = lits(&mut s, 3);
+                let (a, b, c) = (v[0], v[1], v[2]);
+                s.add_clause([a, c]);
+                s.add_clause([b, c]);
+                let obj = vec![vec![(5, a), (5, b)], vec![(6, c)]];
+                let min = minimize(
+                    &mut s,
+                    &obj,
+                    MinimizeOptions {
+                        strategy,
+                        initial_upper_bound: ub,
+                        ..Default::default()
+                    },
+                )
+                .expect("satisfiable");
+                assert!(!min.proved_optimal, "{strategy:?} ub={ub:?}");
+                assert_eq!(min.cost, evaluate(&obj, &min.model));
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_cut_short_is_never_certified() {
+        // The first model clears `pigeons` (cost 1); asking for cost 0
+        // means refuting a pigeonhole instance (7 pigeons, 6 holes), far
+        // beyond the conflict budget.
+        for strategy in [
+            MinimizeStrategy::LinearDescent,
+            MinimizeStrategy::BinarySearch,
+        ] {
+            let mut s = Solver::new();
+            let pigeons = s.new_lit();
+            let p: Vec<Vec<Lit>> = (0..7).map(|_| lits(&mut s, 6)).collect();
+            for pigeon in &p {
+                s.add_clause(pigeon.iter().copied().chain([!pigeons]));
+            }
+            for h in 0..6 {
+                for (i, a) in p.iter().enumerate() {
+                    for b in &p[i + 1..] {
+                        s.add_clause([!a[h], !b[h], !pigeons]);
+                    }
+                }
+            }
+            let min = minimize(
+                &mut s,
+                &[vec![(1, !pigeons)]],
+                MinimizeOptions {
+                    strategy,
+                    conflict_budget: Some(50),
+                    ..Default::default()
+                },
+            )
+            .expect("the first model needs no search");
+            assert_eq!(min.cost, 1, "{strategy:?}");
+            assert!(!min.proved_optimal, "{strategy:?}");
+        }
     }
 
     #[test]
@@ -497,7 +539,7 @@ mod tests {
                 let obj: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
                 minimize(
                     &mut s,
-                    &obj,
+                    &singletons(&obj),
                     MinimizeOptions {
                         strategy,
                         ..Default::default()
@@ -569,7 +611,7 @@ mod tests {
                 }));
             }
             let obj: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
-            let got = minimize(&mut s, &obj, MinimizeOptions::default())
+            let got = minimize(&mut s, &singletons(&obj), MinimizeOptions::default())
                 .ok()
                 .map(|m| m.cost);
             assert_eq!(got, brute_best);

@@ -273,6 +273,7 @@ pub struct Solver {
     seen: Vec<bool>,
     stats: SolverStats,
     num_learnts: usize,
+    num_problem: usize,
     max_learnts: f64,
     conflict_budget: Option<u64>,
     shared_conflict_pool: Option<Arc<AtomicU64>>,
@@ -319,12 +320,11 @@ impl Solver {
         self.num_vars as usize
     }
 
-    /// Number of problem (non-learnt, non-deleted) clauses.
+    /// Number of problem (non-learnt) clauses stored; units and clauses
+    /// already satisfied at the root are not stored. Problem clauses are
+    /// never deleted, so this only grows.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
+        self.num_problem
     }
 
     /// Search statistics so far.
@@ -493,6 +493,8 @@ impl Solver {
         });
         if learnt {
             self.num_learnts += 1;
+        } else {
+            self.num_problem += 1;
         }
         idx
     }

@@ -7,6 +7,24 @@
 //! clamped to the cap, keeping the encoding small when only bounds below
 //! the cap will ever be queried.
 //!
+//! The objective arrives as **at-most-one groups**: lists of terms of
+//! which no model makes more than one true. Each group becomes one leaf
+//! whose outputs are the group's distinct weights — each member implies
+//! the output of its own weight, and the ordering chain carries it to
+//! every lower one. Eq. 5 has exactly this shape: the permutation
+//! selectors of one change point are exactly-one (footnote 5), and the
+//! edge-use selectors of one gate are exclusive because each logical
+//! qubit sits on one physical qubit. On QX4 a change point's 120
+//! selectors thus make one leaf of a handful of outputs instead of 120
+//! leaves, and the merge tree above shrinks with it. A singleton group
+//! is an ordinary term, so any flat sum can be passed as singletons.
+//!
+//! The precondition is the caller's: a group that a model can make true
+//! twice counts only its dearest member, so the encoded sum undercounts
+//! and a bound assumption no longer holds the true sum below it.
+//! [`crate::minimize`] checks every model's true cost against the bound
+//! it asked for and stops, uncertified, when one breaks it.
+//!
 //! The root's output literals let a caller bound the objective
 //! *incrementally*: `F ≤ B` is the single assumption `¬(first output
 //! literal with weight > B)`, thanks to the ordering clauses
@@ -24,8 +42,8 @@ pub struct Totalizer {
 }
 
 impl Totalizer {
-    /// Encodes `terms` (weight, literal) into `solver`, clamping attainable
-    /// sums at `cap`.
+    /// Encodes the sum of the at-most-one `groups` of (weight, literal)
+    /// terms into `solver`, clamping attainable sums at `cap`.
     ///
     /// Zero-weight terms are ignored. With no (non-trivial) terms the sum
     /// is constantly 0 and there are no outputs.
@@ -33,8 +51,8 @@ impl Totalizer {
     /// # Panics
     ///
     /// Panics if `cap == 0`.
-    pub fn encode(solver: &mut Solver, terms: &[(u64, Lit)], cap: u64) -> Totalizer {
-        Totalizer::encode_impl(solver, terms, cap, false)
+    pub fn encode(solver: &mut Solver, groups: &[Vec<(u64, Lit)>], cap: u64) -> Totalizer {
+        Totalizer::encode_impl(solver, groups, cap, false)
             .expect("uninterruptible encoding always completes")
     }
 
@@ -54,23 +72,23 @@ impl Totalizer {
     /// Panics if `cap == 0`.
     pub fn encode_interruptible(
         solver: &mut Solver,
-        terms: &[(u64, Lit)],
+        groups: &[Vec<(u64, Lit)>],
         cap: u64,
     ) -> Option<Totalizer> {
-        Totalizer::encode_impl(solver, terms, cap, true)
+        Totalizer::encode_impl(solver, groups, cap, true)
     }
 
     fn encode_impl(
         solver: &mut Solver,
-        terms: &[(u64, Lit)],
+        groups: &[Vec<(u64, Lit)>],
         cap: u64,
         interruptible: bool,
     ) -> Option<Totalizer> {
         assert!(cap > 0, "cap must be positive");
-        let mut leaves: Vec<Vec<(u64, Lit)>> = terms
+        let mut leaves: Vec<Vec<(u64, Lit)>> = groups
             .iter()
-            .filter(|(w, _)| *w > 0)
-            .map(|&(w, l)| vec![(w.min(cap), l)])
+            .map(|group| leaf(solver, group, cap))
+            .filter(|leaf| !leaf.is_empty())
             .collect();
         if leaves.is_empty() {
             return Some(Totalizer {
@@ -135,6 +153,37 @@ impl Totalizer {
     }
 }
 
+/// The leaf of one at-most-one group: one output per distinct
+/// (cap-clamped, positive) weight, implied by each member of that weight,
+/// plus the ordering chain. A lone member is its own output.
+fn leaf(solver: &mut Solver, group: &[(u64, Lit)], cap: u64) -> Vec<(u64, Lit)> {
+    let mut members: Vec<(u64, Lit)> = group
+        .iter()
+        .filter(|(w, _)| *w > 0)
+        .map(|&(w, l)| (w.min(cap), l))
+        .collect();
+    if members.len() <= 1 {
+        return members;
+    }
+    members.sort_unstable_by_key(|&(w, _)| w);
+    let mut out: Vec<(u64, Lit)> = Vec::new();
+    for (w, l) in members {
+        let o = match out.last() {
+            Some(&(v, o)) if v == w => o,
+            prev => {
+                let o = solver.new_lit();
+                if let Some(&(_, lower)) = prev {
+                    solver.add_clause([!o, lower]);
+                }
+                out.push((w, o));
+                o
+            }
+        };
+        solver.add_clause([!l, o]);
+    }
+    out
+}
+
 /// Merges two children, producing the parent's `(sum, literal)` list with
 /// implication clauses:
 /// `a_w → o_w`, `b_w → o_w`, `a_u ∧ b_v → o_{min(u+v, cap)}`, plus ordering
@@ -186,10 +235,12 @@ fn merge(solver: &mut Solver, a: &[(u64, Lit)], b: &[(u64, Lit)], cap: u64) -> V
     out
 }
 
-/// Evaluates `Σ wᵢ·ℓᵢ` under a model.
-pub fn evaluate(terms: &[(u64, Lit)], model: &crate::solver::Model) -> u64 {
-    terms
+/// Evaluates `Σ wᵢ·ℓᵢ` over every term of `groups` under a model — the
+/// true sum, whether or not the groups are really at-most-one.
+pub fn evaluate(groups: &[Vec<(u64, Lit)>], model: &crate::solver::Model) -> u64 {
+    groups
         .iter()
+        .flatten()
         .filter(|(_, l)| model.value(*l))
         .map(|(w, _)| *w)
         .sum()
@@ -204,18 +255,42 @@ mod tests {
         (0..n).map(|_| s.new_lit()).collect()
     }
 
-    /// Exhaustively verify: for every assignment of the term literals, the
-    /// formula with assumption `sum ≤ bound` is satisfiable extending that
-    /// assignment iff the true weighted sum is ≤ bound.
-    fn check_bounds_exhaustively(weights: &[u64]) {
-        let cap: u64 = weights.iter().sum::<u64>() + 1;
-        for bound in 0..weights.iter().sum::<u64>() {
+    /// Each term as its own group: the flat form of a weighted sum.
+    fn singletons(terms: &[(u64, Lit)]) -> Vec<Vec<(u64, Lit)>> {
+        terms.iter().map(|&t| vec![t]).collect()
+    }
+
+    /// Exhaustively verify: for every assignment of the term literals that
+    /// keeps each group at most one, the formula with assumption
+    /// `sum ≤ bound` is satisfiable extending that assignment iff the true
+    /// weighted sum is ≤ bound.
+    fn check_bounds_exhaustively(groups: &[&[u64]]) {
+        let weights: Vec<u64> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+        let group_of: Vec<usize> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, ws)| ws.iter().map(move |_| g))
+            .collect();
+        let total: u64 = weights.iter().sum();
+        for bound in 0..total {
             let mut s = Solver::new();
             let v = lits(&mut s, weights.len());
-            let terms: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
-            let tot = Totalizer::encode(&mut s, &terms, cap);
+            let mut encoded: Vec<Vec<(u64, Lit)>> = vec![Vec::new(); groups.len()];
+            for (i, (&w, &l)) in weights.iter().zip(&v).enumerate() {
+                encoded[group_of[i]].push((w, l));
+            }
+            let tot = Totalizer::encode(&mut s, &encoded, total + 1);
             let bound_lit = tot.bound_literal(bound);
             for mask in 0..(1u32 << weights.len()) {
+                let exclusive = (0..groups.len()).all(|g| {
+                    (0..weights.len())
+                        .filter(|&i| group_of[i] == g && mask & (1 << i) != 0)
+                        .count()
+                        <= 1
+                });
+                if !exclusive {
+                    continue;
+                }
                 let mut assumptions: Vec<Lit> = (0..weights.len())
                     .map(|i| if mask & (1 << i) != 0 { v[i] } else { !v[i] })
                     .collect();
@@ -230,13 +305,13 @@ mod tests {
                 if sum <= bound {
                     assert!(
                         res.is_sat(),
-                        "weights={weights:?} mask={mask:b} bound={bound}"
+                        "groups={groups:?} mask={mask:b} bound={bound}"
                     );
                 } else {
                     assert_eq!(
                         res,
                         SolveResult::Unsat,
-                        "weights={weights:?} mask={mask:b} bound={bound}"
+                        "groups={groups:?} mask={mask:b} bound={bound}"
                     );
                 }
             }
@@ -245,27 +320,48 @@ mod tests {
 
     #[test]
     fn unit_weights_behave_like_cardinality() {
-        check_bounds_exhaustively(&[1, 1, 1, 1]);
+        check_bounds_exhaustively(&[&[1], &[1], &[1], &[1]]);
     }
 
     #[test]
     fn paper_weights_seven_and_four() {
         // The actual weight profile of Eq. 5: multiples of 7 plus 4s.
-        check_bounds_exhaustively(&[7, 7, 14, 4, 4]);
+        check_bounds_exhaustively(&[&[7], &[7], &[14], &[4], &[4]]);
     }
 
     #[test]
     fn mixed_weights() {
-        check_bounds_exhaustively(&[3, 5, 2]);
-        check_bounds_exhaustively(&[10, 1, 1, 1]);
+        check_bounds_exhaustively(&[&[3], &[5], &[2]]);
+        check_bounds_exhaustively(&[&[10], &[1], &[1], &[1]]);
+    }
+
+    #[test]
+    fn grouped_leaves_bound_exclusive_choices() {
+        // Eq. 5's shape: a change point's selectors (duplicate and zero
+        // weights included) beside a gate's reversal selectors.
+        check_bounds_exhaustively(&[&[0, 7, 7, 14, 21]]);
+        check_bounds_exhaustively(&[&[0, 7, 7, 14, 21], &[4, 4]]);
+        check_bounds_exhaustively(&[&[3, 1, 3], &[2], &[5, 0, 1]]);
+    }
+
+    #[test]
+    fn a_group_leaf_has_one_output_per_distinct_weight() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 6);
+        let group: Vec<(u64, Lit)> = [0, 7, 7, 14, 7, 30].into_iter().zip(v).collect();
+        let tot = Totalizer::encode(&mut s, &[group], 20);
+        let ws: Vec<u64> = tot.outputs().iter().map(|(w, _)| *w).collect();
+        assert_eq!(ws, vec![7, 14, 20]);
     }
 
     #[test]
     fn zero_weight_terms_are_ignored() {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
-        let tot = Totalizer::encode(&mut s, &[(0, v[0]), (5, v[1])], 10);
+        let tot = Totalizer::encode(&mut s, &singletons(&[(0, v[0]), (5, v[1])]), 10);
         assert_eq!(tot.outputs().len(), 1);
+        let tot = Totalizer::encode(&mut s, &[vec![(0, v[0])], vec![]], 10);
+        assert!(tot.outputs().is_empty());
     }
 
     #[test]
@@ -282,7 +378,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         let terms = vec![(100u64, v[0]), (100, v[1]), (100, v[2])];
-        let tot = Totalizer::encode(&mut s, &terms, 150);
+        let tot = Totalizer::encode(&mut s, &singletons(&terms), 150);
         // Attainable clamped sums: 100, 150.
         let ws: Vec<u64> = tot.outputs().iter().map(|(w, _)| *w).collect();
         assert_eq!(ws, vec![100, 150]);
@@ -297,7 +393,7 @@ mod tests {
     fn bound_at_or_above_cap_panics() {
         let mut s = Solver::new();
         let v = s.new_lit();
-        let tot = Totalizer::encode(&mut s, &[(5, v)], 6);
+        let tot = Totalizer::encode(&mut s, &[vec![(5, v)]], 6);
         let _ = tot.bound_literal(6);
     }
 
@@ -308,7 +404,7 @@ mod tests {
 
         let mut s = Solver::new();
         let v = lits(&mut s, 4);
-        let terms: Vec<(u64, Lit)> = v.iter().map(|&l| (1, l)).collect();
+        let terms: Vec<Vec<(u64, Lit)>> = v.iter().map(|&l| vec![(1, l)]).collect();
         let flag = Arc::new(AtomicBool::new(true));
         s.set_interrupt(Some(flag.clone()));
         assert!(s.stop_requested());
@@ -324,16 +420,18 @@ mod tests {
     }
 
     #[test]
-    fn single_term_encoding_survives_interruption() {
+    fn single_leaf_encoding_survives_interruption() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
 
-        // One leaf means no merge: nothing to interrupt.
+        // One leaf means no merge: nothing to interrupt, even when the
+        // leaf is a whole group.
         let mut s = Solver::new();
-        let v = s.new_lit();
+        let v = lits(&mut s, 3);
         s.set_interrupt(Some(Arc::new(AtomicBool::new(true))));
-        let tot = Totalizer::encode_interruptible(&mut s, &[(3, v)], 5).expect("no merges");
-        assert_eq!(tot.outputs().len(), 1);
+        let group = vec![(3, v[0]), (4, v[1]), (3, v[2])];
+        let tot = Totalizer::encode_interruptible(&mut s, &[group], 5).expect("no merges");
+        assert_eq!(tot.outputs().len(), 2);
     }
 
     #[test]
@@ -344,7 +442,7 @@ mod tests {
         s.add_clause([!v[1]]);
         s.add_clause([v[2]]);
         let m = s.solve().model().cloned().unwrap();
-        let terms = vec![(7u64, v[0]), (4, v[1]), (9, v[2])];
-        assert_eq!(evaluate(&terms, &m), 16);
+        let groups = vec![vec![(7u64, v[0]), (4, v[1])], vec![(9, v[2])]];
+        assert_eq!(evaluate(&groups, &m), 16);
     }
 }
