@@ -1,10 +1,10 @@
 //! The serving-tier soak harness: boots the real [`qxmap_serve::Server`]
 //! on a loopback TCP listener, drives `k` concurrent client connections
-//! with a deterministic mix of cold, warm, windowed and invalid traffic,
+//! with a deterministic mix of cold, warm, large-device and invalid traffic,
 //! then shuts down, restarts from the cache journal, and measures the
 //! warm-restart hit. A warm phase drives identical cache-hit traffic in
 //! lockstep and in pipelined mode to measure the pipelining throughput
-//! win. The daemon runs with its observability layer live — windowed
+//! win. The daemon runs with its observability layer live — large-device
 //! traffic is traced, slowlog ring admissions append to a `--trace-log`
 //! JSONL file whose lines must parse, and the untraced warm
 //! `handle_line` path is measured against a trace-off daemon
@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qxmap_bench::stats;
-use qxmap_benchmarks::corpus::{manifest_hash, smoke_corpus, CorpusClass};
+use qxmap_benchmarks::corpus::{manifest_hash, smoke_corpus};
 use qxmap_benchmarks::synthetic_circuit;
 use qxmap_map::SolveCache;
 use qxmap_serve::{Json, Server, ServerConfig};
@@ -111,20 +111,12 @@ fn round_trip(writer: &mut TcpStream, reader: &mut impl BufRead, line: &str) -> 
 }
 
 /// The warm pool: requests repeated across clients so the solve cache
-/// answers most of them. Built from the smoke corpus's monolithic rows —
-/// real Table 1 shapes on real devices. Rows past the exact regime are
-/// excluded: the server would auto-select the windowed engine for them
-/// (best-effort out-of-regime requests), and windowed answers bypass
-/// the whole-circuit cache — they can never be warm.
+/// answers most of them. Built from the smoke corpus — real Table 1
+/// shapes and large-device workloads on real devices, every answer
+/// cached whole.
 fn warm_pool() -> Vec<String> {
     smoke_corpus()
         .iter()
-        .filter(|e| {
-            let device_qubits = qxmap_arch::devices::by_name(e.device)
-                .map(|cm| cm.num_qubits())
-                .unwrap_or(usize::MAX);
-            e.class != CorpusClass::Windowed && device_qubits <= qxmap_core::MAX_EXACT_QUBITS
-        })
         .map(|e| {
             format!(
                 "{{\"type\":\"map\",\"qasm\":{},\"device\":\"{}\",\"deadline_ms\":{}}}",
@@ -146,11 +138,12 @@ fn cold_line(qasm: &str, unique_seed: u64) -> String {
     )
 }
 
-/// A windowed request: a 10-qubit CNOT ladder on linear-12 — past the
-/// exact regime, so it slices and stitches, but small enough to keep the
-/// soak short. Traced: windowed solves are the soak's slowest class, so
-/// their slowlog ring admissions exercise the `--trace-log` JSONL path
-/// with full timelines attached.
+/// A large-device request: a 10-qubit CNOT ladder on linear-12 — past
+/// the exact regime, so the served engine races the window
+/// decomposition against the heuristic floor, but small enough to keep
+/// the soak short. Traced: large-device solves are the soak's slowest
+/// class, so their slowlog ring admissions exercise the `--trace-log`
+/// JSONL path with full timelines attached.
 fn windowed_line() -> String {
     let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[10];\n");
     for q in 0..9 {
@@ -158,7 +151,7 @@ fn windowed_line() -> String {
     }
     format!(
         "{{\"type\":\"map\",\"qasm\":{},\"device\":\"linear-12\",\
-         \"windowed\":{{\"max_window_qubits\":6}},\"trace\":true,\"deadline_ms\":30000}}",
+         \"trace\":true,\"deadline_ms\":30000}}",
         Json::str(qasm)
     )
 }
@@ -457,7 +450,7 @@ fn main() {
 
     // The trace log the daemon left behind: one parseable JSON object
     // per line (slowlog ring admissions), the slow ones carrying full
-    // timelines from the traced windowed requests.
+    // timelines from the traced large-device requests.
     let logged = std::fs::read_to_string(&trace_log).expect("trace log written");
     let mut trace_log_lines = 0u64;
     let mut trace_log_traced = 0u64;

@@ -131,10 +131,7 @@ pub(crate) fn serve_duplicate(
     let start = Instant::now();
     let sigma = request_skeleton.correspondence_to(solved_skeleton)?;
     let mut report = solved;
-    if sigma.iter().enumerate().any(|(q, &s)| q != s) {
-        report.initial_layout = remap_layout(&report.initial_layout, &sigma);
-        report.final_layout = remap_layout(&report.final_layout, &sigma);
-    }
+    relabel(&mut report, &sigma);
     if !report.served_from_cache {
         // A representative that was itself cache-served already carries
         // the prefix; never stack cache/cache/.
@@ -562,10 +559,7 @@ impl SolveCache {
         // composition is a permutation).
         let mut report = (*stored).clone();
         let sigma: Vec<usize> = labels.iter().map(|&l| canon_to_original[l]).collect();
-        if sigma.iter().enumerate().any(|(q, &s)| q != s) {
-            report.initial_layout = remap_layout(&report.initial_layout, &sigma);
-            report.final_layout = remap_layout(&report.final_layout, &sigma);
-        }
+        relabel(&mut report, &sigma);
         report.served_from_cache = true;
         report.winner = format!("cache/{}", report.winner);
         report.elapsed = start.elapsed();
@@ -799,6 +793,27 @@ fn correspondence_defect(key: &CacheKey, canon_to_original: &[usize]) -> Option<
         seen[q] = true;
     }
     None
+}
+
+/// Translates a solved `report` into a request's register naming, where
+/// request qubit `q` plays the solved circuit's qubit `sigma[q]`: both
+/// layouts and every window certificate's logical `qubits` move
+/// together. The one translation both cache-served paths share.
+fn relabel(report: &mut MapReport, sigma: &[usize]) {
+    if sigma.iter().enumerate().all(|(q, &s)| q == s) {
+        return;
+    }
+    report.initial_layout = remap_layout(&report.initial_layout, sigma);
+    report.final_layout = remap_layout(&report.final_layout, sigma);
+    if let Some(windows) = report.windows.as_mut() {
+        let mut request_qubit = vec![0usize; sigma.len()];
+        for (q, &s) in sigma.iter().enumerate() {
+            request_qubit[s] = q;
+        }
+        for qubit in windows.iter_mut().flat_map(|w| w.qubits.iter_mut()) {
+            *qubit = request_qubit[*qubit];
+        }
+    }
 }
 
 /// `layout` with its logical axis relabeled: the result places request

@@ -12,16 +12,14 @@
 //!   `guarantee` (`"optimal"` / `"best_effort"`), `strategy`
 //!   (`"before_every_gate"`, `"disjoint_qubits"`, `"odd_gates"`,
 //!   `"qubit_triangle"`, `{"window": k}`, `{"custom": [...]}`),
-//!   `subsets` (bool), `upper_bound`, `seed`, and `windowed` — `true`
-//!   (default options) or `{"max_window_qubits": k, "sat_bridges": b}`
-//!   to answer through the window-decomposed engine
-//!   ([`qxmap_window::WindowedEngine`]), whose response carries a
-//!   `windows` array of per-window optimality certificates. When the
-//!   field is *absent*, the server auto-selects: a best-effort request
-//!   on a device beyond the exact regime
-//!   ([`qxmap_core::MAX_EXACT_QUBITS`]) answers windowed with default
-//!   options, everything else monolithically; `"windowed": false`
-//!   explicitly vetoes the auto-selection.
+//!   `subsets` (bool), `upper_bound`, `seed` and `trace` (bool). Any
+//!   other field is a `bad_request`. Every job answers through one
+//!   engine, [`qxmap_window::WindowedEngine`]: on devices inside the
+//!   exact regime ([`qxmap_core::MAX_EXACT_QUBITS`]) that is the
+//!   portfolio race, and a best-effort job on a larger connected device
+//!   gets the cheaper of the heuristic floor and the window
+//!   decomposition. A response the decomposition won carries a
+//!   `windows` array of per-window optimality certificates.
 //! * `{"type": "metrics"}` — cache statistics, queue state, latency
 //!   counters.
 //! * `{"type": "shutdown"}` — graceful shutdown: queued work finishes,
@@ -59,11 +57,11 @@ use std::time::Duration;
 
 use qxmap_arch::{calibration, devices, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::CircuitSkeleton;
-use qxmap_core::{Strategy, MAX_EXACT_QUBITS};
+use qxmap_core::Strategy;
 use qxmap_map::{
     CacheProbe, Guarantee, MapOptions, MapReport, MapRequest, MapperError, WindowCertificate,
 };
-use qxmap_window::WindowOptions;
+use qxmap_window::{will_window, WindowOptions};
 
 use crate::json::Json;
 
@@ -118,24 +116,6 @@ pub struct MapJob {
     /// Whether the request asked for a trace timeline — not an option:
     /// tracing never affects cache identity.
     trace: bool,
-    /// The request's window-decomposition choice; resolved against the
-    /// device and guarantee by [`MapJob::windowed_options`].
-    pub windowed: WindowedChoice,
-}
-
-/// How a map request chose (or declined to choose) the window-decomposed
-/// engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WindowedChoice {
-    /// No `windowed` field was sent: the server auto-selects — windowed
-    /// with default options for best-effort requests on devices beyond
-    /// the exact regime, monolithic otherwise.
-    Auto,
-    /// `"windowed": false` — an explicit veto; always monolithic, even
-    /// out of regime.
-    Off,
-    /// `"windowed": true` or an options object — always windowed.
-    On(WindowOptions),
 }
 
 /// The circuit payload after validation, before materialization.
@@ -167,34 +147,16 @@ impl MapJob {
         &self.skeleton
     }
 
-    /// Resolves the job's [`WindowedChoice`] against the device and
-    /// guarantee: `Some(options)` answers through the window-decomposed
-    /// engine, `None` through the monolithic portfolio. An explicit
-    /// choice always wins; [`WindowedChoice::Auto`] selects windowed
-    /// exactly when the device is beyond the exact regime
-    /// ([`MAX_EXACT_QUBITS`]) *and* the request does not demand
-    /// [`Guarantee::Optimal`] (the windowed engine cannot certify
-    /// whole-circuit optimality, so optimal requests keep the portfolio
-    /// and its honest `optimality_unavailable` answer).
+    /// The window options the served engine decomposes this job with,
+    /// or `None` when it answers through the portfolio alone — a report
+    /// of [`will_window`], not a choice: the wire has no knob for it.
     pub fn windowed_options(&self) -> Option<WindowOptions> {
-        match self.windowed {
-            WindowedChoice::On(options) => Some(options),
-            WindowedChoice::Off => None,
-            WindowedChoice::Auto => {
-                let optimal = self.options.guarantee == Guarantee::Optimal;
-                (self.device.num_qubits() > MAX_EXACT_QUBITS && !optimal)
-                    .then(WindowOptions::default)
-            }
-        }
+        will_window(self.device.coupling_map(), self.options.guarantee).then(WindowOptions::default)
     }
 
-    /// The solve-cache probe for the skeleton-first warm path, or `None`
-    /// for jobs that resolve windowed (the windowed engine caches
-    /// per-window results under its own keys, not whole-circuit ones).
+    /// The solve-cache probe for the skeleton-first warm path. Every job
+    /// has one: large-device answers are cached whole like any other.
     pub fn cache_probe(&self) -> Option<CacheProbe> {
-        if self.windowed_options().is_some() {
-            return None;
-        }
         let probe = match &self.device {
             ParsedDevice::Named(cm) => CacheProbe::new(self.skeleton.clone(), cm),
             ParsedDevice::Model(model) => CacheProbe::for_model(self.skeleton.clone(), model),
@@ -394,7 +356,6 @@ const MAP_KEYS: &[&str] = &[
     "conflict_budget",
     "upper_bound",
     "seed",
-    "windowed",
     "trace",
 ];
 
@@ -459,10 +420,6 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
             .ok_or_else(|| bad("\"trace\" must be a boolean".to_string()))?,
         None => false,
     };
-    let windowed = match value.get("windowed") {
-        Some(w) => parse_windowed(w).map_err(&bad)?,
-        None => WindowedChoice::Auto,
-    };
     Ok(MapJob {
         id,
         ingest,
@@ -470,7 +427,6 @@ fn parse_map(value: &Json, id: Option<Json>) -> Result<MapJob, Rejection> {
         device,
         options,
         trace,
-        windowed,
     })
 }
 
@@ -535,41 +491,6 @@ fn parse_payload(
     }
 }
 
-/// `true`, `false`, or `{"max_window_qubits": k, "sat_bridges": b}` —
-/// an *absent* field never reaches here (it parses to
-/// [`WindowedChoice::Auto`]), so `false` is a recorded veto, not a
-/// default.
-fn parse_windowed(value: &Json) -> Result<WindowedChoice, String> {
-    if let Some(on) = value.as_bool() {
-        return Ok(if on {
-            WindowedChoice::On(WindowOptions::default())
-        } else {
-            WindowedChoice::Off
-        });
-    }
-    let Some(pairs) = value.as_object() else {
-        return Err("\"windowed\" must be a boolean or an options object".to_string());
-    };
-    for (key, _) in pairs {
-        if !["max_window_qubits", "sat_bridges"].contains(&key.as_str()) {
-            return Err(format!("unknown windowed field {key:?}"));
-        }
-    }
-    let mut options = WindowOptions::default();
-    if let Some(k) = value.get("max_window_qubits") {
-        options.max_window_qubits = k
-            .as_usize()
-            .filter(|k| (2..=MAX_EXACT_QUBITS).contains(k))
-            .ok_or(format!(
-                "\"max_window_qubits\" must be an integer in 2..={MAX_EXACT_QUBITS}"
-            ))?;
-    }
-    if let Some(b) = value.get("sat_bridges") {
-        options.sat_bridges = b.as_bool().ok_or("\"sat_bridges\" must be a boolean")?;
-    }
-    Ok(WindowedChoice::On(options))
-}
-
 #[derive(Debug)]
 enum ParsedDevice {
     /// A named library device with no calibration: the request keeps the
@@ -582,11 +503,15 @@ enum ParsedDevice {
 }
 
 impl ParsedDevice {
-    fn num_qubits(&self) -> usize {
+    fn coupling_map(&self) -> &CouplingMap {
         match self {
-            ParsedDevice::Named(cm) => cm.num_qubits(),
-            ParsedDevice::Model(model) => model.num_qubits(),
+            ParsedDevice::Named(cm) => cm,
+            ParsedDevice::Model(model) => model.coupling_map(),
         }
+    }
+
+    fn num_qubits(&self) -> usize {
+        self.coupling_map().num_qubits()
     }
 }
 
@@ -952,8 +877,7 @@ cx q[1], q[2];
         assert_eq!(request.device().num_qubits(), 5);
         assert_eq!(request.guarantee(), Guarantee::BestEffort);
         assert!(job.id.is_none());
-        assert_eq!(job.windowed, WindowedChoice::Auto);
-        // qx4 is inside the exact regime, so auto resolves monolithic.
+        // qx4 is inside the exact regime: the portfolio answers alone.
         assert!(job.windowed_options().is_none());
     }
 
@@ -1096,79 +1020,43 @@ cx q[1], q[2];
         let report = qxmap_map::map_one(&request).unwrap();
         let hit = qxmap_map::probe_one(&probe).expect("probe key matches request key");
         assert_eq!(hit.cost, report.cost);
-        // Windowed jobs never probe whole-circuit.
-        let Request::Map(job) = parse_request(&map_line(",\"windowed\":true")).unwrap() else {
-            panic!("not a map request");
-        };
-        assert!(job.cache_probe().is_none());
     }
 
     #[test]
-    fn windowed_options_parse_and_validate() {
-        let Request::Map(job) = parse_request(&map_line(",\"windowed\":true")).unwrap() else {
-            panic!("not a map request");
-        };
-        assert_eq!(job.windowed, WindowedChoice::On(WindowOptions::default()));
-        assert_eq!(job.windowed_options(), Some(WindowOptions::default()));
-        let Request::Map(job) = parse_request(&map_line(",\"windowed\":false")).unwrap() else {
-            panic!("not a map request");
-        };
-        assert_eq!(job.windowed, WindowedChoice::Off);
-        assert!(job.windowed_options().is_none());
-        let line = map_line(",\"windowed\":{\"max_window_qubits\":4,\"sat_bridges\":true}");
-        let Request::Map(job) = parse_request(&line).unwrap() else {
-            panic!("not a map request");
-        };
-        assert_eq!(
-            job.windowed,
-            WindowedChoice::On(WindowOptions {
-                max_window_qubits: 4,
-                sat_bridges: true,
-            })
-        );
-        for (extra, needle) in [
-            (",\"windowed\":7", "boolean"),
-            (
-                ",\"windowed\":{\"max_window_qubits\":1}",
-                "max_window_qubits",
-            ),
-            (
-                ",\"windowed\":{\"window_qubits\":4}",
-                "unknown windowed field",
-            ),
-            (",\"windowed\":{\"sat_bridges\":3}", "sat_bridges"),
+    fn the_windowed_field_is_gone_from_the_wire() {
+        for extra in [
+            ",\"windowed\":true",
+            ",\"windowed\":false",
+            ",\"windowed\":{\"max_window_qubits\":4}",
         ] {
             let e = parse_request(&map_line(extra)).unwrap_err();
             assert_eq!(e.code, "bad_request", "{extra}");
-            assert!(e.message.contains(needle), "{extra} -> {}", e.message);
+            assert!(
+                e.message.contains("unknown field \"windowed\""),
+                "{extra} -> {}",
+                e.message
+            );
         }
     }
 
     #[test]
-    fn auto_windowing_selects_out_of_regime_best_effort_requests() {
+    fn large_device_jobs_report_windowing_and_still_probe() {
         let line = |extra: &str| {
             format!(
                 "{{\"type\":\"map\",\"qasm\":{},\"device\":\"linear-12\"{extra}}}",
                 Json::str(QASM)
             )
         };
-        // Out of regime, best-effort, no explicit knob: auto-windowed —
-        // and therefore no whole-circuit probe.
+        // Out of regime and best-effort: the engine windows, and the
+        // answer is cached whole like any other.
         let Request::Map(job) = parse_request(&line("")).unwrap() else {
             panic!("not a map request");
         };
-        assert_eq!(job.windowed, WindowedChoice::Auto);
         assert_eq!(job.windowed_options(), Some(WindowOptions::default()));
-        assert!(job.cache_probe().is_none());
-        // A demanded optimality certificate keeps the portfolio (the
-        // windowed engine cannot certify whole-circuit optimality).
-        let Request::Map(job) = parse_request(&line(",\"guarantee\":\"optimal\"")).unwrap() else {
-            panic!("not a map request");
-        };
-        assert!(job.windowed_options().is_none());
         assert!(job.cache_probe().is_some());
-        // The explicit veto wins over the regime heuristic.
-        let Request::Map(job) = parse_request(&line(",\"windowed\":false")).unwrap() else {
+        // A demanded optimality certificate keeps the portfolio (the
+        // window decomposition cannot certify whole-circuit optimality).
+        let Request::Map(job) = parse_request(&line(",\"guarantee\":\"optimal\"")).unwrap() else {
             panic!("not a map request");
         };
         assert!(job.windowed_options().is_none());
@@ -1313,21 +1201,36 @@ cx q[1], q[2];
     #[test]
     fn result_response_carries_window_certificates() {
         use qxmap_map::Engine as _;
-        let mut circuit = qxmap_circuit::Circuit::new(10);
-        for q in 0..9 {
-            circuit.cx(q, q + 1);
+        // Three strided 4-qubit QFT copies on a 3×4 grid: SABRE pays to
+        // gather every copy, the window decomposition seats each on a
+        // compact region and wins the large-device race.
+        let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[12];\n");
+        for copy in 0..3 {
+            let q = |j: usize| j * 3 + copy;
+            for i in 0..4 {
+                qasm.push_str(&format!("h q[{}];\n", q(i)));
+                for j in i + 1..4 {
+                    let turn = 1 << (j - i);
+                    qasm.push_str(&format!("cu1(pi/{turn}) q[{}], q[{}];\n", q(j), q(i)));
+                }
+            }
         }
-        let request = MapRequest::new(circuit, devices::linear(12));
+        let circuit = qxmap_qasm::parse(&qasm).unwrap();
+        let costed = circuit.original_cost() as u64;
+        let request = MapRequest::new(circuit, devices::grid(3, 4));
         let report = qxmap_window::WindowedEngine::new().run(&request).unwrap();
         let r = result_response(None, &report);
         assert_eq!(r.get("engine").and_then(Json::as_str), Some("windowed"));
         let windows = r.get("windows").and_then(Json::as_array).unwrap();
-        assert!(windows.len() >= 2, "{} windows", windows.len());
+        assert!(windows.len() >= 3, "{} windows", windows.len());
         let gates: u64 = windows
             .iter()
             .map(|w| w.get("gates").and_then(Json::as_u64).unwrap())
             .sum();
-        assert_eq!(gates, 9, "every gate is certified by exactly one window");
+        assert_eq!(
+            gates, costed,
+            "every gate is certified by exactly one window"
+        );
         for w in windows {
             assert_eq!(w.get("proved_optimal"), Some(&Json::Bool(true)));
             assert!(w.get("engine").and_then(Json::as_str).is_some());

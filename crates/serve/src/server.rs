@@ -31,13 +31,14 @@
 //!
 //! Admitted jobs are drained by a fixed pool of worker threads, each
 //! pulling up to `batch_max` jobs at a time and solving them through one
-//! [`qxmap_map::map_many`] call — so a burst of identical requests
+//! [`qxmap_map::map_many_with`] call on the served engine,
+//! [`qxmap_window::WindowedEngine`] — so a burst of identical requests
 //! landing together is deduplicated into one solve *before* the
 //! process-wide solve cache even sees it, exactly like a library-side
-//! batch. Jobs that opted into window decomposition (`"windowed"`)
-//! run through [`qxmap_window::WindowedEngine`] instead — the engine
-//! probes the same solve cache per window and parallelizes internally,
-//! so batch deduplication adds nothing there.
+//! batch. Every answer, a large-device one included, is cached whole
+//! under that engine's signature, which is also the signature the
+//! skeleton-first probe reads; windows are cached again one by one
+//! below it.
 //!
 //! ## Shutdown and persistence
 //!
@@ -73,7 +74,7 @@ use qxmap_core::trace::{SolveTrace, SpanRecorder};
 use qxmap_map::{
     Engine as _, Journal, JournalReplay, MapReport, MapRequest, MapperError, SolveCache,
 };
-use qxmap_window::{WindowOptions, WindowedEngine};
+use qxmap_window::WindowedEngine;
 
 use crate::json::Json;
 use crate::proto::{self, Rejection, Request};
@@ -87,8 +88,8 @@ pub struct ServerConfig {
     /// Most jobs allowed to *wait* for a worker; submissions beyond this
     /// are rejected as `overloaded`. Defaults to 64.
     pub queue_depth: usize,
-    /// Most jobs one worker drains into a single [`qxmap_map::map_many`]
-    /// batch. Defaults to 8.
+    /// Most jobs one worker drains into a single
+    /// [`qxmap_map::map_many_with`] batch. Defaults to 8.
     pub batch_max: usize,
     /// Most mapping jobs one pipelined connection may have in flight at
     /// once; at the cap the connection's reader stops consuming input
@@ -170,9 +171,6 @@ type Complete = Box<dyn FnOnce(JobOutcome) + Send>;
 /// admission heap.
 struct QueuedJob {
     request: MapRequest,
-    /// When set, the job answers through the window-decomposed engine
-    /// with these options instead of the batch solver.
-    windowed: Option<WindowOptions>,
     /// Absolute point the client's `deadline_ms` runs out; `None` ranks
     /// after every deadlined job.
     deadline: Option<Instant>,
@@ -353,7 +351,7 @@ impl LatencyHistogram {
 /// The batch solver workers run admitted jobs through — injectable so
 /// tests can pin down timing-sensitive behavior (overload, shutdown
 /// draining, dispatch order) with a deterministic solver. Production
-/// uses [`qxmap_map::map_many`].
+/// uses [`qxmap_map::map_many_with`] on [`WindowedEngine`].
 type BatchSolver = Box<dyn Fn(&[MapRequest]) -> Vec<Result<MapReport, MapperError>> + Send + Sync>;
 
 /// A mapping job after parsing and cache probing: either the response
@@ -366,7 +364,6 @@ enum Prepared {
     /// boxed to keep the enum small next to `Immediate`.
     Job {
         request: Box<MapRequest>,
-        windowed: Option<WindowOptions>,
         id: Option<Json>,
         start: Instant,
         deadline: Option<Duration>,
@@ -541,10 +538,13 @@ pub struct Server {
 
 impl Server {
     /// Boots the worker pool with the production solver
-    /// ([`qxmap_map::map_many`], answering through the process-wide
-    /// [`SolveCache`]).
+    /// ([`qxmap_map::map_many_with`] on [`WindowedEngine`], answering
+    /// through the process-wide [`SolveCache`]).
     pub fn start(config: ServerConfig) -> Arc<Server> {
-        Server::start_with_solver(config, Box::new(qxmap_map::map_many))
+        Server::start_with_solver(
+            config,
+            Box::new(|requests| qxmap_map::map_many_with(&WindowedEngine::new(), requests)),
+        )
     }
 
     /// [`Server::start`] with an injected batch solver (tests).
@@ -661,37 +661,12 @@ impl Server {
                     trace.record_with("queue", job.enqueued, waited, &[("slack_ms", slack_ms)]);
                 }
             }
-            // Windowed jobs run through the windowed engine one by one —
-            // it does its own window-level cache probing and parallel
-            // solving, so batch deduplication adds nothing there. Plain
-            // jobs still go through the batch solver together.
-            let mut results: Vec<Option<Result<MapReport, MapperError>>> =
-                batch.iter().map(|_| None).collect();
-            let mut plain: Vec<MapRequest> = Vec::new();
-            let mut plain_at: Vec<usize> = Vec::new();
-            for (i, job) in batch.iter().enumerate() {
-                match job.windowed {
-                    Some(options) => {
-                        results[i] = Some(WindowedEngine::with_options(options).run(&job.request));
-                    }
-                    None => {
-                        plain_at.push(i);
-                        plain.push(job.request.clone());
-                    }
-                }
-            }
-            if !plain.is_empty() {
-                let solved = (self.solver)(&plain);
-                debug_assert_eq!(solved.len(), plain_at.len());
-                for (i, result) in plain_at.into_iter().zip(solved) {
-                    results[i] = Some(result);
-                }
-            }
+            let requests: Vec<MapRequest> = batch.iter().map(|job| job.request.clone()).collect();
+            let results = (self.solver)(&requests);
+            assert_eq!(results.len(), batch.len(), "the solver answers every job");
             let n = batch.len();
             for (job, result) in batch.into_iter().zip(results) {
-                (job.complete)(JobOutcome::Done(Box::new(
-                    result.expect("every dispatched job was solved"),
-                )));
+                (job.complete)(JobOutcome::Done(Box::new(result)));
             }
             self.queue
                 .lock()
@@ -707,7 +682,6 @@ impl Server {
     fn submit(
         &self,
         request: MapRequest,
-        windowed: Option<WindowOptions>,
         deadline: Option<Instant>,
         id: Option<Json>,
         complete: Complete,
@@ -738,7 +712,6 @@ impl Server {
         q.next_seq += 1;
         q.jobs.push(QueuedJob {
             request,
-            windowed,
             deadline,
             enqueued: Instant::now(),
             seq,
@@ -780,7 +753,10 @@ impl Server {
         // would take (and the solve's own cache lookup re-checks the
         // same key).
         let mut probe_span = trace.span("ingest/probe");
-        let probed = job.cache_probe().and_then(|p| qxmap_map::probe_one(&p));
+        let signature = WindowedEngine::new().cache_signature();
+        let probed = job
+            .cache_probe()
+            .and_then(|p| SolveCache::shared().probe(&signature, &p));
         probe_span.counter("hit", u64::from(probed.is_some()));
         probe_span.end();
         if let Some(mut report) = probed {
@@ -802,7 +778,6 @@ impl Server {
             });
             return Prepared::Immediate(proto::result_response(job.id, &report).to_string());
         }
-        let windowed = job.windowed_options();
         let mat_span = trace.span("ingest/materialize");
         let request = match job.materialize() {
             Ok(request) => request,
@@ -816,7 +791,6 @@ impl Server {
         self.close_ingest(&trace);
         Prepared::Job {
             request: Box::new(request.with_trace(trace)),
-            windowed,
             id: job.id,
             start,
             deadline,
@@ -1035,7 +1009,6 @@ impl Server {
                 Prepared::Immediate(response) => response,
                 Prepared::Job {
                     request,
-                    windowed,
                     id,
                     start,
                     deadline,
@@ -1045,7 +1018,7 @@ impl Server {
                     let complete: Complete = Box::new(move |outcome| {
                         let _ = outcome_tx.send(outcome);
                     });
-                    match self.submit(*request, windowed, absolute, id.clone(), complete) {
+                    match self.submit(*request, absolute, id.clone(), complete) {
                         Err(rejection) => proto::rejection_response(&rejection).to_string(),
                         Ok(()) => {
                             let outcome = outcome_rx
@@ -1710,7 +1683,6 @@ impl Server {
                         }
                         Prepared::Job {
                             request,
-                            windowed,
                             id,
                             start,
                             deadline,
@@ -1752,9 +1724,7 @@ impl Server {
                                 })
                             };
                             let absolute = deadline.map(|d| start + d);
-                            if let Err(rejection) =
-                                self.submit(*request, windowed, absolute, id, complete)
-                            {
+                            if let Err(rejection) = self.submit(*request, absolute, id, complete) {
                                 let (count, freed) = &*in_flight;
                                 *count.lock().expect("no panics under the lock") -= 1;
                                 freed.notify_one();
@@ -1856,7 +1826,6 @@ mod tests {
         server
             .submit(
                 request,
-                None,
                 deadline,
                 None,
                 Box::new(move |outcome| {
@@ -1924,6 +1893,40 @@ mod tests {
         // An empty histogram renders zeros, not NaNs.
         let empty = LatencyHistogram::default().to_json();
         assert_eq!(empty.get("p95_us").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn optimal_guarantees_prove_in_regime_and_are_refused_past_it() {
+        // A CNOT triangle: QX4 has a triangle to prove it on, a line
+        // does not, so past the exact regime no answer can be proved.
+        let triangle = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n\
+                        cx q[0], q[1];\ncx q[1], q[2];\ncx q[2], q[0];\n";
+        let server = Server::start(config(1, 8, 1));
+        let reply = |device: &str| {
+            let line = format!(
+                "{{\"type\":\"map\",\"qasm\":{},\"device\":\"{device}\",\
+                 \"guarantee\":\"optimal\"}}",
+                Json::str(triangle)
+            );
+            let Handled::Reply(text) = server.handle_line(&line) else {
+                panic!("map requests never shut the server down");
+            };
+            Json::parse(&text).expect("responses are valid JSON")
+        };
+        let proved = reply("qx4");
+        assert_eq!(
+            proved.get("type").and_then(Json::as_str),
+            Some("result"),
+            "{proved}"
+        );
+        assert_eq!(proved.get("proved_optimal"), Some(&Json::Bool(true)));
+        let refused = reply("linear-12");
+        assert_eq!(
+            refused.get("code").and_then(Json::as_str),
+            Some("optimality_unavailable"),
+            "{refused}"
+        );
+        server.finish().unwrap();
     }
 
     #[test]
@@ -2021,7 +2024,7 @@ mod tests {
         // Park the worker so the next three submissions rank against
         // each other in the queue rather than dispatching on arrival.
         server
-            .submit(request(0), None, None, None, tagged("gate"))
+            .submit(request(0), None, None, tagged("gate"))
             .unwrap();
         while server.queue.lock().unwrap().in_flight == 0 {
             std::thread::sleep(Duration::from_millis(1));
@@ -2030,12 +2033,11 @@ mod tests {
         // Submitted in the *worst* order for EDF: no deadline first,
         // loosest deadline second, tightest last.
         server
-            .submit(request(1), None, None, None, tagged("none"))
+            .submit(request(1), None, None, tagged("none"))
             .unwrap();
         server
             .submit(
                 request(2),
-                None,
                 Some(now + Duration::from_secs(120)),
                 None,
                 tagged("late"),
@@ -2044,7 +2046,6 @@ mod tests {
         server
             .submit(
                 request(3),
-                None,
                 Some(now + Duration::from_secs(30)),
                 None,
                 tagged("soon"),
@@ -2081,15 +2082,13 @@ mod tests {
             Box::new(move |_| order.lock().unwrap().push(tag))
         };
         server
-            .submit(request(0), None, None, None, tagged("gate"))
+            .submit(request(0), None, None, tagged("gate"))
             .unwrap();
         while server.queue.lock().unwrap().in_flight == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         for tag in ["a", "b", "c"] {
-            server
-                .submit(request(0), None, None, None, tagged(tag))
-                .unwrap();
+            server.submit(request(0), None, None, tagged(tag)).unwrap();
         }
         for _ in 0..4 {
             release.send(()).unwrap();

@@ -108,40 +108,70 @@ fn ladder_qasm(n: usize) -> String {
     qasm
 }
 
+/// Three strided copies of a 4-qubit QFT over 12 qubits: on a 3×4 grid
+/// SABRE pays to gather every copy while the window decomposition seats
+/// each on a compact region, so the stitch wins the large-device race.
+fn qft_blocks_qasm() -> String {
+    let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[12];\n");
+    for copy in 0..3 {
+        let q = |j: usize| j * 3 + copy;
+        for i in 0..4 {
+            qasm.push_str(&format!("h q[{}];\n", q(i)));
+            for j in i + 1..4 {
+                let turn = 1 << (j - i);
+                qasm.push_str(&format!("cu1(pi/{turn}) q[{}], q[{}];\n", q(j), q(i)));
+            }
+        }
+        qasm.push_str(&format!("swap q[{}], q[{}];\n", q(0), q(3)));
+        qasm.push_str(&format!("swap q[{}], q[{}];\n", q(1), q(2)));
+    }
+    qasm
+}
+
 #[test]
-fn windowed_requests_round_trip_with_certificates() {
+fn large_device_requests_round_trip_with_certificates_and_cache_whole() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-win-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let journal: PathBuf = dir.join("solves.qxj");
     let _ = std::fs::remove_file(&journal);
 
     let daemon = Daemon::boot(&journal);
-    // A 10-qubit ladder on linear-12: past the exact regime, so the
-    // windowed engine slices, solves and stitches.
+    // Past the exact regime on a connected device: the served engine
+    // races the window decomposition against the heuristic floor, and
+    // the decomposition wins this input.
     let line = format!(
-        "{{\"type\":\"map\",\"id\":\"win\",\"qasm\":{},\"device\":\"linear-12\",\
-         \"windowed\":{{\"max_window_qubits\":6}},\"deadline_ms\":30000}}",
-        Json::str(ladder_qasm(10))
+        "{{\"type\":\"map\",\"id\":\"win\",\"qasm\":{},\"device\":\"grid-3x4\",\
+         \"deadline_ms\":30000}}",
+        Json::str(qft_blocks_qasm())
     );
     let r = daemon.request(&line);
     assert_eq!(r.get("type").and_then(Json::as_str), Some("result"), "{r}");
     assert_eq!(r.get("id").and_then(Json::as_str), Some("win"));
     assert_eq!(r.get("engine").and_then(Json::as_str), Some("windowed"));
+    assert_eq!(r.get("winner").and_then(Json::as_str), Some("windowed"));
+    assert_eq!(r.get("served_from_cache"), Some(&Json::Bool(false)));
     let windows = r
         .get("windows")
         .and_then(Json::as_array)
-        .expect("windowed results carry per-window certificates");
-    assert!(windows.len() >= 2, "{} windows", windows.len());
+        .expect("stitched results carry per-window certificates");
+    assert!(windows.len() >= 3, "{} windows", windows.len());
     let gates: u64 = windows
         .iter()
         .map(|w| w.get("gates").and_then(Json::as_u64).unwrap())
         .sum();
-    assert_eq!(gates, 9, "every ladder gate is certified by one window");
+    let costed = qxmap_qasm::parse(&qft_blocks_qasm())
+        .unwrap()
+        .decompose_swaps()
+        .original_cost();
+    assert_eq!(
+        gates, costed as u64,
+        "every costed gate is certified by one window"
+    );
     assert!(
         windows
             .iter()
             .all(|w| w.get("proved_optimal") == Some(&Json::Bool(true))),
-        "every window of the ladder solves exactly"
+        "every window of the QFT copies solves exactly"
     );
     assert!(r
         .get("mapped_qasm")
@@ -149,32 +179,39 @@ fn windowed_requests_round_trip_with_certificates() {
         .unwrap()
         .contains("OPENQASM 2.0"));
 
-    // The same job without the windowed knob is best-effort and out of
-    // the exact regime, so the server auto-selects the windowed engine:
-    // the response carries certificates without the client asking.
-    let plain = format!(
-        "{{\"type\":\"map\",\"qasm\":{},\"device\":\"linear-12\",\"deadline_ms\":30000}}",
-        Json::str(ladder_qasm(10))
-    );
-    let p = daemon.request(&plain);
-    assert_eq!(p.get("type").and_then(Json::as_str), Some("result"), "{p}");
+    // A repeat arrival is a whole-circuit hit on the skeleton-first
+    // probe: the same answer, certificates included.
+    let again = daemon.request(&line);
     assert_eq!(
-        p.get("engine").and_then(Json::as_str),
-        Some("windowed"),
-        "out-of-regime best-effort requests auto-window: {p}"
+        again.get("served_from_cache"),
+        Some(&Json::Bool(true)),
+        "{again}"
     );
-    assert!(p.get("windows").is_some());
+    assert_eq!(
+        again.get("winner").and_then(Json::as_str),
+        Some("cache/windowed")
+    );
+    for field in [
+        "cost",
+        "initial_layout",
+        "final_layout",
+        "windows",
+        "mapped_qasm",
+    ] {
+        assert_eq!(again.get(field), r.get(field), "{field}");
+    }
 
-    // An explicit `"windowed": false` vetoes the auto-selection and
-    // answers monolithically, with no certificate section.
-    let vetoed = format!(
-        "{{\"type\":\"map\",\"qasm\":{},\"device\":\"linear-12\",\
-         \"windowed\":false,\"deadline_ms\":30000}}",
-        Json::str(ladder_qasm(10))
+    // The engine is not a client's choice: the old knob is an unknown
+    // field like any other.
+    let knob = format!(
+        "{{\"type\":\"map\",\"qasm\":{},\"device\":\"grid-3x4\",\"windowed\":false}}",
+        Json::str(qft_blocks_qasm())
     );
-    let v = daemon.request(&vetoed);
-    assert_eq!(v.get("type").and_then(Json::as_str), Some("result"), "{v}");
-    assert!(v.get("windows").is_none());
+    let rejected = daemon.request(&knob);
+    assert_eq!(
+        rejected.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
 
     daemon.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).ok();
@@ -182,7 +219,7 @@ fn windowed_requests_round_trip_with_certificates() {
 
 /// Pipelining over the real wire: one connection streams several tagged
 /// requests without waiting, and responses come back in *completion*
-/// order — a slow windowed job submitted first must not block the warm
+/// order — a slow large-device job submitted first must not block the warm
 /// little jobs queued behind it on the same socket.
 #[test]
 fn pipelined_connections_stream_responses_in_completion_order() {
@@ -203,10 +240,10 @@ fn pipelined_connections_stream_responses_in_completion_order() {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
 
-    // Head-of-line job: a 52-qubit windowed solve that takes seconds.
+    // Head-of-line job: a 52-qubit large-device solve that takes seconds.
     let slow = format!(
         "{{\"type\":\"map\",\"id\":\"slow\",\"qasm\":{},\"device\":\"heavy-hex-4\",\
-         \"windowed\":true,\"deadline_ms\":60000}}",
+         \"deadline_ms\":60000}}",
         Json::str(ladder_qasm(52))
     );
     writeln!(writer, "{slow}").unwrap();
@@ -264,12 +301,12 @@ fn flooding_the_admission_queue_rejects_cleanly_without_dropping_replies() {
         &journal,
         &["--workers", "1", "--queue-depth", "1", "--batch", "1"],
     ));
-    // A windowed 52-qubit map on heavy-hex takes long enough that the
+    // A 52-qubit map on heavy-hex takes long enough that the
     // barrier-synchronized flood below lands while the single worker is
     // busy: one request in flight, one queued, the rest rejected.
     let line = format!(
         "{{\"type\":\"map\",\"id\":\"flood\",\"qasm\":{},\"device\":\"heavy-hex-4\",\
-         \"windowed\":true,\"deadline_ms\":60000}}",
+         \"deadline_ms\":60000}}",
         Json::str(ladder_qasm(52))
     );
 

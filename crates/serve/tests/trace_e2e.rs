@@ -200,10 +200,11 @@ fn trace_timelines_cover_cold_warm_and_windowed_solves() {
     );
     assert!(daemon.request(&plain).get("trace").is_none());
 
-    // A 52-qubit windowed solve reports the window pipeline's phases.
+    // A 52-qubit large-device solve reports both racers: the heuristic
+    // floor, the window pipeline's phases, and the race's verdict.
     let windowed_line = format!(
         "{{\"type\":\"map\",\"id\":\"win\",\"qasm\":{},\"device\":\"heavy-hex-4\",\
-         \"windowed\":true,\"trace\":true,\"deadline_ms\":60000}}",
+         \"trace\":true,\"deadline_ms\":60000}}",
         Json::str(ladder_qasm(52))
     );
     let windowed = daemon.request(&windowed_line);
@@ -216,6 +217,9 @@ fn trace_timelines_cover_cold_warm_and_windowed_solves() {
     for expected in [
         "ingest",
         "queue",
+        "floor",
+        "race/floor",
+        "race/winner",
         "windows",
         "windows/slice",
         "windows/plan",

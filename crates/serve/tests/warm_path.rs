@@ -79,13 +79,27 @@ fn warm_requests_build_no_circuit_and_misses_fall_through() {
     assert_eq!(miss.get("cost"), cold.get("cost"));
     assert!(built() > before, "a probe miss materializes the circuit");
 
-    // Windowed jobs skip the whole-circuit probe: the plain entry for
-    // this exact circuit is warm (see above), yet the windowed variant
-    // must answer through its own engine, not the cached monolithic
-    // report.
-    let windowed = reply(&server, &map_line(",\"windowed\":true"));
-    assert_eq!(windowed.get("type").and_then(Json::as_str), Some("result"));
-    assert_eq!(windowed.get("served_from_cache"), Some(&Json::Bool(false)));
+    // A large-device job (past the exact regime, so the served engine
+    // races windows against the heuristic floor) is cached whole like
+    // any other: its repeat is a probe hit that builds no circuit.
+    let large = map_line(",\"seed\":5").replace("\"qx4\"", "\"linear-12\"");
+    let cold = reply(&server, &large);
+    assert_eq!(
+        cold.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{cold}"
+    );
+    assert_eq!(cold.get("served_from_cache"), Some(&Json::Bool(false)));
+    let before = built();
+    let warm = reply(&server, &large);
+    assert_eq!(warm.get("served_from_cache"), Some(&Json::Bool(true)));
+    assert_eq!(warm.get("cost"), cold.get("cost"));
+    assert_eq!(warm.get("initial_layout"), cold.get("initial_layout"));
+    assert_eq!(
+        built(),
+        before,
+        "a repeated large-device request must not build any circuit"
+    );
 
     server.finish().unwrap();
 }

@@ -5,32 +5,26 @@
 //! gates can be emitted. The bridge realizes that requirement as a SWAP
 //! chain on the full device:
 //!
-//! 1. the partial requirement (placed qubits → their target slots,
-//!    reserved slots → carrier wires) is completed into a full
-//!    permutation of the device's wires — displaced bystanders get the
-//!    nearest vacated slots, everything else stays put;
-//! 2. the permutation is routed **token-style** by default: a greedy
-//!    phase takes the best potential-decreasing edge swap (potential =
-//!    summed cost-weighted [`DeviceModel::swap_distances`] of every
-//!    misplaced wire to its destination) until no single swap helps,
-//!    then a BFS-spanning-tree leaf-elimination phase finishes the
-//!    stragglers — structurally guaranteed to terminate;
-//! 3. with the SAT-optimal opt-in, permutations whose support fits a
-//!    connected subgraph of at most [`qxmap_core::MAX_EXACT_QUBITS`]
-//!    qubits are instead realized by the provably cheapest sequence from
-//!    the model's [`DeviceModel::costed_table`].
+//! 1. each move (and then each reserved slot) settles with a swap chain
+//!    along its cost-weighted cheapest path, farthest-out first,
+//!    avoiding slots already settled;
+//! 2. should that stop converging, the residual requirement is
+//!    completed into a full permutation of the device's wires —
+//!    displaced bystanders get the nearest vacated slots, everything
+//!    else stays put — and routed **token-style**: a greedy phase takes
+//!    the best potential-decreasing edge swap (potential = summed
+//!    cost-weighted [`DeviceModel::swap_distances`] of every misplaced
+//!    wire to its destination) until no single swap helps, then a
+//!    BFS-spanning-tree leaf-elimination phase finishes the stragglers —
+//!    structurally guaranteed to terminate.
 //!
 //! Every emitted SWAP is a full [`qxmap_arch::route::emit_swap`] unitary
 //! (3 gates on bidirectional edges, 7 on unidirectional ones), so
 //! untracked carrier wires are permuted losslessly and the stitched
 //! circuit stays semantically faithful.
 
-use std::collections::BTreeSet;
-use std::time::Duration;
-
-use qxmap_arch::{route, DeviceModel, Permutation};
+use qxmap_arch::{route, DeviceModel};
 use qxmap_circuit::Circuit;
-use qxmap_core::MAX_EXACT_QUBITS;
 
 /// Mutable stitching state threaded through the whole windowed run.
 #[derive(Debug, Clone)]
@@ -89,14 +83,6 @@ pub(crate) struct BridgeOutcome {
 /// bystanders one hop, instead of a full device permutation that would
 /// have to put every disturbed wire back.
 ///
-/// `slack` is the request's *live* remaining deadline budget at the
-/// moment this bridge is routed (`None` when the request carries no
-/// deadline). The SAT-optimal path is an opt-in luxury: once the budget
-/// is exhausted, spending SAT time on a bridge would blow the deadline
-/// the per-window split was supposed to protect, so an exhausted slack
-/// falls back to the always-fast chain router even when `sat_bridges`
-/// is set.
-///
 /// The device must be connected (the engine guards this before
 /// stitching).
 pub(crate) fn route_bridge(
@@ -105,20 +91,13 @@ pub(crate) fn route_bridge(
     state: &mut StitchState,
     moves: &[(usize, usize)],
     reserved: &[usize],
-    sat_bridges: bool,
-    slack: Option<Duration>,
 ) -> BridgeOutcome {
     #[cfg(debug_assertions)]
     let expected: Vec<(usize, Option<usize>)> =
         moves.iter().map(|&(f, t)| (t, state.occ[f])).collect();
 
     let mut outcome = BridgeOutcome::default();
-    let affordable = sat_bridges && slack.is_none_or(|s| !s.is_zero());
-    let routed_optimally =
-        affordable && route_sat(out, model, state, moves, reserved, &mut outcome);
-    if !routed_optimally {
-        route_chains(out, model, state, moves, reserved, &mut outcome);
-    }
+    route_chains(out, model, state, moves, reserved, &mut outcome);
 
     #[cfg(debug_assertions)]
     {
@@ -336,105 +315,6 @@ fn complete_permutation(
     sigma
 }
 
-/// The SAT-optimal bridge: when the permutation's support fits a
-/// connected subgraph of at most [`MAX_EXACT_QUBITS`] qubits, realize it
-/// with the provably cheapest SWAP sequence from the model's costed
-/// table. Returns `false` (emitting nothing) when the boundary is too
-/// large, leaving the token router to handle it.
-fn route_sat(
-    out: &mut Circuit,
-    model: &DeviceModel,
-    state: &mut StitchState,
-    moves: &[(usize, usize)],
-    reserved: &[usize],
-    outcome: &mut BridgeOutcome,
-) -> bool {
-    let sigma = complete_permutation(model, state, moves, reserved);
-    let support: Vec<usize> = (0..sigma.len()).filter(|&p| sigma[p] != p).collect();
-    if support.is_empty() {
-        return true; // nothing to route
-    }
-    let Some(subset) = connected_cover(model, &support, MAX_EXACT_QUBITS) else {
-        return false;
-    };
-    // The support is closed under sigma (bijectivity) and cover
-    // extensions are fixed points, so sigma restricts to the subset.
-    let image: Vec<usize> = subset
-        .iter()
-        .map(|&p| {
-            subset
-                .binary_search(&sigma[p])
-                .expect("sigma is closed over the cover")
-        })
-        .collect();
-    let table = model.costed_table(&subset);
-    let Some(seq) = table.sequence(&Permutation::from_image(image)) else {
-        return false;
-    };
-    for &(la, lb) in &seq.to_vec() {
-        emit(out, model, state, outcome, subset[la], subset[lb]);
-    }
-    true
-}
-
-/// Grows `support` into a connected vertex set of at most `max` qubits
-/// by repeatedly splicing in a shortest connecting path, or `None` if it
-/// cannot be done within the cap.
-fn connected_cover(model: &DeviceModel, support: &[usize], max: usize) -> Option<Vec<usize>> {
-    if support.len() > max {
-        return None;
-    }
-    let cm = model.coupling_map();
-    let mut set: BTreeSet<usize> = support.iter().copied().collect();
-    loop {
-        let members: Vec<usize> = set.iter().copied().collect();
-        // Component of the first member within the induced subgraph.
-        let mut comp = BTreeSet::new();
-        let mut stack = vec![members[0]];
-        comp.insert(members[0]);
-        while let Some(v) = stack.pop() {
-            for w in cm.neighbors(v) {
-                if set.contains(&w) && comp.insert(w) {
-                    stack.push(w);
-                }
-            }
-        }
-        if comp.len() == set.len() {
-            break;
-        }
-        // BFS from the component through the full graph to the nearest
-        // other member; add the path's interior.
-        let m = cm.num_qubits();
-        let mut prev: Vec<Option<usize>> = vec![None; m];
-        let mut visited = vec![false; m];
-        let mut queue: std::collections::VecDeque<usize> = comp.iter().copied().collect();
-        comp.iter().for_each(|&v| visited[v] = true);
-        let mut found = None;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for w in cm.neighbors(v) {
-                if !visited[w] {
-                    visited[w] = true;
-                    prev[w] = Some(v);
-                    if set.contains(&w) {
-                        found = Some(w);
-                        break 'bfs;
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        let mut v = found?; // None: disconnected device — no cover.
-        while let Some(p) = prev[v] {
-            set.insert(v);
-            v = p;
-        }
-        if set.len() > max {
-            return None;
-        }
-    }
-    Some(set.into_iter().collect())
-}
-
 /// Token routing: greedy potential-decreasing edge swaps, finished by
 /// BFS-spanning-tree leaf elimination for guaranteed termination.
 fn route_tokens(
@@ -586,7 +466,7 @@ mod tests {
         }
         let mut out = Circuit::new(model.num_qubits());
         let before: Vec<Option<usize>> = moves.iter().map(|&(f, _)| state.occ[f]).collect();
-        let outcome = route_bridge(&mut out, model, &mut state, moves, &[], false, None);
+        let outcome = route_bridge(&mut out, model, &mut state, moves, &[]);
         for (&(_, t), q) in moves.iter().zip(before) {
             assert_eq!(state.occ[t], q);
         }
@@ -615,65 +495,8 @@ mod tests {
         state.occ[2] = Some(0);
         state.pos[0] = Some(2);
         let mut out = Circuit::new(4);
-        route_bridge(&mut out, &model, &mut state, &[], &[2], false, None);
+        route_bridge(&mut out, &model, &mut state, &[], &[2]);
         assert_eq!(state.occ[2], None);
         assert_eq!(state.pos[0], Some(1)); // displaced to the nearest free slot
-    }
-
-    #[test]
-    fn sat_bridge_matches_the_requirement() {
-        let model = paper_model("ring-5");
-        let mut state = StitchState::new(5, 5);
-        for q in 0..3 {
-            state.occ[q] = Some(q);
-            state.pos[q] = Some(q);
-        }
-        let mut out = Circuit::new(5);
-        let outcome = route_bridge(
-            &mut out,
-            &model,
-            &mut state,
-            &[(0, 1), (1, 2), (2, 0)],
-            &[],
-            true,
-            Some(Duration::from_secs(60)),
-        );
-        assert_eq!(state.occ[1], Some(0));
-        assert_eq!(state.occ[2], Some(1));
-        assert_eq!(state.occ[0], Some(2));
-        assert!(outcome.swaps >= 2);
-    }
-
-    #[test]
-    fn exhausted_slack_falls_back_to_chain_routing() {
-        // The same 3-cycle requirement, once with the budget gone (the
-        // SAT opt-in must yield) and once with sat_bridges off: both
-        // must route identically — and still satisfy every move.
-        let model = paper_model("ring-5");
-        let run = |sat_bridges: bool, slack: Option<Duration>| {
-            let mut state = StitchState::new(5, 5);
-            for q in 0..3 {
-                state.occ[q] = Some(q);
-                state.pos[q] = Some(q);
-            }
-            let mut out = Circuit::new(5);
-            let outcome = route_bridge(
-                &mut out,
-                &model,
-                &mut state,
-                &[(0, 1), (1, 2), (2, 0)],
-                &[],
-                sat_bridges,
-                slack,
-            );
-            assert_eq!(state.occ[1], Some(0));
-            assert_eq!(state.occ[2], Some(1));
-            assert_eq!(state.occ[0], Some(2));
-            (out, outcome.swaps, outcome.cost)
-        };
-        let (tight, tight_swaps, tight_cost) = run(true, Some(Duration::ZERO));
-        let (chain, chain_swaps, chain_cost) = run(false, None);
-        assert_eq!(tight, chain, "zero slack must take the chain path");
-        assert_eq!((tight_swaps, tight_cost), (chain_swaps, chain_cost));
     }
 }

@@ -1,10 +1,12 @@
-//! The windowed engine: slice → solve → stitch.
+//! The windowed engine: slice → solve → stitch, raced against the
+//! heuristic floor.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use qxmap_arch::{DeviceModel, Layout};
+use qxmap_arch::{CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::Circuit;
 use qxmap_core::{Strategy, MAX_EXACT_QUBITS};
 use qxmap_map::{
@@ -27,35 +29,43 @@ pub struct WindowOptions {
     /// `2..=`[`MAX_EXACT_QUBITS`] at run time). Smaller windows solve
     /// faster but stitch more.
     pub max_window_qubits: usize,
-    /// Realize small window-to-window bridges with the provably cheapest
-    /// SWAP sequence from the device's costed table instead of token
-    /// routing. Optimal per bridge, but pays an exhaustive table build
-    /// per distinct boundary subgraph.
-    pub sat_bridges: bool,
 }
 
 impl Default for WindowOptions {
     fn default() -> WindowOptions {
         WindowOptions {
             max_window_qubits: DEFAULT_WINDOW_QUBITS,
-            sat_bridges: false,
         }
     }
 }
 
-/// Window-decomposed mapping: breaks the 8-qubit wall of the exact
-/// method by slicing the circuit into interaction-connected windows of
-/// at most [`WindowOptions::max_window_qubits`] active qubits, solving
-/// each window exactly (through a [`Portfolio`] race) on a connected
-/// device subgraph chosen near the window's qubits, and stitching
-/// consecutive windows with SWAP bridges.
+/// Whether [`WindowedEngine`] races stitched windows for a request with
+/// this device and guarantee: best-effort requests on connected devices
+/// past the exact regime. Everything else — devices the exact method
+/// covers, disconnected devices bridges cannot route across, and
+/// [`Guarantee::Optimal`] demands windowing cannot certify — goes to the
+/// portfolio unchanged.
+pub fn will_window(device: &CouplingMap, guarantee: Guarantee) -> bool {
+    guarantee == Guarantee::BestEffort
+        && device.num_qubits() > MAX_EXACT_QUBITS
+        && device.is_connected()
+}
+
+/// The served engine: the [`Portfolio`] everywhere, and past the 8-qubit
+/// wall of the exact method a race between the portfolio's heuristic
+/// floor (naive and SABRE) and a window decomposition. The decomposition
+/// slices the circuit into interaction-connected windows of at most
+/// [`WindowOptions::max_window_qubits`] active qubits, solves each
+/// window exactly (through a [`Portfolio`] race) on a connected device
+/// subgraph chosen near the window's qubits, and stitches consecutive
+/// windows with SWAP bridges.
 ///
-/// The stitched answer is a single verified [`MapReport`] whose
-/// [`MapReport::windows`] section records, per window, where it ran,
-/// what it cost, and whether its *local* solve is provably minimal — the
-/// global result carries no optimality claim (windowing is a
-/// decomposition heuristic), so [`Guarantee::Optimal`] requests are
-/// refused.
+/// The race answers with the cheaper verified report, ties going to the
+/// stitch: its [`MapReport::windows`] section records, per window, where
+/// it ran, what it cost, and whether its *local* solve is provably
+/// minimal. [`MapReport::winner`] names whichever racer produced the
+/// answer. Neither side makes a global optimality claim past the exact
+/// regime, so [`Guarantee::Optimal`] requests there are refused.
 ///
 /// Windows solve in parallel on a scoped worker pool; the request's
 /// wall-clock deadline and conflict budget are split evenly across the
@@ -63,10 +73,6 @@ impl Default for WindowOptions {
 /// stable), and each window probes the process-wide
 /// [`qxmap_map::SolveCache`] by its own subcircuit skeleton — repeated
 /// structure across or within circuits is solved once.
-///
-/// Instances the monolithic engines already handle (devices inside the
-/// exact regime, or disconnected devices where bridges cannot route)
-/// are delegated to the inner [`Portfolio`] unchanged.
 #[derive(Debug, Default)]
 pub struct WindowedEngine {
     options: WindowOptions,
@@ -92,36 +98,67 @@ impl WindowedEngine {
         self.options
     }
 
-    fn run_windowed(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
+    /// The large-device race: the heuristic floor first, then `stitch`.
+    /// A stitch that panics or fails verification is recorded as a
+    /// `race/fallback` trace event and the floor answers alone; an error
+    /// on one side never hides an answer from the other.
+    fn race(
+        &self,
+        request: &MapRequest,
+        stitch: impl FnOnce() -> Result<MapReport, MapperError>,
+    ) -> Result<MapReport, MapperError> {
+        let started = Instant::now();
+        let trace = request.trace();
+        let floor = self
+            .portfolio
+            .run(&request.clone().with_trace(trace.scoped("floor")));
+        trace.record("floor", started, started.elapsed());
+        if let Ok(floor) = &floor {
+            trace.event("race/floor", "objective", floor.cost.objective);
+        }
+        let stitched = match panic::catch_unwind(AssertUnwindSafe(stitch)) {
+            Ok(Ok(report)) => match report.verify(request.circuit(), request.device()) {
+                Ok(()) => Some(report),
+                Err(_) => {
+                    trace.event("race/fallback", "unverified", 1);
+                    None
+                }
+            },
+            Ok(Err(_)) => None,
+            Err(_) => {
+                trace.event("race/fallback", "panicked", 1);
+                None
+            }
+        };
+        let mut report = match (floor, stitched) {
+            (Ok(floor), Some(stitched)) if floor.cost.objective < stitched.cost.objective => floor,
+            (_, Some(stitched)) => stitched,
+            (floor, None) => floor?,
+        };
+        trace.event("race/winner", &report.winner, 1);
+        report.elapsed = started.elapsed();
+        report.trace = trace.finish();
+        Ok(report)
+    }
+
+    /// The stitched racer: slices, solves and stitches `request` whole.
+    /// The answer is unverified; [`WindowedEngine::race`] checks it.
+    fn stitched(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
         let started = Instant::now();
         let circuit = request.circuit();
         let model = request.device_model();
-        let cm = model.coupling_map();
         let n = circuit.num_qubits();
-        let m = cm.num_qubits();
+        let m = model.num_qubits();
         if n > m {
             return Err(MapperError::TooManyQubits {
                 logical: n,
                 physical: m,
             });
         }
-        if request.guarantee() == Guarantee::Optimal {
-            return Err(MapperError::OptimalityUnavailable {
-                reason: "window decomposition certifies per-window minima, not a global one"
-                    .to_string(),
-            });
-        }
-        // Devices inside the exact regime gain nothing from windowing,
-        // and bridges cannot route across a disconnected device: both go
-        // to the monolithic race unchanged.
-        if m <= MAX_EXACT_QUBITS || !cm.is_connected() {
-            return self.portfolio.run(request);
-        }
 
         let base = circuit.decompose_swaps();
         let cap = self.options.max_window_qubits.clamp(2, MAX_EXACT_QUBITS);
         let trace = request.trace();
-        let windows_started = Instant::now();
         let mut slice_span = trace.span("windows/slice");
         let items = slicer::slice(&base, cap);
         slice_span.counter("items", items.len() as u64);
@@ -141,8 +178,7 @@ impl WindowedEngine {
         );
         solve_span.end();
         let mut stitch_span = trace.span("windows/stitch");
-        let mut report =
-            self.stitch(request, model, n, m, &base, &items, &plans, solved, started)?;
+        let report = self.stitch(request, model, n, m, &base, &items, &plans, solved, started)?;
         stitch_span.counter("bridge_swaps", {
             let windows = report.windows.as_deref().unwrap_or(&[]);
             windows.iter().map(|w| u64::from(w.bridge_swaps)).sum()
@@ -150,11 +186,7 @@ impl WindowedEngine {
         stitch_span.end();
         // The parent span closes the tree: slice/plan/solve/stitch nest
         // under one top-level `windows` phase.
-        trace.record("windows", windows_started, windows_started.elapsed());
-        report.trace = trace.finish();
-        report
-            .verify(circuit, cm)
-            .expect("the stitched mapping verifies against the full circuit");
+        trace.record("windows", started, started.elapsed());
         Ok(report)
     }
 
@@ -369,22 +401,7 @@ impl WindowedEngine {
                     }
                 }
             }
-            // The SAT-bridge opt-in reads the request's *live* deadline
-            // slack: the per-window budget split only covers the local
-            // solves, so a late-running stitch must not spend SAT time
-            // the deadline no longer has.
-            let slack = request
-                .deadline()
-                .map(|d| d.saturating_sub(started.elapsed()));
-            let outcome = bridge::route_bridge(
-                &mut out,
-                model,
-                &mut state,
-                &moves,
-                &reserved,
-                self.options.sat_bridges,
-                slack,
-            );
+            let outcome = bridge::route_bridge(&mut out, model, &mut state, &moves, &reserved);
             for (q, t) in fresh {
                 materialize(&mut state, &mut claimed, q, t);
             }
@@ -487,8 +504,7 @@ impl WindowedEngine {
             num_change_points: None,
             iterations: None,
             windows: Some(certs),
-            // The caller (`run_windowed`) attaches the finished timeline
-            // after the stitch span closes.
+            // The race attaches the finished timeline.
             trace: None,
         })
     }
@@ -500,15 +516,14 @@ impl Engine for WindowedEngine {
     }
 
     fn cache_signature(&self) -> String {
-        format!(
-            "windowed:k{}:b{}",
-            self.options.max_window_qubits,
-            u8::from(self.options.sat_bridges)
-        )
+        format!("windowed:k{}", self.options.max_window_qubits)
     }
 
     fn run(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
-        self.run_windowed(request)
+        if !will_window(request.device(), request.guarantee()) {
+            return self.portfolio.run(request);
+        }
+        self.race(request, || self.stitched(request))
     }
 }
 
@@ -616,8 +631,11 @@ fn allocate_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Strategy as _;
     use qxmap_arch::devices;
     use qxmap_circuit::paper_example;
+    use qxmap_core::trace::SpanRecorder;
     use std::time::Duration;
 
     fn ladder(n: usize) -> Circuit {
@@ -626,6 +644,25 @@ mod tests {
             c.cx(q, q + 1);
         }
         c
+    }
+
+    /// A ladder closed by one long-range interaction: no layout on a
+    /// line maps it for free.
+    fn long_range() -> Circuit {
+        let mut c = ladder(10);
+        c.cx(0, 9);
+        c
+    }
+
+    /// The paths of every `race/fallback` event on `report`'s timeline.
+    fn fallbacks(report: &MapReport) -> Vec<String> {
+        let trace = report.trace.as_ref().expect("traced request");
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.path == "race/fallback")
+            .flat_map(|s| s.counters.iter().map(|(name, _)| name.clone()))
+            .collect()
     }
 
     #[test]
@@ -640,11 +677,20 @@ mod tests {
     }
 
     #[test]
+    fn optimal_requests_on_small_devices_still_prove() {
+        let request =
+            MapRequest::new(paper_example(), devices::ibm_qx4()).with_guarantee(Guarantee::Optimal);
+        let report = WindowedEngine::new().run(&request).unwrap();
+        assert!(report.proved_optimal);
+        assert_eq!(report.cost.objective, 4);
+    }
+
+    #[test]
     fn windowed_ladder_stitches_and_verifies() {
         let circuit = ladder(10);
         let device = devices::linear(12);
         let request = MapRequest::new(circuit.clone(), device.clone());
-        let report = WindowedEngine::new().run(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request).unwrap();
         report.verify(&circuit, &device).unwrap();
         let windows = report.windows.as_ref().unwrap();
         assert!(windows.len() >= 2, "{} windows", windows.len());
@@ -664,7 +710,7 @@ mod tests {
         c.measure(2, 2).measure(8, 8);
         let device = devices::grid(3, 4); // 12 qubits, > exact regime
         let request = MapRequest::new(c.clone(), device.clone());
-        let report = WindowedEngine::new().run(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request).unwrap();
         report.verify(&c, &device).unwrap();
         assert!(report.initial_layout.is_complete());
         assert!(report.final_layout.is_complete());
@@ -675,11 +721,10 @@ mod tests {
 
     #[test]
     fn long_range_interaction_pays_a_bridge() {
-        let mut c = ladder(10);
-        c.cx(0, 9); // far apart after the ladder's windows
+        let c = long_range(); // 0 and 9 end far apart after the ladder's windows
         let device = devices::linear(12);
         let request = MapRequest::new(c.clone(), device.clone());
-        let report = WindowedEngine::new().run(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request).unwrap();
         report.verify(&c, &device).unwrap();
         let windows = report.windows.as_ref().unwrap();
         assert!(
@@ -690,38 +735,23 @@ mod tests {
         // ... which makes a low upper bound unmeetable.
         let bounded = MapRequest::new(c, device).with_upper_bound(Some(1));
         assert_eq!(
-            WindowedEngine::new().run(&bounded).unwrap_err(),
+            WindowedEngine::new().stitched(&bounded).unwrap_err(),
             MapperError::BoundUnmet { bound: 1 }
         );
     }
 
     #[test]
-    fn optimal_guarantee_is_refused() {
-        let request =
-            MapRequest::new(ladder(10), devices::linear(12)).with_guarantee(Guarantee::Optimal);
-        assert!(matches!(
-            WindowedEngine::new().run(&request),
-            Err(MapperError::OptimalityUnavailable { .. })
-        ));
-    }
-
-    #[test]
-    fn tight_deadlines_route_bridges_without_sat_time() {
-        // A long-range interaction forces a bridge, SAT bridges are
-        // opted in, and the deadline is already effectively spent by
-        // stitch time. The bridge must read the *live* slack — not the
-        // per-window split computed at admission — drop to the chain
-        // router, and still deliver a verifying report.
-        let mut c = ladder(10);
-        c.cx(0, 9);
+    fn spent_deadlines_still_stitch_a_verifying_answer() {
+        // A long-range interaction forces a bridge, and the deadline is
+        // already spent by the time any window solves: the stitch must
+        // degrade, never fail.
+        let c = long_range();
         let device = devices::linear(12);
         let request =
             MapRequest::new(c.clone(), device.clone()).with_deadline(Duration::from_nanos(1));
-        let engine = WindowedEngine::with_options(WindowOptions {
-            sat_bridges: true,
-            ..WindowOptions::default()
-        });
-        let report = engine.run(&request).expect("deadlines degrade, never fail");
+        let report = WindowedEngine::new()
+            .stitched(&request)
+            .expect("deadlines degrade, never fail");
         report.verify(&c, &device).unwrap();
         assert!(
             report
@@ -735,12 +765,195 @@ mod tests {
     }
 
     #[test]
+    fn optimal_guarantee_is_refused() {
+        let request =
+            MapRequest::new(long_range(), devices::linear(12)).with_guarantee(Guarantee::Optimal);
+        assert!(matches!(
+            WindowedEngine::new().run(&request),
+            Err(MapperError::OptimalityUnavailable { .. })
+        ));
+    }
+
+    #[test]
+    fn the_race_answers_with_the_cheaper_racer() {
+        let circuit = long_range();
+        let device = devices::linear(12);
+        let request =
+            MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
+        let engine = WindowedEngine::new();
+        let floor = Portfolio::new().run(&request).unwrap();
+        let stitched = engine.stitched(&request).unwrap();
+        let report = engine.run(&request).unwrap();
+        report.verify(&circuit, &device).unwrap();
+        assert_eq!(
+            report.cost.objective,
+            floor.cost.objective.min(stitched.cost.objective)
+        );
+        // Ties go to the stitch, which carries per-window certificates.
+        let stitch_won = stitched.cost.objective <= floor.cost.objective;
+        assert_eq!(report.windows.is_some(), stitch_won);
+        assert_eq!(report.winner == "windowed", stitch_won);
+        // The timeline keeps both racers and names the winner.
+        let trace = report.trace.as_ref().unwrap();
+        for path in [
+            "floor",
+            "race/floor",
+            "race/winner",
+            "windows",
+            "windows/stitch",
+        ] {
+            assert!(trace.spans.iter().any(|s| s.path == path), "missing {path}");
+        }
+        assert!(fallbacks(&report).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_stitch_falls_back_to_the_floor() {
+        let circuit = long_range();
+        let device = devices::linear(12);
+        let request =
+            MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
+        let report = WindowedEngine::new()
+            .race(&request, || panic!("a stitch bug"))
+            .expect("the floor still answers");
+        report.verify(&circuit, &device).unwrap();
+        assert!(report.windows.is_none());
+        assert_eq!(fallbacks(&report), ["panicked"]);
+    }
+
+    #[test]
+    fn an_unverified_stitch_falls_back_to_the_floor() {
+        let circuit = long_range();
+        let device = devices::linear(12);
+        let request =
+            MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
+        let engine = WindowedEngine::new();
+        let report = engine
+            .race(&request, || {
+                // A zero-cost claim that drops every gate: cheaper than
+                // any floor, and wrong.
+                let mut bogus = engine.stitched(&request)?;
+                bogus.mapped = Circuit::new(device.num_qubits());
+                bogus.cost.objective = 0;
+                Ok(bogus)
+            })
+            .expect("the floor still answers");
+        report.verify(&circuit, &device).unwrap();
+        assert_ne!(report.winner, "windowed");
+        assert_eq!(fallbacks(&report), ["unverified"]);
+    }
+
+    #[test]
+    fn an_erroring_stitch_never_hides_the_floor() {
+        let circuit = long_range();
+        let device = devices::linear(12);
+        let request = MapRequest::new(circuit.clone(), device.clone());
+        let report = WindowedEngine::new()
+            .race(&request, || Err(MapperError::BudgetExhausted))
+            .expect("an erroring stitch never hides the floor");
+        report.verify(&circuit, &device).unwrap();
+    }
+
+    #[test]
+    fn will_window_only_past_the_exact_regime_on_connected_devices() {
+        assert!(will_window(&devices::linear(12), Guarantee::BestEffort));
+        assert!(!will_window(&devices::linear(12), Guarantee::Optimal));
+        assert!(!will_window(&devices::ibm_qx4(), Guarantee::BestEffort));
+        let split = CouplingMap::from_edges(12, [(0, 1), (2, 3)]).unwrap();
+        assert!(!will_window(&split, Guarantee::BestEffort));
+    }
+
+    #[test]
     fn cache_signature_tracks_options() {
         let a = WindowedEngine::new();
         let b = WindowedEngine::with_options(WindowOptions {
             max_window_qubits: 4,
-            sat_bridges: true,
         });
         assert_ne!(a.cache_signature(), b.cache_signature());
+    }
+
+    /// Random circuits with 9–12 qubits (past the 8-qubit exact regime)
+    /// and up to 14 gates.
+    fn circuit_strategy() -> impl proptest::strategy::Strategy<Value = Circuit> {
+        (9usize..=12).prop_flat_map(|n| {
+            let gate = prop_oneof![
+                // CNOT with distinct qubits (built arithmetically, no filter).
+                (0..n, 1..n).prop_map(move |(c, d)| (0u8, c, (c + d) % n)),
+                // H / T on one qubit.
+                (0..n).prop_map(|q| (1u8, q, 0usize)),
+                (0..n).prop_map(|q| (2u8, q, 0usize)),
+            ];
+            prop::collection::vec(gate, 1..14).prop_map(move |gates| {
+                let mut c = Circuit::new(n);
+                for (kind, a, b) in gates {
+                    match kind {
+                        0 => {
+                            c.cx(a, b);
+                        }
+                        1 => {
+                            c.h(a);
+                        }
+                        _ => {
+                            c.t(a);
+                        }
+                    }
+                }
+                c
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn stitched_windows_verify_against_the_full_circuit(circuit in circuit_strategy()) {
+            let device = devices::linear(14);
+            let request = MapRequest::new(circuit.clone(), device.clone());
+            let report = WindowedEngine::new()
+                .stitched(&request)
+                .expect("a connected line maps every circuit");
+
+            // The stitched whole is hardware-legal and gate-complete.
+            report.verify(&circuit, &device).expect("sound");
+            prop_assert_eq!(report.cost.objective, report.cost.added_gates);
+
+            // Every costed gate of the input is certified by exactly one
+            // window, and each window's local solve carries its proof.
+            let windows = report.windows.expect("stitched reports certify per window");
+            prop_assert_eq!(
+                windows.iter().map(|w| w.gates).sum::<usize>(),
+                circuit.original_cost()
+            );
+            for w in &windows {
+                prop_assert!(w.qubits.len() <= MAX_EXACT_QUBITS);
+                prop_assert_eq!(w.qubits.len(), w.region.len());
+            }
+        }
+
+        #[test]
+        fn warm_window_cache_hits_reproduce_the_stitched_answer(circuit in circuit_strategy()) {
+            let device = devices::linear(14);
+            let request = MapRequest::new(circuit.clone(), device.clone());
+            let engine = WindowedEngine::new();
+            let cold = engine.stitched(&request).expect("cold run maps");
+            let warm = engine.stitched(&request).expect("warm run maps");
+
+            // The warm run answers its windows from the process-wide solve
+            // cache, and the stitched result is identical: same cost, same
+            // layouts, same mapped circuit.
+            prop_assert_eq!(cold.cost, warm.cost);
+            prop_assert_eq!(&cold.initial_layout, &warm.initial_layout);
+            prop_assert_eq!(&cold.final_layout, &warm.final_layout);
+            prop_assert_eq!(&cold.mapped, &warm.mapped);
+            let warm_windows = warm.windows.expect("stitched reports certify per window");
+            prop_assert!(
+                warm_windows
+                    .iter()
+                    .filter(|w| w.engine != "trivial")
+                    .all(|w| w.served_from_cache),
+                "every solvable window of the warm run is a cache hit"
+            );
+        }
     }
 }

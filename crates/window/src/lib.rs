@@ -10,16 +10,19 @@
 //! stitches consecutive blocks with SWAP bridges routed on the device's
 //! cost-weighted distance matrix.
 //!
-//! The result is one verified end-to-end [`qxmap_map::MapReport`] whose
-//! [`qxmap_map::MapReport::windows`] section carries a per-window
-//! optimality certificate: each slice of the answer is provably minimal
-//! for its subcircuit on its subgraph, even though the stitched whole is
+//! [`WindowedEngine`] is the engine the daemon serves every request
+//! through. Past the exact regime it races the stitched answer against
+//! the portfolio's heuristic floor (naive and SABRE) and returns the
+//! cheaper verified one, so it is never worse than SABRE. A stitched
+//! answer carries a per-window optimality certificate in
+//! [`qxmap_map::MapReport::windows`]: each slice is provably minimal for
+//! its subcircuit on its subgraph, even though the stitched whole is
 //! heuristic.
 //!
 //! ```
 //! use qxmap_arch::devices;
 //! use qxmap_circuit::Circuit;
-//! use qxmap_map::{Engine, MapRequest};
+//! use qxmap_map::{Engine, HeuristicEngine, MapRequest};
 //! use qxmap_window::WindowedEngine;
 //!
 //! let mut circuit = Circuit::new(10);
@@ -30,7 +33,8 @@
 //! let request = MapRequest::new(circuit.clone(), device.clone());
 //! let report = WindowedEngine::new().run(&request).unwrap();
 //! report.verify(&circuit, &device).unwrap();
-//! assert!(report.windows.unwrap().iter().all(|w| w.proved_optimal));
+//! let sabre = HeuristicEngine::sabre().run(&request).unwrap();
+//! assert!(report.cost.objective <= sabre.cost.objective);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,4 +44,4 @@ mod bridge;
 mod engine;
 mod slicer;
 
-pub use engine::{WindowOptions, WindowedEngine, DEFAULT_WINDOW_QUBITS};
+pub use engine::{will_window, WindowOptions, WindowedEngine, DEFAULT_WINDOW_QUBITS};
