@@ -181,14 +181,6 @@ impl SwapTable {
     pub fn iter(&self) -> impl Iterator<Item = (&Permutation, u32)> + '_ {
         self.entries.iter().map(|(p, (d, _))| (p, *d))
     }
-
-    /// All realizable permutations sorted by image vector (deterministic
-    /// ordering for encoders).
-    pub fn permutations_sorted(&self) -> Vec<Permutation> {
-        let mut ps: Vec<Permutation> = self.entries.keys().cloned().collect();
-        ps.sort();
-        ps
-    }
 }
 
 #[cfg(test)]
@@ -296,15 +288,6 @@ mod tests {
         assert_eq!(triangle.len(), 6);
     }
 
-    #[test]
-    fn sorted_permutations_are_deterministic() {
-        let table = SwapTable::new(&devices::linear(3));
-        let a = table.permutations_sorted();
-        let b = table.permutations_sorted();
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0] < w[1]));
-    }
-
     use crate::coupling::CouplingMap;
 }
 
@@ -326,6 +309,8 @@ mod tests {
 #[derive(Debug, Clone)]
 pub struct CostedSwapTable {
     entries: HashMap<Permutation, (u64, Vec<(usize, usize)>)>,
+    /// Every realizable permutation with its cost, in `(cost, π)` order.
+    by_cost: Vec<(u64, Permutation)>,
 }
 
 impl CostedSwapTable {
@@ -381,6 +366,7 @@ impl CostedSwapTable {
         );
 
         let mut entries: HashMap<Permutation, (u64, Vec<(usize, usize)>)> = HashMap::new();
+        let mut by_cost: Vec<(u64, Permutation)> = Vec::new();
         let id = Permutation::identity(n);
         entries.insert(id.clone(), (0, Vec::new()));
         let mut heap: BinaryHeap<Reverse<(u64, Permutation)>> = BinaryHeap::new();
@@ -389,6 +375,10 @@ impl CostedSwapTable {
             if entries.get(&pi).is_some_and(|(c, _)| *c < cost) {
                 continue; // stale
             }
+            // Settled: the min-heap pops each permutation's final cost
+            // exactly once (pushes need a strictly better cost), in
+            // ascending `(cost, π)` order.
+            by_cost.push((cost, pi.clone()));
             let seq = entries[&pi].1.clone();
             for &(a, b, w) in edges {
                 let tau = Permutation::transposition(n, a, b);
@@ -403,7 +393,7 @@ impl CostedSwapTable {
                 }
             }
         }
-        CostedSwapTable { entries }
+        CostedSwapTable { entries, by_cost }
     }
 
     /// Minimal elementary-gate cost of realizing `π` (`None` if not
@@ -427,18 +417,24 @@ impl CostedSwapTable {
         self.entries.is_empty()
     }
 
-    /// Iterator over `(π, cost(π))` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Permutation, u64)> + '_ {
-        self.entries.iter().map(|(p, (c, _))| (p, *c))
-    }
-
-    /// All realizable permutations sorted by image vector — the same
-    /// deterministic encoder ordering as
-    /// [`SwapTable::permutations_sorted`].
-    pub fn permutations_sorted(&self) -> Vec<Permutation> {
-        let mut ps: Vec<Permutation> = self.entries.keys().cloned().collect();
-        ps.sort();
-        ps
+    /// The permutations a solution cheaper than `bound` can use, with
+    /// their costs: every realizable `π` whose cost alone is below
+    /// `bound` (all of them when `None`). The table keeps its
+    /// permutations in `(cost, π)` order, computed once when it is built,
+    /// so this is a prefix slice; the identity comes first.
+    ///
+    /// ```
+    /// use qxmap_arch::{devices, CostedSwapTable};
+    /// let table = CostedSwapTable::new(&devices::ibm_qx4());
+    /// // Below one SWAP (7) only the identity survives.
+    /// assert_eq!(table.cheaper_than(Some(7)).len(), 1);
+    /// assert_eq!(table.cheaper_than(None).len(), 120);
+    /// ```
+    pub fn cheaper_than(&self, bound: Option<u64>) -> &[(u64, Permutation)] {
+        match bound {
+            Some(b) => &self.by_cost[..self.by_cost.partition_point(|&(c, _)| c < b)],
+            None => &self.by_cost,
+        }
     }
 }
 
@@ -479,6 +475,33 @@ mod costed_tests {
             assert!(c <= 7 * u64::from(d), "{pi}: {c} > 7·{d}");
             assert!(c >= 3 * u64::from(d), "{pi}: {c} < 3·{d}");
         }
+    }
+
+    #[test]
+    fn cheaper_than_lists_each_permutation_once_in_cost_order() {
+        let cm = CouplingMap::from_edges(4, [(0, 1), (1, 2), (2, 1), (2, 3)]).unwrap();
+        let costed = CostedSwapTable::new(&cm);
+        let listed = costed.cheaper_than(None);
+        assert_eq!(listed.len(), costed.len());
+        assert!(listed[0].1.is_identity());
+        assert!(
+            listed.windows(2).all(|w| w[0] < w[1]),
+            "strict (cost, π) order"
+        );
+        for (cost, pi) in listed {
+            assert_eq!(costed.cost(pi), Some(*cost), "{pi}");
+        }
+        // Each bound keeps exactly the permutations cheaper than it.
+        for bound in [1, 3, 7, 10, 14, u64::MAX] {
+            let kept = costed.cheaper_than(Some(bound));
+            assert!(kept.iter().all(|&(c, _)| c < bound));
+            assert_eq!(
+                kept.len(),
+                listed.iter().filter(|&&(c, _)| c < bound).count(),
+                "bound {bound}"
+            );
+        }
+        assert_eq!(costed.cheaper_than(Some(0)).len(), 0);
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! and one per gate (its cost-bearing edge-use selectors, exclusive since
 //! each logical qubit sits on exactly one physical qubit), so the
 //! objective's totalizer builds one leaf per exclusive choice.
+//!
+//! The permutation table is pruned by the search bound. Eq. (5) charges a
+//! selected `y^k_π` its full `swaps(π)`, so a solution cheaper than a
+//! strict bound `U` never selects a `π` whose cost alone is `≥ U`. Built
+//! with a bound, the instance gets selectors and transition clauses only
+//! for the permutations cheaper than it — a prefix of the table's
+//! cost-ordered list, the identity always first. It keeps exactly the
+//! solutions cheaper than `U`, so a minimum it finds is the global one and
+//! an unsatisfiable instance still refutes everything below `U`. Built
+//! without a bound, it encodes the full table.
 
 use std::collections::BTreeSet;
 
@@ -42,8 +52,12 @@ pub struct EncodingStats {
     pub mapping_variables: usize,
     /// Number of change points `|G'|`.
     pub change_points: usize,
-    /// Permutations considered per change point (`|Π|`).
+    /// Permutations encoded per change point (`|Π|` after pruning): those
+    /// cheaper than the instance's bound, or the whole table without one.
     pub permutations: usize,
+    /// Realizable permutations the bound pruned from every change point
+    /// (0 without a bound).
+    pub pruned: usize,
     /// Objective terms in Eq. (5), over all groups.
     pub objective_terms: usize,
     /// Wall-clock time the encoding took to build, in microseconds —
@@ -62,8 +76,11 @@ pub(crate) struct Encoding {
     /// For each change point (ascending): `(gate index, per-permutation
     /// selector literals aligned with `perms`)`.
     y: Vec<(usize, Vec<Lit>)>,
-    /// All realizable permutations of the local subgraph (sorted).
+    /// The encoded permutations of the local subgraph, in the table's
+    /// `(cost, π)` order.
     perms: Vec<Permutation>,
+    /// Realizable permutations the bound left out.
+    pruned: usize,
     /// The weighted objective terms of Eq. (5), as at-most-one groups:
     /// one per change point and one per gate, each holding only its
     /// cost-bearing selectors (groups left empty are dropped).
@@ -83,6 +100,9 @@ impl Encoding {
     /// * `table` — cost-weighted `swaps(π)` table of the same subgraph,
     ///   priced under the same model;
     /// * `change_points` — `G'` (0-based skeleton indices, none equal 0).
+    ///
+    /// Encodes the full permutation table; see
+    /// [`Encoding::build_interruptible`] for the bound-pruned instance.
     pub fn build(
         skeleton: &[(usize, usize)],
         num_logical: usize,
@@ -96,25 +116,35 @@ impl Encoding {
             local_model,
             table,
             change_points,
+            None,
             &mut || false,
         )
         .expect("uninterruptible build always completes")
     }
 
-    /// [`Encoding::build`] with a cooperative stop check, polled between
-    /// permutations of the transition encoding — for an 8-qubit subset
-    /// that is one check per ~40 000 clause batches, so a deadline or
-    /// cancellation lands long before the multi-million-clause instance
-    /// finishes building. Returns `None` when `interrupted` fired.
+    /// [`Encoding::build`] restricted to solutions cheaper than `bound`,
+    /// with a cooperative stop check.
+    ///
+    /// * `bound` — the strict bound the instance is solved under: only
+    ///   permutations whose cost is below it get selectors (all of them
+    ///   when `None`). Must not be `Some(0)`: nothing is cheaper than 0,
+    ///   so such an instance is never built.
+    /// * `interrupted` — polled between permutations of the transition
+    ///   encoding; for a full 8-qubit table that is one check per ~40 000
+    ///   clause batches, so a deadline or cancellation lands long before
+    ///   the multi-million-clause instance finishes building. Returns
+    ///   `None` when it fired.
     pub fn build_interruptible(
         skeleton: &[(usize, usize)],
         num_logical: usize,
         local_model: &DeviceModel,
         table: &CostedSwapTable,
         change_points: &BTreeSet<usize>,
+        bound: Option<u64>,
         interrupted: &mut dyn FnMut() -> bool,
     ) -> Option<Encoding> {
         assert!(!skeleton.is_empty(), "trivial circuits bypass the encoding");
+        assert_ne!(bound, Some(0), "no solution is cheaper than 0");
         let build_start = std::time::Instant::now();
         let local_cm = local_model.coupling_map();
         let k_gates = skeleton.len();
@@ -196,18 +226,19 @@ impl Encoding {
         }
 
         // --- transitions: frame equality or selected permutation ------------
-        let perms = table.permutations_sorted();
+        // Only permutations cheaper than the bound can appear in a
+        // solution below it; the identity (cost 0) always survives.
+        let kept = table.cheaper_than(bound);
         let mut y: Vec<(usize, Vec<Lit>)> = Vec::new();
         for k in 1..k_gates {
             if change_points.contains(&k) {
-                let selectors: Vec<Lit> = (0..perms.len()).map(|_| solver.new_lit()).collect();
+                let selectors: Vec<Lit> = (0..kept.len()).map(|_| solver.new_lit()).collect();
                 encode::exactly_one(&mut solver, &selectors);
                 let mut costs: Vec<(u64, Lit)> = Vec::new();
-                for (pi_idx, pi) in perms.iter().enumerate() {
+                for (&sel, (cost, pi)) in selectors.iter().zip(kept) {
                     if interrupted() {
                         return None;
                     }
-                    let sel = selectors[pi_idx];
                     // y^k_π ∧ x^{k-1}_{ij} → x^k_{π(i)j}; with the
                     // exactly-one column constraints this pins the whole
                     // transition (footnote 5).
@@ -217,9 +248,8 @@ impl Encoding {
                             solver.add_clause([!sel, !from, to]);
                         }
                     }
-                    let cost = table.cost(pi).expect("perm comes from the table");
-                    if cost > 0 {
-                        costs.push((cost, sel));
+                    if *cost > 0 {
+                        costs.push((*cost, sel));
                     }
                 }
                 if !costs.is_empty() {
@@ -240,7 +270,8 @@ impl Encoding {
             solver,
             x,
             y,
-            perms,
+            perms: kept.iter().map(|(_, pi)| pi.clone()).collect(),
+            pruned: table.len() - kept.len(),
             objective,
             num_logical,
             num_phys: m,
@@ -256,6 +287,7 @@ impl Encoding {
             mapping_variables: self.x.len() * self.num_phys * self.num_logical,
             change_points: self.y.len(),
             permutations: self.perms.len(),
+            pruned: self.pruned,
             objective_terms: self.objective.iter().map(Vec::len).sum(),
             build_us: u64::try_from(self.build_time.as_micros()).unwrap_or(u64::MAX),
         }
@@ -308,6 +340,7 @@ impl Encoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qxmap_arch::{devices, CouplingMap};
     use qxmap_sat::{minimize, MinimizeOptions};
 
@@ -338,6 +371,41 @@ mod tests {
             st.objective_terms,
             enc.objective.iter().map(Vec::len).sum::<usize>()
         );
+    }
+
+    #[test]
+    fn bound_prunes_the_permutation_table() {
+        let (model, table) = qx4_model();
+        let skeleton = [(2, 3), (0, 1), (1, 2), (0, 2), (2, 0)];
+        let points = (1..skeleton.len()).collect();
+        let full = Encoding::build(&skeleton, 4, &model, &table, &points).stats();
+        assert_eq!((full.permutations, full.pruned), (120, 0));
+        // Below 8 only the identity and QX4's six single SWAPs survive.
+        let build = |bound| {
+            Encoding::build_interruptible(&skeleton, 4, &model, &table, &points, bound, &mut || {
+                false
+            })
+            .expect("never interrupted")
+        };
+        let pruned = build(Some(8)).stats();
+        assert_eq!((pruned.permutations, pruned.pruned), (7, 113));
+        assert!(pruned.clauses < full.clauses);
+        assert_eq!(pruned.mapping_variables, full.mapping_variables);
+        // Below one SWAP the identity alone is left: every transition is
+        // frozen, and the optimum (one reversal) is still reachable.
+        let mut identity_only = build(Some(5));
+        assert_eq!(identity_only.stats().permutations, 1);
+        let min = minimize(
+            &mut identity_only.solver,
+            &identity_only.objective.clone(),
+            MinimizeOptions::default().with_initial_upper_bound(Some(5)),
+        )
+        .expect("the optimum 4 is below 5");
+        assert_eq!(min.cost, 4);
+        assert!(identity_only
+            .extract_permutations(&min.model)
+            .iter()
+            .all(|(_, pi)| pi.is_identity()));
     }
 
     #[test]
@@ -552,6 +620,110 @@ mod tests {
         assert_eq!(min.cost, 4);
         let perms = enc.extract_permutations(&min.model);
         assert!(perms.iter().all(|(_, pi)| pi.is_identity()));
+    }
+
+    /// One random instance on at most five physical qubits: a directed
+    /// coupling map (possibly disconnected), an optional SWAP-cost
+    /// calibration of its first edge, a CNOT skeleton over `n ≤ m`
+    /// logical qubits with every gate a change point, and a strict
+    /// bound `U`.
+    struct Instance {
+        model: DeviceModel,
+        num_logical: usize,
+        skeleton: Vec<(usize, usize)>,
+        bound: u64,
+    }
+
+    fn instance_strategy() -> impl Strategy<Value = Instance> {
+        (2usize..=5).prop_flat_map(|m| {
+            (
+                prop::collection::vec((0..m, 1..m), 1..8),
+                2..=m,
+                prop::collection::vec((0..m, 1..m), 1..7),
+                0u32..12,
+                1u64..36,
+            )
+                .prop_map(move |(edges, n, gates, swap_cost, bound)| {
+                    // `(a, a + d mod m)` with `d ≠ 0`: never a self-loop.
+                    let edges: Vec<(usize, usize)> =
+                        edges.iter().map(|&(a, d)| (a, (a + d) % m)).collect();
+                    let cm = CouplingMap::from_edges(m, edges.iter().copied()).unwrap();
+                    let mut model = DeviceModel::new(cm);
+                    if swap_cost > 0 {
+                        model = model.with_swap_cost(edges[0].0, edges[0].1, swap_cost);
+                    }
+                    let skeleton = gates
+                        .iter()
+                        .map(|&(c, d)| (c % n, (c % n + 1 + d % (n - 1)) % n))
+                        .collect();
+                    Instance {
+                        model,
+                        num_logical: n,
+                        skeleton,
+                        bound,
+                    }
+                })
+        })
+    }
+
+    /// Minimizes one encoding strictly below `bound`.
+    fn minimum_below(enc: &mut Encoding, bound: Option<u64>) -> Option<u64> {
+        let objective = enc.objective.clone();
+        let options = MinimizeOptions::default().with_initial_upper_bound(bound);
+        match minimize(&mut enc.solver, &objective, options) {
+            Ok(min) => {
+                assert!(min.proved_optimal);
+                Some(min.cost)
+            }
+            Err(qxmap_sat::MinimizeError::Unsatisfiable) => None,
+            Err(e) => panic!("no budget was set: {e:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The table pruned at `U` and the full table agree below `U`:
+        /// both find the global minimum when it is cheaper than `U`, and
+        /// both are unsatisfiable otherwise. Each instance is checked at
+        /// its drawn bound and at its own optimum, where nothing is left.
+        #[test]
+        fn pruned_and_full_encodings_agree_below_the_bound(inst in instance_strategy()) {
+            let Instance { model, num_logical, skeleton, bound } = inst;
+            let all: Vec<usize> = (0..model.num_qubits()).collect();
+            let table = model.costed_table(&all);
+            let points = (1..skeleton.len()).collect();
+            let full = || Encoding::build(&skeleton, num_logical, &model, &table, &points);
+
+            let global = minimum_below(&mut full(), None);
+            let optimum = global.filter(|&cost| cost > 0);
+            for bound in std::iter::once(bound).chain(optimum) {
+                let expected = global.filter(|&cost| cost < bound);
+                prop_assert_eq!(minimum_below(&mut full(), Some(bound)), expected);
+
+                let mut pruned = Encoding::build_interruptible(
+                    &skeleton,
+                    num_logical,
+                    &model,
+                    &table,
+                    &points,
+                    Some(bound),
+                    &mut || false,
+                )
+                .expect("never interrupted");
+                let stats = pruned.stats();
+                prop_assert_eq!(stats.permutations, table.cheaper_than(Some(bound)).len());
+                prop_assert_eq!(stats.permutations + stats.pruned, table.len());
+                prop_assert_eq!(
+                    minimum_below(&mut pruned, Some(bound)),
+                    expected,
+                    "{:?} on {:?}, U = {}",
+                    skeleton,
+                    model.coupling_map(),
+                    bound
+                );
+            }
+        }
     }
 
     #[test]

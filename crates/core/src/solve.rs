@@ -102,8 +102,10 @@ impl ExactMapper {
 
     /// Builds (without solving) the SAT instance for `circuit` on the full
     /// device and reports its size — the paper's search-space discussion
-    /// (Examples 5 and 8) made measurable. Subset restriction is ignored
-    /// here; per-subset instances are strictly smaller.
+    /// (Examples 5 and 8) made measurable. Subset restriction and the
+    /// search bound are ignored here: the instance encodes the full
+    /// permutation table, and the per-subset, bound-pruned instances
+    /// [`ExactMapper::map`] solves are never larger.
     ///
     /// # Errors
     ///
@@ -136,6 +138,7 @@ impl ExactMapper {
                 mapping_variables: 0,
                 change_points: 0,
                 permutations: 0,
+                pruned: 0,
                 objective_terms: 0,
                 build_us: 0,
             });
@@ -322,6 +325,7 @@ impl ExactMapper {
                 &local_model,
                 &table,
                 change_points,
+                ub,
                 &mut || shared.stopped(),
             ) else {
                 encode_span.counter("interrupted", 1);
@@ -332,6 +336,8 @@ impl ExactMapper {
             encode_span.counter("variables", enc_stats.variables as u64);
             encode_span.counter("clauses", enc_stats.clauses as u64);
             encode_span.counter("build_us", enc_stats.build_us);
+            encode_span.counter("permutations", enc_stats.permutations as u64);
+            encode_span.counter("pruned", enc_stats.pruned as u64);
             encode_span.end();
             let objective = std::mem::take(&mut enc.objective);
             enc.solver.set_interrupt(Some(Arc::clone(&shared.cancel)));
@@ -683,6 +689,42 @@ mod tests {
         // reversal costs, since no QX4 edge runs both ways.
         assert_eq!(counter("objective_leaves"), Some(4 + 5));
         assert!(counter("objective_clauses").is_some_and(|c| c > 0));
+    }
+
+    #[test]
+    fn encode_spans_count_kept_and_pruned_permutations() {
+        let table = qxmap_arch::CostedSwapTable::new(&devices::ibm_qx4());
+        // Without a bound the full table is encoded; a bound of 15 (what a
+        // two-SWAP heuristic answer would give) keeps only permutations
+        // of at most two SWAPs.
+        let two_swaps = table.cheaper_than(Some(15)).len();
+        assert!(1 < two_swaps && two_swaps < 120);
+        for (bound, kept) in [(None, 120), (Some(15), two_swaps)] {
+            let trace = crate::trace::SpanRecorder::new();
+            let mapper = ExactMapper::with_config(
+                devices::ibm_qx4(),
+                MapperConfig::minimal()
+                    .with_trace(trace.clone())
+                    .with_minimize(MinimizeOptions::default().with_initial_upper_bound(bound)),
+            );
+            let result = mapper.map(&paper_example()).unwrap();
+            assert_eq!(result.cost, 4);
+            assert!(result.proved_optimal);
+            let spans = trace.finish().expect("enabled").spans;
+            let encode = spans
+                .iter()
+                .find(|s| s.path == "subset0/encode")
+                .expect("one subinstance");
+            let counter = |name: &str| {
+                encode
+                    .counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|&(_, v)| v)
+            };
+            assert_eq!(counter("permutations"), Some(kept as u64), "{bound:?}");
+            assert_eq!(counter("pruned"), Some(120 - kept as u64), "{bound:?}");
+        }
     }
 
     #[test]

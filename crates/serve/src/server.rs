@@ -1931,20 +1931,30 @@ mod tests {
 
     #[test]
     fn deadline_misses_and_latency_feed_metrics() {
-        // A solver slower than the request's deadline: the response is
+        // A solve that overruns the request's deadline: the response is
         // still delivered (the engines degrade, they don't fabricate
         // errors), but the miss is counted and the latency lands in the
-        // histogram.
-        let solver: BatchSolver = Box::new(|requests| {
-            std::thread::sleep(Duration::from_millis(30));
-            qxmap_map::map_many(requests)
-        });
+        // histogram. The gated solver is released only once the job has
+        // left the queue and its deadline has passed, so the deadline
+        // runs out during the solve — a job still queued at its deadline
+        // would be shed as `deadline_expired` instead.
+        let (solver, release) = gated_solver();
         let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let deadline = Duration::from_millis(100);
         let missed = format!(
-            "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"deadline_ms\":1}}",
-            Json::str(QASM)
+            "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"deadline_ms\":{}}}",
+            Json::str(QASM),
+            deadline.as_millis()
         );
-        server.handle_line(&missed);
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| server.handle_line(&missed));
+            while server.queue.lock().unwrap().in_flight == 0 && !handler.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(deadline);
+            release.send(()).unwrap();
+            handler.join().unwrap();
+        });
         let metrics = server.metrics_json(None);
         let requests = metrics.get("requests").unwrap();
         assert_eq!(
@@ -1958,6 +1968,7 @@ mod tests {
             "{latency}"
         );
         // A deadline-free request records latency but cannot miss.
+        release.send(()).unwrap();
         server.handle_line(&map_line());
         let metrics = server.metrics_json(None);
         let requests = metrics.get("requests").unwrap();

@@ -3,13 +3,16 @@
 //! certificate.
 //!
 //! The eleven rows the exact engine proves within a second run in the
-//! default suite, under both search schedules. The other fourteen take
+//! default suite, under both search schedules and strictly below their
+//! SABRE cost (the bound that prunes the permutation table). The other
+//! fourteen take
 //! up to tens of seconds each and are `#[ignore]`d; run them in release:
 //! `cargo test --release --test exact_optima -- --ignored`.
 
-use qxmap::arch::devices;
+use qxmap::arch::{devices, DeviceModel};
 use qxmap::benchmarks::{circuit_for, table1_profiles};
-use qxmap::core::{ExactMapper, MapperConfig};
+use qxmap::core::{ExactMapper, MapError, MapperConfig};
+use qxmap::heuristic::{Mapper, SabreMapper};
 use qxmap::sat::{MinimizeOptions, MinimizeStrategy};
 
 /// Maps each named Table 1 stand-in on QX4 with the guaranteed-minimal
@@ -56,6 +59,47 @@ fn proving_rows_keep_their_optima_under_linear_descent() {
 #[test]
 fn proving_rows_keep_their_optima_under_binary_search() {
     assert_proved_optima(&PROVING_ROWS, MinimizeStrategy::BinarySearch);
+}
+
+/// The proving rows solved strictly below a bound, as the portfolio
+/// solves them behind its SABRE answer: the bound prunes every
+/// permutation that costs as much on its own. Below the row's SABRE cost
+/// the optimum and its certificate hold; below the optimum itself nothing
+/// is left, and the instance is infeasible.
+#[test]
+fn proving_rows_keep_their_optima_below_the_sabre_bound() {
+    let profiles = table1_profiles();
+    let model = DeviceModel::new(devices::ibm_qx4());
+    let below = |bound: u64| {
+        ExactMapper::with_config(
+            devices::ibm_qx4(),
+            MapperConfig::default()
+                .with_solve_threads(Some(1))
+                .with_minimize(MinimizeOptions::default().with_initial_upper_bound(Some(bound))),
+        )
+    };
+    for &(name, objective) in &PROVING_ROWS {
+        let profile = profiles
+            .iter()
+            .find(|p| p.name == name)
+            .expect("a Table 1 row");
+        let circuit = circuit_for(profile);
+        let sabre = SabreMapper::new()
+            .map_model(&circuit, &model)
+            .expect("QX4 is connected")
+            .model_cost;
+        assert!(
+            sabre > objective,
+            "{name}: SABRE {sabre} vs optimum {objective}"
+        );
+        let result = below(sabre).map(&circuit).expect("mappable below SABRE");
+        assert_eq!(result.cost, objective, "{name} below {sabre}");
+        assert!(result.proved_optimal, "{name} below {sabre}");
+        assert!(
+            matches!(below(objective).map(&circuit), Err(MapError::Infeasible)),
+            "{name}: nothing is cheaper than the optimum"
+        );
+    }
 }
 
 #[test]
