@@ -570,8 +570,8 @@ impl SolveCache {
     /// signature. The report is structurally verified against the request
     /// first ([`MapReport::verify`]); unverifiable or already
     /// cache-served reports are dropped silently. Proved-optimal reports
-    /// are additionally published to the budget-erased tier, serving
-    /// every budget class of the same key.
+    /// are stored under the budget-erased tier instead of their budget
+    /// class, serving every budget class of the same key.
     pub fn insert(&self, engine: &str, request: &MapRequest, report: &MapReport) {
         if report.served_from_cache || report.verify(request.circuit(), request.device()).is_err() {
             return;
@@ -588,6 +588,13 @@ impl SolveCache {
             request.device_fingerprint(),
             request.options(),
         );
+        // A certificate serves every budget class, and lookups probe the
+        // proved tier first: a proved report is stored there alone.
+        let key = if report.proved_optimal {
+            key.proved_tier()
+        } else {
+            key
+        };
         // A stored report must serve *any* future request with the same
         // key: the solving request's trace timeline is not part of the
         // answer and is never cached.
@@ -599,54 +606,39 @@ impl SolveCache {
             .journal
             .lock()
             .expect("no panics under the lock")
-            .clone();
-        let mut journaled: Vec<CacheKey> = Vec::new();
+            .clone()
+            .map(|tx| (tx, key.clone()));
         {
             let mut inner = self.inner.lock().expect("no panics under the lock");
             inner.tick += 1;
-            let tick = inner.tick;
-            let entry = || Entry {
+            let entry = Entry {
                 report: Arc::clone(&shared_report),
                 canon_to_original: canon_to_original.clone(),
                 approx_bytes: bytes,
-                last_used: tick,
+                last_used: inner.tick,
             };
-            let store = |inner: &mut Inner, key: CacheKey, entry: Entry| {
+            self.counters
+                .approx_bytes
+                .fetch_add(bytes, Ordering::Relaxed);
+            if let Some(replaced) = inner.map.insert(key, entry) {
                 self.counters
                     .approx_bytes
-                    .fetch_add(entry.approx_bytes, Ordering::Relaxed);
-                if let Some(replaced) = inner.map.insert(key, entry) {
-                    self.counters
-                        .approx_bytes
-                        .fetch_sub(replaced.approx_bytes, Ordering::Relaxed);
-                }
-            };
-            if report.proved_optimal {
-                if journal.is_some() {
-                    journaled.push(key.proved_tier());
-                }
-                store(&mut inner, key.proved_tier(), entry());
+                    .fetch_sub(replaced.approx_bytes, Ordering::Relaxed);
             }
-            if journal.is_some() {
-                journaled.push(key.clone());
-            }
-            store(&mut inner, key, entry());
             evict_to_capacity(&mut inner, self.capacity, &self.counters);
             self.counters
                 .entries
                 .store(inner.map.len(), Ordering::Relaxed);
         }
         // Journal notification happens strictly after the entry lock is
-        // released: the caller's response path pays a key clone and two
-        // channel sends at worst, never file IO.
-        if let Some(tx) = journal {
-            for key in journaled {
-                let _ = tx.send(crate::journal::Event::Entry {
-                    key: Box::new(key),
-                    canon_to_original: canon_to_original.clone(),
-                    report: Arc::clone(&shared_report),
-                });
-            }
+        // released: the caller's response path pays a key clone and a
+        // channel send at worst, never file IO.
+        if let Some((tx, key)) = journal {
+            let _ = tx.send(crate::journal::Event::Entry {
+                key: Box::new(key),
+                canon_to_original,
+                report: shared_report,
+            });
         }
     }
 
@@ -683,9 +675,12 @@ impl SolveCache {
     /// Unlike [`SolveCache::insert`] the report is trusted as decoded
     /// (its checksum already passed), but the correspondence table is
     /// still validated as a permutation because lookups index through it
-    /// unchecked. Returns `Ok(false)` when the key is already live (the
-    /// live entry wins); never forwards to the journal, so replaying a
-    /// file a journal is attached to cannot echo records back into it.
+    /// unchecked. A proved report is admitted under the proved tier, as
+    /// [`SolveCache::insert`] stores it, so a file that also journaled it
+    /// under its budget class replays to one entry. Returns `Ok(false)`
+    /// when the key is already live (the live entry wins); never forwards
+    /// to the journal, so replaying a file a journal is attached to
+    /// cannot echo records back into it.
     pub(crate) fn admit_decoded(
         &self,
         key: CacheKey,
@@ -695,6 +690,11 @@ impl SolveCache {
         if let Some(defect) = correspondence_defect(&key, &canon_to_original) {
             return Err(JournalError::Corrupted(defect));
         }
+        let key = if report.proved_optimal && !key.proved_tier {
+            key.proved_tier()
+        } else {
+            key
+        };
         let bytes = approx_entry_bytes(&report, &canon_to_original);
         let mut inner = self.inner.lock().expect("no panics under the lock");
         if inner.map.contains_key(&key) {

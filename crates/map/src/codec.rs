@@ -154,12 +154,6 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Byte offset into the underlying stream — lets callers recover the
-    /// exact span a value decoded from (e.g. to share equal payloads).
-    pub(crate) fn position(&self) -> usize {
-        self.pos
-    }
-
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
         if self.remaining() < n {
             return Err(JournalError::Truncated);

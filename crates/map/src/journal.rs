@@ -39,9 +39,9 @@
 //! Records are admitted in file order, each as the most recently used
 //! entry so far, so replaying a compacted file rebuilds the writer's
 //! LRU order and a capacity-limited replay keeps the freshest entries.
-//! Records whose report payloads are byte-identical — a proved solve's
-//! budget-class entry and its proved-tier twin — share one report in
-//! memory, as they did in the writing process.
+//! A proved report is admitted under the proved tier even when its
+//! record names a budget class, so a file that journaled a proved solve
+//! under both keys replays it to one entry, as the cache now stores it.
 //!
 //! ## Compaction
 //!
@@ -52,7 +52,6 @@
 //! a crash mid-compaction leaves the old file intact) and resumes
 //! appending.
 
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -401,9 +400,6 @@ pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay,
 /// [`JournalReplay::bytes_consumed`] to its cursor.
 pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
     let mut replay = JournalReplay::default();
-    // Decoded reports by their payload bytes: a record repeating an
-    // earlier record's report bytes shares that record's `Arc`.
-    let mut reports: HashMap<&[u8], Arc<MapReport>> = HashMap::new();
     let mut at = 0usize;
     while at < bytes.len() {
         // A record is [u32 len][u64 checksum][payload]; anything that
@@ -426,7 +422,7 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
             replay.rejected += 1;
             continue;
         }
-        match decode_payload(payload, &mut reports) {
+        match decode_payload(payload) {
             Ok((key, canon_to_original, report)) => {
                 match cache.admit_decoded(key, canon_to_original, report) {
                     Ok(true) => replay.admitted += 1,
@@ -444,25 +440,15 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
 }
 
 /// Decodes one record payload: key, correspondence, report — rejecting
-/// trailing bytes (a checksummed payload is exactly one entry). The
-/// report is the payload's tail, so bytes already decoded by an earlier
-/// record are served from `reports` instead of decoded again.
-fn decode_payload<'a>(
-    payload: &'a [u8],
-    reports: &mut HashMap<&'a [u8], Arc<MapReport>>,
-) -> Result<(CacheKey, Vec<usize>, Arc<MapReport>), JournalError> {
+/// trailing bytes (a checksummed payload is exactly one entry).
+fn decode_payload(payload: &[u8]) -> Result<(CacheKey, Vec<usize>, Arc<MapReport>), JournalError> {
     let mut r = Reader::new(payload);
     let key = CacheKey::read(&mut r)?;
     let canon_to_original = r.usizes()?;
-    let report_bytes = &payload[r.position()..];
-    if let Some(report) = reports.get(report_bytes) {
-        return Ok((key, canon_to_original, Arc::clone(report)));
-    }
     let report = Arc::new(codec::read_report(&mut r)?);
     if r.remaining() != 0 {
         return Err(JournalError::Corrupted("trailing bytes after record"));
     }
-    reports.insert(report_bytes, Arc::clone(&report));
     Ok((key, canon_to_original, report))
 }
 
@@ -672,30 +658,46 @@ mod tests {
     }
 
     #[test]
-    fn replay_shares_one_report_between_a_proved_pair() {
-        let path = temp("proved-pair");
-        let _ = fs::remove_file(&path);
-        let source = leaked(8);
-        let (mut journal, _) = Journal::attach(source, &path, 1024).unwrap();
+    fn replay_keeps_one_entry_for_a_proved_pair() {
         let request = MapRequest::new(paper_example(), devices::ibm_qx4());
         let engine = crate::engine::ExactEngine::new();
         let proved = engine.run(&request).expect("in regime");
         assert!(proved.proved_optimal);
-        source.insert(&engine.cache_signature(), &request, &proved);
-        journal.finish().unwrap();
-
-        // Live, the budget-class entry and its proved-tier twin share one
-        // report; a replay must restore that, not hold it twice.
-        let restored = leaked(8);
-        let replay = replay_journal(restored, &fs::read(&path).unwrap()).unwrap();
-        assert_eq!((replay.admitted, replay.rejected), (2, 0));
-        let entries = restored.export_entries();
-        assert_eq!(entries.len(), 2);
-        assert!(
-            Arc::ptr_eq(&entries[0].2, &entries[1].2),
-            "the proved pair lost its shared report on replay"
-        );
-        let _ = fs::remove_file(&path);
+        let stored = |request: &MapRequest, report: &MapReport| {
+            let cache = leaked(8);
+            cache.insert(&engine.cache_signature(), request, report);
+            let mut entries = cache.export_entries();
+            assert_eq!(entries.len(), 1, "a report is stored once");
+            entries.pop().expect("one entry")
+        };
+        let (tier, canon_to_original, report, _) = stored(&request, &proved);
+        // Files written before proved reports were stored once also hold
+        // each under its budget class (the key an unproved answer to the
+        // same request takes): the pair, in either order, must replay to
+        // the one proved-tier entry.
+        let budgeted = request.with_conflict_budget(Some(10_000));
+        let unproved = MapReport {
+            proved_optimal: false,
+            ..proved.clone()
+        };
+        let (budget_class, ..) = stored(&budgeted, &unproved);
+        assert!(budget_class != tier);
+        let pair = [
+            encode_record(&tier, &canon_to_original, &report),
+            encode_record(&budget_class, &canon_to_original, &report),
+        ];
+        for order in [[0, 1], [1, 0]] {
+            let mut bytes = header_bytes();
+            for i in order {
+                bytes.extend_from_slice(&pair[i]);
+            }
+            let restored = leaked(8);
+            let replay = replay_journal(restored, &bytes).unwrap();
+            assert_eq!((replay.admitted, replay.rejected), (1, 0));
+            let entries = restored.export_entries();
+            assert_eq!(entries.len(), 1, "the proved pair replayed twice");
+            assert!(entries[0].0 == tier, "replayed under the proved tier");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! heuristic floor.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use qxmap_arch::{CouplingMap, DeviceModel, Layout};
@@ -67,12 +67,16 @@ pub fn will_window(device: &CouplingMap, guarantee: Guarantee) -> bool {
 /// answer. Neither side makes a global optimality claim past the exact
 /// regime, so [`Guarantee::Optimal`] requests there are refused.
 ///
-/// Windows solve in parallel on a scoped worker pool; the request's
-/// wall-clock deadline and conflict budget are split evenly across the
-/// solvable windows (deterministically, so window cache keys stay
-/// stable), and each window probes the process-wide
-/// [`qxmap_map::SolveCache`] by its own subcircuit skeleton — repeated
-/// structure across or within circuits is solved once.
+/// Windows solve in plan order on a scoped worker pool and are stitched
+/// as they land: window i is bridged as soon as windows 0..=i are in.
+/// The stitched total only grows, so once it reaches the floor's
+/// objective + 1 the stitch has lost the race; no further window starts
+/// and the floor answers. The request's wall-clock deadline and
+/// conflict budget are split evenly across the solvable windows
+/// (deterministically, so window cache keys stay stable), and each
+/// window probes the process-wide [`qxmap_map::SolveCache`] by its own
+/// subcircuit skeleton — repeated structure across or within circuits
+/// is solved once.
 #[derive(Debug, Default)]
 pub struct WindowedEngine {
     options: WindowOptions,
@@ -98,14 +102,17 @@ impl WindowedEngine {
         self.options
     }
 
-    /// The large-device race: the heuristic floor first, then `stitch`.
-    /// A stitch that panics or fails verification is recorded as a
-    /// `race/fallback` trace event and the floor answers alone; an error
-    /// on one side never hides an answer from the other.
+    /// The large-device race: the heuristic floor first, then `stitch`
+    /// under the strict bound of the floor's objective + 1. A stitch
+    /// that reaches it would lose the race (ties go to the stitch), so
+    /// it stops early with [`MapperError::BoundUnmet`] and the floor
+    /// answers. A stitch that panics or fails verification is recorded
+    /// as a `race/fallback` trace event and the floor answers alone; an
+    /// error on one side never hides an answer from the other.
     fn race(
         &self,
         request: &MapRequest,
-        stitch: impl FnOnce() -> Result<MapReport, MapperError>,
+        stitch: impl FnOnce(Option<u64>) -> Result<MapReport, MapperError>,
     ) -> Result<MapReport, MapperError> {
         let started = Instant::now();
         let trace = request.trace();
@@ -116,7 +123,11 @@ impl WindowedEngine {
         if let Ok(floor) = &floor {
             trace.event("race/floor", "objective", floor.cost.objective);
         }
-        let stitched = match panic::catch_unwind(AssertUnwindSafe(stitch)) {
+        let bound = floor
+            .as_ref()
+            .ok()
+            .map(|floor| floor.cost.objective.saturating_add(1));
+        let stitched = match panic::catch_unwind(AssertUnwindSafe(|| stitch(bound))) {
             Ok(Ok(report)) => match report.verify(request.circuit(), request.device()) {
                 Ok(()) => Some(report),
                 Err(_) => {
@@ -141,9 +152,33 @@ impl WindowedEngine {
         Ok(report)
     }
 
-    /// The stitched racer: slices, solves and stitches `request` whole.
-    /// The answer is unverified; [`WindowedEngine::race`] checks it.
-    fn stitched(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
+    /// The stitched racer: slices, solves and stitches `request` whole,
+    /// each window through the portfolio's cached path. It stops with
+    /// [`MapperError::BoundUnmet`] once its running objective reaches
+    /// `bound` or the request's own upper bound, whichever is lower. The
+    /// answer is unverified; [`WindowedEngine::race`] checks it.
+    fn stitched(&self, request: &MapRequest, bound: Option<u64>) -> Result<MapReport, MapperError> {
+        self.stitch_with(request, bound, |window| self.portfolio.run_cached(window))
+    }
+
+    /// [`WindowedEngine::stitched`] with each window answered by `solve`.
+    ///
+    /// A scoped worker pool claims windows in plan order and sends each
+    /// answer over a channel; the stitcher, on this thread, bridges
+    /// window i as soon as windows 0..=i have landed. The stitched total
+    /// only grows, so once it reaches the bound no answer can come in
+    /// under it: a stop flag keeps further windows from starting, the
+    /// windows already in flight finish (and are cached as usual), and
+    /// the stitch ends with [`MapperError::BoundUnmet`]. A window that
+    /// errors stops the pool the same way and ends the stitch with its
+    /// error; one that panics stops the pool and re-raises its panic on
+    /// this thread, where the race's panic boundary records it.
+    fn stitch_with(
+        &self,
+        request: &MapRequest,
+        bound: Option<u64>,
+        solve: impl Fn(&MapRequest) -> Result<MapReport, MapperError> + Sync,
+    ) -> Result<MapReport, MapperError> {
         let started = Instant::now();
         let circuit = request.circuit();
         let model = request.device_model();
@@ -155,10 +190,16 @@ impl WindowedEngine {
                 physical: m,
             });
         }
+        // The declared bound is a hard ceiling for every engine.
+        let bound = bound.into_iter().chain(request.upper_bound()).min();
 
+        let trace = request.trace();
+        // The parent span closes the tree on every exit, a stop
+        // included: slice/plan/solve/stitch nest under one top-level
+        // `windows` phase.
+        let windows_span = trace.span("windows");
         let base = circuit.decompose_swaps();
         let cap = self.options.max_window_qubits.clamp(2, MAX_EXACT_QUBITS);
-        let trace = request.trace();
         let mut slice_span = trace.span("windows/slice");
         let items = slicer::slice(&base, cap);
         slice_span.counter("items", items.len() as u64);
@@ -167,27 +208,75 @@ impl WindowedEngine {
         let plans = self.plan_regions(request, model, n, &items);
         plan_span.counter("windows", plans.len() as u64);
         plan_span.end();
-        // One span covers the whole parallel pool (individual windows
-        // overlap in time, so they report as counters, not spans).
+
+        // One span covers the worker pool and one the stitcher consuming
+        // its answers; the two overlap in time, as do the windows, which
+        // report as counters, not spans.
         let mut solve_span = trace.span("windows/solve");
-        let solved = self.solve_windows(&plans)?;
-        solve_span.counter("windows", solved.len() as u64);
-        solve_span.counter(
-            "cache_hits",
-            solved.iter().filter(|r| r.served_from_cache).count() as u64,
-        );
-        solve_span.end();
-        let mut stitch_span = trace.span("windows/stitch");
-        let report = self.stitch(request, model, n, m, &base, &items, &plans, solved, started)?;
-        stitch_span.counter("bridge_swaps", {
-            let windows = report.windows.as_deref().unwrap_or(&[]);
-            windows.iter().map(|w| u64::from(w.bridge_swaps)).sum()
+        let count = plans.len();
+        let workers = std::thread::available_parallelism()
+            .map(|w| w.get())
+            .unwrap_or(1)
+            .min(count.max(1));
+        let next = AtomicUsize::new(0);
+        let hits = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let stitched = std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<(usize, Landed)>();
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (next, hits, stop, plans, solve) = (&next, &hits, &stop, &plans, &solve);
+                scope.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break;
+                        }
+                        let landed = panic::catch_unwind(AssertUnwindSafe(|| solve(&plans[i].1)));
+                        if matches!(&landed, Ok(Ok(report)) if report.served_from_cache) {
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if tx.send((i, landed)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            // Window i's answer, in plan order: answers that overtake an
+            // earlier window wait for it.
+            let mut parked: Vec<Option<Landed>> = plans.iter().map(|_| None).collect();
+            let landed = |i: usize| {
+                let answer = loop {
+                    if let Some(answer) = parked[i].take() {
+                        break answer;
+                    }
+                    match rx.recv() {
+                        Ok((j, answer)) => parked[j] = Some(answer),
+                        // Every claimed window reports before its worker
+                        // exits, so a closed channel means the pool died.
+                        Err(_) => break Err(Box::new("the window pool stopped early")),
+                    }
+                };
+                answer.unwrap_or_else(|payload| {
+                    stop.store(true, Ordering::Relaxed);
+                    panic::resume_unwind(payload)
+                })
+            };
+            let stitched = self.stitch(request, &base, &items, &plans, bound, landed, started);
+            // Whatever ended the stitch, no further window starts; the
+            // scope still joins the windows in flight.
+            stop.store(true, Ordering::Relaxed);
+            stitched
         });
-        stitch_span.end();
-        // The parent span closes the tree: slice/plan/solve/stitch nest
-        // under one top-level `windows` phase.
-        trace.record("windows", started, started.elapsed());
-        Ok(report)
+        let solved = next.load(Ordering::Relaxed).min(count);
+        solve_span.counter("windows", count as u64);
+        solve_span.counter("cache_hits", hits.load(Ordering::Relaxed) as u64);
+        solve_span.counter("solved", solved as u64);
+        solve_span.counter("unstarted", (count - solved) as u64);
+        solve_span.end();
+        windows_span.end();
+        stitched
     }
 
     /// The sequential pre-pass: walks the stitch plan once, choosing for
@@ -274,58 +363,29 @@ impl WindowedEngine {
         plans
     }
 
-    /// Solves every planned window on a scoped worker pool under the
-    /// sliced budgets. Each window goes through the portfolio's cached
-    /// path, so a window whose subcircuit skeleton was already solved on
-    /// the same subgraph is answered from the [`qxmap_map::SolveCache`].
-    fn solve_windows(
-        &self,
-        plans: &[(Vec<usize>, MapRequest)],
-    ) -> Result<Vec<MapReport>, MapperError> {
-        let count = plans.len();
-        let workers = std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1)
-            .min(count.max(1));
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Result<MapReport, MapperError>)>> =
-            Mutex::new(Vec::with_capacity(count));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = self.portfolio.run_cached(&plans[i].1);
-                    done.lock()
-                        .expect("no panics under the lock")
-                        .push((i, result));
-                });
-            }
-        });
-        let mut done = done.into_inner().expect("workers have exited");
-        done.sort_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// The sequential stitch: replays the plan in order, bridging each
-    /// solvable block's qubits to its region, emitting the block's
-    /// solved body, and tracking wire provenance so late-materializing
-    /// qubits claim the initial slots their wires actually started on.
+    /// The sequential stitch: replays the plan in order, taking window
+    /// i's answer from `landed(i)`, bridging each solvable block's qubits
+    /// to its region, emitting the block's solved body, and tracking wire
+    /// provenance so late-materializing qubits claim the initial slots
+    /// their wires actually started on. The stitched total only grows,
+    /// so the stitch ends with [`MapperError::BoundUnmet`] as soon as it
+    /// reaches `bound`, and with a window's error as soon as one fails.
     #[allow(clippy::too_many_arguments)]
     fn stitch(
         &self,
         request: &MapRequest,
-        model: &DeviceModel,
-        n: usize,
-        m: usize,
         base: &Circuit,
         items: &[Item],
         plans: &[(Vec<usize>, MapRequest)],
-        solved: Vec<MapReport>,
+        bound: Option<u64>,
+        mut landed: impl FnMut(usize) -> Result<MapReport, MapperError>,
         started: Instant,
     ) -> Result<MapReport, MapperError> {
+        let model = request.device_model();
+        let n = request.circuit().num_qubits();
+        let m = model.num_qubits();
+        let trace = request.trace();
+        let mut stitch_span = trace.span("windows/stitch");
         let mut state = StitchState::new(n, m);
         let mut out = Circuit::with_clbits(m, base.num_clbits());
         // Logical qubit → the initial slot its carrier wire started on.
@@ -334,8 +394,18 @@ impl WindowedEngine {
         let mut objective = 0u64;
         let mut swaps = 0u32;
         let mut reversals = 0u32;
-        let mut solved = solved.into_iter();
-        let mut plan = plans.iter();
+        let mut bridge_swaps = 0u64;
+        let mut window = 0;
+        // The one bound check: up front (for a bound no stitch can meet)
+        // and after each window, the only change to the total.
+        let unmet = |objective: u64, window: usize| {
+            let bound = bound.filter(|&bound| objective >= bound)?;
+            trace.event("race/stop", "window", window as u64);
+            Some(MapperError::BoundUnmet { bound })
+        };
+        if let Some(unmet) = unmet(objective, window) {
+            return Err(unmet);
+        }
 
         for item in items {
             let block = match item {
@@ -382,8 +452,8 @@ impl WindowedEngine {
                 continue;
             }
 
-            let (region, _) = plan.next().expect("one plan per solvable block");
-            let rep = solved.next().expect("one report per solvable block");
+            let region = &plans[window].0;
+            let rep = landed(window)?;
             // Bridge requirement: every member must reach the region
             // slot the local solve's initial layout put it on.
             let size = block.qubits.len();
@@ -430,6 +500,7 @@ impl WindowedEngine {
             objective += rep.cost.objective + outcome.cost;
             swaps += rep.cost.swaps + outcome.swaps;
             reversals += rep.cost.reversals;
+            bridge_swaps += u64::from(outcome.swaps);
             certs.push(WindowCertificate {
                 index: certs.len(),
                 qubits: block.qubits.clone(),
@@ -442,14 +513,14 @@ impl WindowedEngine {
                 bridge_swaps: outcome.swaps,
                 bridge_cost: outcome.cost,
             });
-        }
-
-        if let Some(bound) = request.upper_bound() {
-            // The declared bound is a hard ceiling for every engine.
-            if objective >= bound {
-                return Err(MapperError::BoundUnmet { bound });
+            if let Some(unmet) = unmet(objective, window) {
+                stitch_span.counter("bridge_swaps", bridge_swaps);
+                return Err(unmet);
             }
+            window += 1;
         }
+        stitch_span.counter("bridge_swaps", bridge_swaps);
+        stitch_span.end();
 
         // Initial layout: claimed wires keep their true starting slots;
         // logicals that never materialized (no gates at all) take the
@@ -523,9 +594,13 @@ impl Engine for WindowedEngine {
         if !will_window(request.device(), request.guarantee()) {
             return self.portfolio.run(request);
         }
-        self.race(request, || self.stitched(request))
+        self.race(request, |bound| self.stitched(request, bound))
     }
 }
+
+/// One window's solve as it reaches the stitcher: the window's answer or
+/// error, or the panic that ended its solve.
+type Landed = std::thread::Result<Result<MapReport, MapperError>>;
 
 /// Puts logical `q` on free slot `p`, claiming the initial slot of the
 /// carrier wire currently there.
@@ -690,7 +765,7 @@ mod tests {
         let circuit = ladder(10);
         let device = devices::linear(12);
         let request = MapRequest::new(circuit.clone(), device.clone());
-        let report = WindowedEngine::new().stitched(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request, None).unwrap();
         report.verify(&circuit, &device).unwrap();
         let windows = report.windows.as_ref().unwrap();
         assert!(windows.len() >= 2, "{} windows", windows.len());
@@ -710,7 +785,7 @@ mod tests {
         c.measure(2, 2).measure(8, 8);
         let device = devices::grid(3, 4); // 12 qubits, > exact regime
         let request = MapRequest::new(c.clone(), device.clone());
-        let report = WindowedEngine::new().stitched(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request, None).unwrap();
         report.verify(&c, &device).unwrap();
         assert!(report.initial_layout.is_complete());
         assert!(report.final_layout.is_complete());
@@ -724,7 +799,7 @@ mod tests {
         let c = long_range(); // 0 and 9 end far apart after the ladder's windows
         let device = devices::linear(12);
         let request = MapRequest::new(c.clone(), device.clone());
-        let report = WindowedEngine::new().stitched(&request).unwrap();
+        let report = WindowedEngine::new().stitched(&request, None).unwrap();
         report.verify(&c, &device).unwrap();
         let windows = report.windows.as_ref().unwrap();
         assert!(
@@ -735,7 +810,7 @@ mod tests {
         // ... which makes a low upper bound unmeetable.
         let bounded = MapRequest::new(c, device).with_upper_bound(Some(1));
         assert_eq!(
-            WindowedEngine::new().stitched(&bounded).unwrap_err(),
+            WindowedEngine::new().stitched(&bounded, None).unwrap_err(),
             MapperError::BoundUnmet { bound: 1 }
         );
     }
@@ -750,7 +825,7 @@ mod tests {
         let request =
             MapRequest::new(c.clone(), device.clone()).with_deadline(Duration::from_nanos(1));
         let report = WindowedEngine::new()
-            .stitched(&request)
+            .stitched(&request, None)
             .expect("deadlines degrade, never fail");
         report.verify(&c, &device).unwrap();
         assert!(
@@ -782,7 +857,7 @@ mod tests {
             MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
         let engine = WindowedEngine::new();
         let floor = Portfolio::new().run(&request).unwrap();
-        let stitched = engine.stitched(&request).unwrap();
+        let stitched = engine.stitched(&request, None).unwrap();
         let report = engine.run(&request).unwrap();
         report.verify(&circuit, &device).unwrap();
         assert_eq!(
@@ -814,7 +889,7 @@ mod tests {
         let request =
             MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
         let report = WindowedEngine::new()
-            .race(&request, || panic!("a stitch bug"))
+            .race(&request, |_| panic!("a stitch bug"))
             .expect("the floor still answers");
         report.verify(&circuit, &device).unwrap();
         assert!(report.windows.is_none());
@@ -829,10 +904,10 @@ mod tests {
             MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
         let engine = WindowedEngine::new();
         let report = engine
-            .race(&request, || {
+            .race(&request, |_| {
                 // A zero-cost claim that drops every gate: cheaper than
                 // any floor, and wrong.
-                let mut bogus = engine.stitched(&request)?;
+                let mut bogus = engine.stitched(&request, None)?;
                 bogus.mapped = Circuit::new(device.num_qubits());
                 bogus.cost.objective = 0;
                 Ok(bogus)
@@ -849,9 +924,132 @@ mod tests {
         let device = devices::linear(12);
         let request = MapRequest::new(circuit.clone(), device.clone());
         let report = WindowedEngine::new()
-            .race(&request, || Err(MapperError::BudgetExhausted))
+            .race(&request, |_| Err(MapperError::BudgetExhausted))
             .expect("an erroring stitch never hides the floor");
         report.verify(&circuit, &device).unwrap();
+    }
+
+    /// A pseudo-random 12-qubit circuit of `gates` CNOTs: dozens of
+    /// mostly distinct windows, nearly all of which need routing.
+    fn scrambled(gates: usize) -> Circuit {
+        let mut c = Circuit::new(12);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..gates {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let a = (x >> 33) as usize % 12;
+            let b = (a + 1 + (x >> 45) as usize % 11) % 12;
+            c.cx(a, b);
+        }
+        c
+    }
+
+    /// The value of counter `name` on the first `path` span of `request`'s
+    /// timeline.
+    fn counter(request: &MapRequest, path: &str, name: &str) -> u64 {
+        let trace = request.trace().finish().expect("traced request");
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.path == path)
+            .flat_map(|s| s.counters.iter())
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("no {path} counter {name}"))
+    }
+
+    #[test]
+    fn a_bound_below_the_stitch_stops_it_before_the_last_windows() {
+        // Ten gates per worker give about two windows per worker.
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        let circuit = scrambled(120.max(10 * workers));
+        let device = devices::linear(12);
+        let engine = WindowedEngine::new();
+        // The unbounded stitch prices each solvable window; the bound is
+        // the total at the first window that costs anything.
+        let unbounded = engine
+            .stitched(&MapRequest::new(circuit.clone(), device.clone()), None)
+            .unwrap();
+        let costs: Vec<u64> = (unbounded.windows.as_ref().unwrap().iter())
+            .filter(|w| w.engine != "trivial")
+            .map(|w| w.objective + w.bridge_cost)
+            .collect();
+        let stop_at = costs.iter().position(|&c| c > 0).expect("windows route");
+        let bound = costs[stop_at];
+        assert!(bound < unbounded.cost.objective);
+
+        // Windows 0..=stop_at answer at once; every later window is held
+        // until the stop is on the timeline, so at most one held window
+        // per worker starts before the stop, whatever the host's core
+        // count. (The time limit turns a missed stop into a failure, not
+        // a hang.)
+        let request =
+            MapRequest::new(circuit.clone(), device.clone()).with_trace(SpanRecorder::new());
+        let items = slicer::slice(&circuit.decompose_swaps(), DEFAULT_WINDOW_QUBITS);
+        let plans = engine.plan_regions(&request, request.device_model(), 12, &items);
+        let released: Vec<&Circuit> = plans[..=stop_at].iter().map(|(_, w)| w.circuit()).collect();
+        let stopped = || {
+            let trace = request.trace().finish().expect("traced request");
+            trace.spans.iter().any(|s| s.path == "race/stop")
+        };
+        let started = Instant::now();
+        let stitched = engine.stitch_with(&request, Some(bound), |window| {
+            while !released.contains(&window.circuit())
+                && !stopped()
+                && started.elapsed() < Duration::from_secs(30)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            engine.portfolio.run_cached(window)
+        });
+        assert_eq!(stitched.unwrap_err(), MapperError::BoundUnmet { bound });
+        assert_eq!(counter(&request, "race/stop", "window"), stop_at as u64);
+        let windows = counter(&request, "windows/solve", "windows");
+        let solved = counter(&request, "windows/solve", "solved");
+        let unstarted = counter(&request, "windows/solve", "unstarted");
+        assert_eq!(solved + unstarted, windows);
+        assert!(unstarted > 0, "{solved} of {windows} windows solved");
+        // A stopped stitch still closes every phase of its timeline.
+        let trace = request.trace().finish().unwrap();
+        for path in [
+            "windows",
+            "windows/slice",
+            "windows/plan",
+            "windows/solve",
+            "windows/stitch",
+        ] {
+            assert!(trace.spans.iter().any(|s| s.path == path), "missing {path}");
+        }
+    }
+
+    #[test]
+    fn a_failing_window_ends_the_stitch_and_the_floor_answers() {
+        let circuit = scrambled(120);
+        let device = devices::linear(12);
+        let engine = WindowedEngine::new();
+        // An erroring window ends the stitch with its error.
+        let calls = AtomicUsize::new(0);
+        let request = MapRequest::new(circuit.clone(), device.clone());
+        let erroring = engine.stitch_with(&request, None, |window| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                Err(MapperError::BudgetExhausted)
+            } else {
+                engine.portfolio.run_cached(window)
+            }
+        });
+        assert_eq!(erroring.unwrap_err(), MapperError::BudgetExhausted);
+        // A panicking window re-raises on the stitcher's thread; the
+        // race records the fallback and the floor answers.
+        let traced = request.with_trace(SpanRecorder::new());
+        let report = engine
+            .race(&traced, |bound| {
+                engine.stitch_with(&traced, bound, |_| panic!("a window bug"))
+            })
+            .expect("the floor still answers");
+        report.verify(&circuit, &device).unwrap();
+        assert!(report.windows.is_none());
+        assert_eq!(fallbacks(&report), ["panicked"]);
     }
 
     #[test]
@@ -872,10 +1070,13 @@ mod tests {
         assert_ne!(a.cache_signature(), b.cache_signature());
     }
 
-    /// Random circuits with 9–12 qubits (past the 8-qubit exact regime)
-    /// and up to 14 gates.
-    fn circuit_strategy() -> impl proptest::strategy::Strategy<Value = Circuit> {
-        (9usize..=12).prop_flat_map(|n| {
+    /// Random circuits with `qubits` qubits and fewer than `max_gates`
+    /// gates.
+    fn circuit_strategy(
+        qubits: std::ops::RangeInclusive<usize>,
+        max_gates: usize,
+    ) -> impl proptest::strategy::Strategy<Value = Circuit> {
+        qubits.prop_flat_map(move |n| {
             let gate = prop_oneof![
                 // CNOT with distinct qubits (built arithmetically, no filter).
                 (0..n, 1..n).prop_map(move |(c, d)| (0u8, c, (c + d) % n)),
@@ -883,7 +1084,7 @@ mod tests {
                 (0..n).prop_map(|q| (1u8, q, 0usize)),
                 (0..n).prop_map(|q| (2u8, q, 0usize)),
             ];
-            prop::collection::vec(gate, 1..14).prop_map(move |gates| {
+            prop::collection::vec(gate, 1..max_gates).prop_map(move |gates| {
                 let mut c = Circuit::new(n);
                 for (kind, a, b) in gates {
                     match kind {
@@ -907,11 +1108,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn stitched_windows_verify_against_the_full_circuit(circuit in circuit_strategy()) {
+        fn stitched_windows_verify_against_the_full_circuit(circuit in circuit_strategy(9..=12, 14)) {
             let device = devices::linear(14);
             let request = MapRequest::new(circuit.clone(), device.clone());
             let report = WindowedEngine::new()
-                .stitched(&request)
+                .stitched(&request, None)
                 .expect("a connected line maps every circuit");
 
             // The stitched whole is hardware-legal and gate-complete.
@@ -932,12 +1133,12 @@ mod tests {
         }
 
         #[test]
-        fn warm_window_cache_hits_reproduce_the_stitched_answer(circuit in circuit_strategy()) {
+        fn warm_window_cache_hits_reproduce_the_stitched_answer(circuit in circuit_strategy(9..=12, 14)) {
             let device = devices::linear(14);
             let request = MapRequest::new(circuit.clone(), device.clone());
             let engine = WindowedEngine::new();
-            let cold = engine.stitched(&request).expect("cold run maps");
-            let warm = engine.stitched(&request).expect("warm run maps");
+            let cold = engine.stitched(&request, None).expect("cold run maps");
+            let warm = engine.stitched(&request, None).expect("warm run maps");
 
             // The warm run answers its windows from the process-wide solve
             // cache, and the stitched result is identical: same cost, same
@@ -954,6 +1155,37 @@ mod tests {
                     .all(|w| w.served_from_cache),
                 "every solvable window of the warm run is a cache hit"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The bounded stitch changes no served answer: the race still
+        /// answers with the cheaper of the floor and the *unbounded*
+        /// stitch, ties to the stitch.
+        #[test]
+        fn the_served_answer_is_the_cheaper_of_floor_and_unbounded_stitch(
+            circuit in circuit_strategy(8..=12, 40),
+            qx5 in any::<bool>(),
+        ) {
+            let device = if qx5 { devices::ibm_qx5() } else { devices::linear(12) };
+            let request = MapRequest::new(circuit.clone(), device.clone());
+            let engine = WindowedEngine::new();
+            let floor = Portfolio::new().run(&request).expect("the floor maps");
+            // Unbounded and cold: every window's answer is cached, so the
+            // served run below stitches exactly these answers.
+            let stitched = engine.stitched(&request, None).expect("a connected device maps");
+            let served = engine.run(&request).expect("the race answers");
+            served.verify(&circuit, &device).expect("sound");
+            let stitch_wins = stitched.cost.objective <= floor.cost.objective;
+            prop_assert_eq!(
+                served.cost.objective,
+                floor.cost.objective.min(stitched.cost.objective)
+            );
+            let winner = if stitch_wins { &stitched.winner } else { &floor.winner };
+            prop_assert_eq!(&served.winner, winner);
+            prop_assert_eq!(served.windows.is_some(), stitch_wins);
         }
     }
 }

@@ -13,7 +13,9 @@
 //! [`WindowedEngine`] is the engine the daemon serves every request
 //! through. Past the exact regime it races the stitched answer against
 //! the portfolio's heuristic floor (naive and SABRE) and returns the
-//! cheaper verified one, so it is never worse than SABRE. A stitched
+//! cheaper verified one, so it is never worse than SABRE. Windows are
+//! stitched as they are solved, and the stitch stops as soon as its
+//! running total can no longer beat the floor. A stitched
 //! answer carries a per-window optimality certificate in
 //! [`qxmap_map::MapReport::windows`]: each slice is provably minimal for
 //! its subcircuit on its subgraph, even though the stitched whole is
