@@ -9,7 +9,9 @@
 //! JSONL file whose lines must parse, and the untraced warm
 //! `handle_line` path is measured against a trace-off daemon
 //! (observability must cost it under 5%). Writes `BENCH_serve.json` — throughput, client-observed
-//! latency percentiles, the daemon's own histogram/deadline/overload
+//! latency percentiles (blended, and per class: cache hits and solved
+//! requests, whose medians `bench_diff` gates separately), the daemon's
+//! own histogram/deadline/overload
 //! counters, the pipelined speedup, the warm-restart latency, and the
 //! trace-overhead probe.
 //!
@@ -542,6 +544,13 @@ fn main() {
         .filter(|s| matches!(s.outcome, Outcome::Result | Outcome::CacheHit))
         .map(|s| s.ms)
         .collect();
+    let class_ms = |class: Outcome| -> Vec<f64> {
+        samples
+            .iter()
+            .filter(|s| s.outcome == class)
+            .map(|s| s.ms)
+            .collect()
+    };
     assert_eq!(
         total,
         (flags.clients * flags.per_client) as u64,
@@ -580,6 +589,16 @@ fn main() {
             ]),
         ),
         ("latency", stats::latency_json(&answered_ms)),
+        (
+            "latency_by_class",
+            Json::obj([
+                (
+                    "cache_hit",
+                    stats::latency_json(&class_ms(Outcome::CacheHit)),
+                ),
+                ("solved", stats::latency_json(&class_ms(Outcome::Result))),
+            ]),
+        ),
         (
             "daemon",
             Json::obj([

@@ -266,7 +266,27 @@ fn diff_serve(baseline: &Json, fresh: &Json, t: &Thresholds) -> Vec<String> {
             ));
         }
     }
-    for p in ["p50_ms", "p95_ms", "p99_ms"] {
+    // A median compares like with like: the blended one lands on a
+    // cache hit or on a solve depending on the run's traffic mix, so
+    // p50 is gated per class, hits against hits and solves against
+    // solves. The tails are solves in every mix and stay blended.
+    for class in ["cache_hit", "solved"] {
+        let p50 = |doc: &Json| num(doc, &["latency_by_class", class, "p50_ms"]);
+        if slower(
+            p50(baseline),
+            p50(fresh),
+            t.latency_ratio,
+            t.latency_floor_ms,
+        ) {
+            regressions.push(format!(
+                "soak {class} p50_ms regressed {:.1} -> {:.1} ms (> {}x)",
+                p50(baseline).unwrap_or(0.0),
+                p50(fresh).unwrap_or(0.0),
+                t.latency_ratio
+            ));
+        }
+    }
+    for p in ["p95_ms", "p99_ms"] {
         if slower(
             num(baseline, &["latency", p]),
             num(fresh, &["latency", p]),
@@ -580,6 +600,50 @@ mod tests {
         assert!(regressions.iter().any(|r| r.contains("throughput")));
         assert!(regressions.iter().any(|r| r.contains("p95")));
         assert!(regressions.iter().any(|r| r.contains("warm restart")));
+    }
+
+    fn with_class_p50s(mut doc: Json, hit_ms: f64, solved_ms: f64) -> Json {
+        if let Json::Obj(pairs) = &mut doc {
+            let class = |p50: f64| Json::obj([("p50_ms", Json::Num(p50))]);
+            pairs.push((
+                "latency_by_class".to_string(),
+                Json::obj([("cache_hit", class(hit_ms)), ("solved", class(solved_ms))]),
+            ));
+        }
+        doc
+    }
+
+    #[test]
+    fn medians_are_gated_per_class_not_blended() {
+        let baseline = with_class_p50s(serve_doc(500.0, 40.0, true), 1.2, 90.0);
+        // The blended median moved from a hit onto a solve (1.2 ms ->
+        // 92 ms) while neither class moved: no regression.
+        let mut mix_shift = with_class_p50s(serve_doc(500.0, 40.0, true), 1.3, 95.0);
+        if let Json::Obj(pairs) = &mut mix_shift {
+            let latency = pairs.iter_mut().find(|(k, _)| k == "latency").unwrap();
+            latency.1 = Json::obj([
+                ("p50_ms", Json::Num(92.0)),
+                ("p95_ms", Json::Num(40.0)),
+                ("p99_ms", Json::Num(60.0)),
+            ]);
+        }
+        assert_eq!(
+            diff(&baseline, &mix_shift, &Thresholds::default()).unwrap(),
+            vec![] as Vec<String>
+        );
+        // Past both the ratio and the floor, each class is caught.
+        let slow_hits = with_class_p50s(serve_doc(500.0, 40.0, true), 60.0, 90.0);
+        let regressions = diff(&baseline, &slow_hits, &Thresholds::default()).unwrap();
+        assert!(
+            regressions.iter().any(|r| r.contains("cache_hit p50")),
+            "{regressions:?}"
+        );
+        let slow_solves = with_class_p50s(serve_doc(500.0, 40.0, true), 1.2, 400.0);
+        let regressions = diff(&baseline, &slow_solves, &Thresholds::default()).unwrap();
+        assert!(
+            regressions.iter().any(|r| r.contains("solved p50")),
+            "{regressions:?}"
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   [`crate::SharedBound`] (this run's own candidates) and the bound of
 //!   [`MapperConfig::control`], which an external racer tightens with
 //!   costs whose results it holds (this run only reads it). Each
-//!   subinstance starts strictly below the effective bound, so subsets
-//!   that cannot improve are refuted instead of re-optimized, exactly
-//!   like the sequential loop;
+//!   subinstance is encoded and then minimized strictly below the
+//!   effective bound (read again after the encode, which a racer may
+//!   outlast), so subsets that cannot improve are refuted instead of
+//!   re-optimized, exactly like the sequential loop;
 //! * the total conflict budget, drawn from one atomic pool so the
 //!   configured total stays strict regardless of thread count;
 //! * the wall-clock deadline and the cancel flag, checked at solver
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use qxmap_arch::{connected_subsets, CouplingMap, DeviceModel, Layout};
+use qxmap_arch::{connected_subsets, CostedSwapTable, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::Circuit;
 use qxmap_sat::{minimize, MinimizeError, MinimizeOptions};
 
@@ -307,7 +308,8 @@ impl ExactMapper {
                 return;
             }
             // The effective bound composes the call-local and external
-            // bounds, re-read at each subinstance start.
+            // bounds, read at each subinstance start and again before it
+            // minimizes.
             let ub = shared.effective_bound();
             if ub == Some(0) {
                 // Nothing beats 0: the remaining subsets are vacuously
@@ -319,7 +321,7 @@ impl ExactMapper {
             let local_model = self.model.subgraph_model(subset);
             let table = self.model.costed_table(subset);
             let mut encode_span = trace.span(&format!("subset{i}/encode"));
-            let Some(mut enc) = Encoding::build_interruptible(
+            let Some(enc) = Encoding::build_interruptible(
                 skeleton,
                 n,
                 &local_model,
@@ -339,102 +341,142 @@ impl ExactMapper {
             encode_span.counter("permutations", enc_stats.permutations as u64);
             encode_span.counter("pruned", enc_stats.pruned as u64);
             encode_span.end();
-            let objective = std::mem::take(&mut enc.objective);
-            enc.solver.set_interrupt(Some(Arc::clone(&shared.cancel)));
-            enc.solver.set_deadline(shared.deadline);
-            enc.solver
-                .set_shared_conflict_pool(shared.budget_pool.clone());
-            let options = MinimizeOptions {
-                // The shared pool governs; no per-call cap on top of it.
-                conflict_budget: None,
-                initial_upper_bound: ub,
-                ..self.config.minimize
-            };
-            let conflicts_before = enc.solver.stats().conflicts;
-            let mut minimize_span = trace.span(&format!("subset{i}/minimize"));
-            let outcome = minimize(&mut enc.solver, &objective, options);
-            minimize_span.counter("conflicts", enc.solver.stats().conflicts - conflicts_before);
-            // The objective encoding's size, beside the encode span's
-            // `clauses`: one totalizer leaf per group, and the problem
-            // clauses minimize added (0 when no bound was ever needed).
-            minimize_span.counter("objective_leaves", objective.len() as u64);
-            minimize_span.counter(
-                "objective_clauses",
-                (enc.solver.num_clauses() - enc_stats.clauses) as u64,
-            );
-            match &outcome {
-                Ok(min) => minimize_span.counter("iterations", u64::from(min.iterations)),
-                Err(MinimizeError::Unsatisfiable) => minimize_span.counter("unsat", 1),
-                Err(MinimizeError::BudgetExhausted) => {
-                    minimize_span.counter("budget_exhausted", 1);
-                }
-            }
-            // The interrupt cause of the *last* solver call — on a
-            // budget cut, what actually stopped the search.
-            if let Some(cause) = enc.solver.last_stop_cause() {
-                minimize_span.counter(cause.label(), 1);
-            }
-            minimize_span.end();
-            let minimum = match outcome {
-                Ok(min) => min,
-                // Refuted strictly below `ub`: decided, but only *down to
-                // `ub`* — the floor records how far refutations reach, so
-                // the final result can't claim a proof across the gap an
-                // externally tightened bound left open.
-                Err(MinimizeError::Unsatisfiable) => {
-                    if let Some(b) = ub {
-                        shared.refutation_floor.fetch_min(b, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                Err(MinimizeError::BudgetExhausted) => {
-                    shared.undecided.store(true, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            if !minimum.proved_optimal {
-                shared.undecided.store(true, Ordering::Relaxed);
-            }
-            // Publish the cost before the (comparatively slow) circuit
-            // assembly so peers prune against it as early as possible. A
-            // failed tighten means a peer already holds a candidate at
-            // least this good — drop ours.
-            if !shared.local_bound.tighten(minimum.cost) {
-                continue;
-            }
-
-            let layouts = enc.extract_layouts(&minimum.model);
-            let perms: BTreeMap<usize, _> = enc
-                .extract_permutations(&minimum.model)
-                .into_iter()
-                .collect();
-            let (mapped, initial_layout, final_layout, swaps, reversals, placements) = assemble(
-                circuit,
-                self.model.coupling_map(),
+            self.minimize_subset(
+                i,
                 subset,
-                &layouts,
-                &perms,
                 &table,
+                enc,
+                ub,
+                circuit,
+                change_points.len(),
+                shared,
             );
-            let added = (mapped.original_cost() - circuit.original_cost()) as u64;
-            *shared.candidates[i]
-                .lock()
-                .expect("no panics under the lock") = Some(MappingResult {
-                cost: minimum.cost,
-                added_gates: added,
-                swaps,
-                reversals,
-                mapped,
-                initial_layout,
-                final_layout,
-                subset: subset.clone(),
-                num_change_points: change_points.len(),
-                placements,
-                proved_optimal: minimum.proved_optimal,
-                iterations: minimum.iterations,
-                runtime: shared.start.elapsed(),
-            });
         }
+    }
+
+    /// Minimizes subinstance `i`, whose transition table was encoded
+    /// under the strict bound `encoded_under`, and files its candidate.
+    ///
+    /// The bound is read again first: a racing heuristic may have
+    /// tightened it while the table was encoded. The search runs below
+    /// the tighter of the two, which is sound because the permutations
+    /// encoded above the newer bound cannot appear in a model below it,
+    /// and a refutation is recorded against that bound, the one actually
+    /// searched under.
+    #[allow(clippy::too_many_arguments)]
+    fn minimize_subset(
+        &self,
+        i: usize,
+        subset: &[usize],
+        table: &CostedSwapTable,
+        mut enc: Encoding,
+        encoded_under: Option<u64>,
+        circuit: &Circuit,
+        num_change_points: usize,
+        shared: &SharedSolveState<'_>,
+    ) {
+        let ub = opt_min(encoded_under, shared.effective_bound());
+        if ub == Some(0) {
+            // Nothing beats 0: vacuously refuted, as at the claim.
+            return;
+        }
+        let trace = &self.config.trace;
+        let encoded_clauses = enc.solver.num_clauses();
+        let objective = std::mem::take(&mut enc.objective);
+        enc.solver.set_interrupt(Some(Arc::clone(&shared.cancel)));
+        enc.solver.set_deadline(shared.deadline);
+        enc.solver
+            .set_shared_conflict_pool(shared.budget_pool.clone());
+        let options = MinimizeOptions {
+            // The shared pool governs; no per-call cap on top of it.
+            conflict_budget: None,
+            initial_upper_bound: ub,
+            ..self.config.minimize
+        };
+        let conflicts_before = enc.solver.stats().conflicts;
+        let mut minimize_span = trace.span(&format!("subset{i}/minimize"));
+        let outcome = minimize(&mut enc.solver, &objective, options);
+        minimize_span.counter("conflicts", enc.solver.stats().conflicts - conflicts_before);
+        // The objective encoding's size, beside the encode span's
+        // `clauses`: one totalizer leaf per group, and the problem
+        // clauses minimize added (0 when no bound was ever needed).
+        minimize_span.counter("objective_leaves", objective.len() as u64);
+        minimize_span.counter(
+            "objective_clauses",
+            (enc.solver.num_clauses() - encoded_clauses) as u64,
+        );
+        match &outcome {
+            Ok(min) => minimize_span.counter("iterations", u64::from(min.iterations)),
+            Err(MinimizeError::Unsatisfiable) => minimize_span.counter("unsat", 1),
+            Err(MinimizeError::BudgetExhausted) => {
+                minimize_span.counter("budget_exhausted", 1);
+            }
+        }
+        // The interrupt cause of the *last* solver call — on a
+        // budget cut, what actually stopped the search.
+        if let Some(cause) = enc.solver.last_stop_cause() {
+            minimize_span.counter(cause.label(), 1);
+        }
+        minimize_span.end();
+        let minimum = match outcome {
+            Ok(min) => min,
+            // Refuted strictly below `ub`: decided, but only *down to
+            // `ub`* — the floor records how far refutations reach, so
+            // the final result can't claim a proof across the gap an
+            // externally tightened bound left open.
+            Err(MinimizeError::Unsatisfiable) => {
+                if let Some(b) = ub {
+                    shared.refutation_floor.fetch_min(b, Ordering::Relaxed);
+                }
+                return;
+            }
+            Err(MinimizeError::BudgetExhausted) => {
+                shared.undecided.store(true, Ordering::Relaxed);
+                return;
+            }
+        };
+        if !minimum.proved_optimal {
+            shared.undecided.store(true, Ordering::Relaxed);
+        }
+        // Publish the cost before the (comparatively slow) circuit
+        // assembly so peers prune against it as early as possible. A
+        // failed tighten means a peer already holds a candidate at
+        // least this good — drop ours.
+        if !shared.local_bound.tighten(minimum.cost) {
+            return;
+        }
+
+        let layouts = enc.extract_layouts(&minimum.model);
+        let perms: BTreeMap<usize, _> = enc
+            .extract_permutations(&minimum.model)
+            .into_iter()
+            .collect();
+        let (mapped, initial_layout, final_layout, swaps, reversals, placements) = assemble(
+            circuit,
+            self.model.coupling_map(),
+            subset,
+            &layouts,
+            &perms,
+            table,
+        );
+        let added = (mapped.original_cost() - circuit.original_cost()) as u64;
+        *shared.candidates[i]
+            .lock()
+            .expect("no panics under the lock") = Some(MappingResult {
+            cost: minimum.cost,
+            added_gates: added,
+            swaps,
+            reversals,
+            mapped,
+            initial_layout,
+            final_layout,
+            subset: subset.to_vec(),
+            num_change_points,
+            placements,
+            proved_optimal: minimum.proved_optimal,
+            iterations: minimum.iterations,
+            runtime: shared.start.elapsed(),
+        });
     }
 
     /// A circuit with no CNOTs maps 1:1 onto the first `n` physical qubits.
@@ -855,5 +897,83 @@ mod tests {
             assert_eq!(r.initial_layout, r.final_layout);
         }
         verify::check_coupling(&r.mapped, &devices::ibm_qx4()).unwrap();
+    }
+
+    /// Encodes the paper example's one QX4 subinstance with no bound,
+    /// then tightens the external bound to `late` before it minimizes —
+    /// the window in which a racing heuristic publishes its cost. Returns
+    /// the filed candidate, the refutation floor and the undecided flag.
+    fn minimize_after_late_bound(late: u64) -> (Option<MappingResult>, u64, bool) {
+        let mapper = ExactMapper::new(devices::ibm_qx4());
+        let circuit = paper_example().decompose_swaps();
+        let skeleton = circuit.cnot_skeleton();
+        let change_points = mapper.config.strategy.change_points(&skeleton);
+        let subsets = vec![(0..5).collect::<Vec<usize>>()];
+        let shared = SharedSolveState {
+            subsets: &subsets,
+            next: AtomicUsize::new(1),
+            undecided: AtomicBool::new(false),
+            candidates: vec![Mutex::new(None)],
+            local_bound: crate::bound::SharedBound::unbounded(),
+            external_bound: crate::bound::SharedBound::unbounded(),
+            refutation_floor: AtomicU64::new(u64::MAX),
+            budget_pool: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            deadline: None,
+            start: Instant::now(),
+        };
+        let table = mapper.model.costed_table(&subsets[0]);
+        let enc = Encoding::build_interruptible(
+            &skeleton,
+            circuit.num_qubits(),
+            &mapper.model.subgraph_model(&subsets[0]),
+            &table,
+            &change_points,
+            None,
+            &mut || false,
+        )
+        .expect("never interrupted");
+        assert_eq!(enc.stats().pruned, 0, "encoded with no bound");
+        assert!(shared.external_bound.tighten(late));
+        mapper.minimize_subset(
+            0,
+            &subsets[0],
+            &table,
+            enc,
+            None,
+            &circuit,
+            change_points.len(),
+            &shared,
+        );
+        let candidate = shared.candidates[0].lock().unwrap().take();
+        (
+            candidate,
+            shared.refutation_floor.load(Ordering::Relaxed),
+            shared.undecided.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn a_bound_tightened_during_the_encode_reaches_the_minimizer() {
+        let unbounded = ExactMapper::new(devices::ibm_qx4())
+            .map(&paper_example())
+            .unwrap();
+        assert_eq!((unbounded.cost, unbounded.proved_optimal), (4, true));
+        // At the optimum, nothing lies below the late bound: the search
+        // under it refutes, and the floor records that bound. A search
+        // under the encode's (absent) bound would have filed a cost-4
+        // candidate instead.
+        let (candidate, floor, undecided) = minimize_after_late_bound(4);
+        assert!(candidate.is_none(), "searched below the late bound");
+        assert_eq!(floor, 4);
+        assert!(!undecided);
+        // Above the optimum, the optimum and its certificate stand.
+        let (candidate, floor, undecided) = minimize_after_late_bound(5);
+        let found = candidate.expect("the optimum lies below 5");
+        assert_eq!(found.cost, unbounded.cost);
+        assert!(found.proved_optimal);
+        assert_eq!(floor, u64::MAX, "nothing was refuted");
+        assert!(!undecided);
+        verify::check_coupling(&found.mapped, &devices::ibm_qx4()).unwrap();
     }
 }

@@ -370,9 +370,9 @@ impl CacheKey {
 
 struct Entry {
     /// The stored report, unmarked (cache bookkeeping is applied to the
-    /// clone served to the caller, never to the stored original). Behind
-    /// `Arc` so the copy made under the cache lock is a pointer bump, not
-    /// a deep clone of a circuit.
+    /// copy served to the caller, never to the stored original). Behind
+    /// `Arc` so the copy taken under the cache lock is a pointer bump;
+    /// the copy made outside it shares the mapped circuit.
     report: Arc<MapReport>,
     /// `canon_to_original[l]` is the solved circuit's qubit carrying the
     /// canonical label `l` — composed with a hitting request's own
@@ -382,16 +382,47 @@ struct Entry {
     /// Approximate heap footprint of this entry, charged to
     /// [`SolveCacheStats::approx_bytes`] while it lives.
     approx_bytes: usize,
+    /// Whether `approx_bytes` includes the mapped circuit's QASM text,
+    /// which the first response to render it stores on the shared
+    /// circuit ([`crate::MappedCircuit::qasm`]).
+    qasm_charged: bool,
     /// Recency stamp for LRU eviction.
     last_used: u64,
 }
 
+impl Entry {
+    fn new(report: Arc<MapReport>, canon_to_original: Vec<usize>, last_used: u64) -> Entry {
+        Entry {
+            approx_bytes: approx_entry_bytes(&report, &canon_to_original),
+            qasm_charged: report.mapped.qasm_len().is_some(),
+            report,
+            canon_to_original,
+            last_used,
+        }
+    }
+
+    /// Charges the mapped circuit's QASM text once a response rendered
+    /// it: the cold response that produced the entry, or an earlier hit.
+    fn charge_qasm(&mut self, counters: &CacheCounters) {
+        if self.qasm_charged {
+            return;
+        }
+        if let Some(len) = self.report.mapped.qasm_len() {
+            self.approx_bytes += len;
+            counters.approx_bytes.fetch_add(len, Ordering::Relaxed);
+            self.qasm_charged = true;
+        }
+    }
+}
+
 /// Rough per-entry size: the dominant members are the mapped circuit's
-/// gate list and the layout/correspondence vectors. Good enough for the
-/// capacity-planning stat; no attempt at allocator-exact numbers.
+/// gate list (and its QASM text, once rendered) and the
+/// layout/correspondence vectors. Good enough for the capacity-planning
+/// stat; no attempt at allocator-exact numbers.
 fn approx_entry_bytes(report: &MapReport, canon_to_original: &[usize]) -> usize {
     const WORD: usize = std::mem::size_of::<usize>();
     let circuit = report.mapped.gates().len() * 4 * WORD;
+    let qasm = report.mapped.qasm_len().unwrap_or(0);
     let layouts = 4 * report.mapped.num_qubits() * WORD;
     let correspondence = canon_to_original.len() * WORD;
     let windows = report.windows.as_ref().map_or(0, |certs| {
@@ -404,7 +435,7 @@ fn approx_entry_bytes(report: &MapReport, canon_to_original: &[usize]) -> usize 
             })
             .sum()
     });
-    std::mem::size_of::<MapReport>() + circuit + layouts + correspondence + windows
+    std::mem::size_of::<MapReport>() + circuit + qasm + layouts + correspondence + windows
 }
 
 #[derive(Default)]
@@ -535,6 +566,7 @@ impl SolveCache {
             let probe = |inner: &mut Inner, key: &CacheKey| {
                 let entry = inner.map.get_mut(key)?;
                 entry.last_used = tick;
+                entry.charge_qasm(&self.counters);
                 Some((Arc::clone(&entry.report), entry.canon_to_original.clone()))
             };
             let hit = probe(&mut inner, &key).or_else(|| {
@@ -552,7 +584,8 @@ impl SolveCache {
                 }
             }
         };
-        // Deep-clone outside the lock, then translate the layouts into
+        // Copy outside the lock (the mapped circuit and its rendered
+        // QASM are shared, not copied), then translate the layouts into
         // the request's register naming: qubit `q` of the request plays
         // the solved circuit's qubit `canon_to_original[label(q)]` (key
         // equality guarantees the canonical forms agree, so the
@@ -601,7 +634,6 @@ impl SolveCache {
         let mut stored = report.clone();
         stored.trace = None;
         let shared_report = Arc::new(stored);
-        let bytes = approx_entry_bytes(report, &canon_to_original);
         let journal = self
             .journal
             .lock()
@@ -611,15 +643,14 @@ impl SolveCache {
         {
             let mut inner = self.inner.lock().expect("no panics under the lock");
             inner.tick += 1;
-            let entry = Entry {
-                report: Arc::clone(&shared_report),
-                canon_to_original: canon_to_original.clone(),
-                approx_bytes: bytes,
-                last_used: inner.tick,
-            };
+            let entry = Entry::new(
+                Arc::clone(&shared_report),
+                canon_to_original.clone(),
+                inner.tick,
+            );
             self.counters
                 .approx_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
+                .fetch_add(entry.approx_bytes, Ordering::Relaxed);
             if let Some(replaced) = inner.map.insert(key, entry) {
                 self.counters
                     .approx_bytes
@@ -695,25 +726,16 @@ impl SolveCache {
         } else {
             key
         };
-        let bytes = approx_entry_bytes(&report, &canon_to_original);
         let mut inner = self.inner.lock().expect("no panics under the lock");
         if inner.map.contains_key(&key) {
             return Ok(false);
         }
         inner.tick += 1;
-        let tick = inner.tick;
+        let entry = Entry::new(report, canon_to_original, inner.tick);
         self.counters
             .approx_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        inner.map.insert(
-            key,
-            Entry {
-                report,
-                canon_to_original,
-                approx_bytes: bytes,
-                last_used: tick,
-            },
-        );
+            .fetch_add(entry.approx_bytes, Ordering::Relaxed);
+        inner.map.insert(key, entry);
         evict_to_capacity(&mut inner, self.capacity, &self.counters);
         self.counters
             .entries

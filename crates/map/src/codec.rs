@@ -523,7 +523,7 @@ pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<MapReport, JournalError>
     Ok(MapReport {
         engine,
         winner,
-        mapped,
+        mapped: mapped.into(),
         initial_layout,
         final_layout,
         cost: CostBreakdown {

@@ -84,7 +84,7 @@ pub use journal::{
     JOURNAL_VERSION,
 };
 pub use portfolio::Portfolio;
-pub use report::{CostBreakdown, MapReport, WindowCertificate};
+pub use report::{CostBreakdown, MapReport, MappedCircuit, WindowCertificate};
 pub use request::{Guarantee, MapOptions, MapRequest};
 
 /// Maps one request with the default [`Portfolio`] engine, answered from

@@ -1,6 +1,8 @@
 //! The unified mapping report.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use qxmap_arch::{CouplingMap, Layout};
@@ -30,6 +32,73 @@ impl fmt::Display for CostBreakdown {
             "F = {} ({} SWAPs, {} reversals, {} gates added)",
             self.objective, self.swaps, self.reversals, self.added_gates
         )
+    }
+}
+
+/// The mapped circuit of a [`MapReport`]: a shared handle that derefs to
+/// the [`Circuit`] and clones by bumping a reference count.
+///
+/// A solve's report, the [`crate::SolveCache`] entry that stores it and
+/// every hit served from that entry hold one circuit. The mapped circuit
+/// is on physical qubits, so a hit for relabeled registers serves it
+/// unchanged (only the layouts are translated), and its QASM text is
+/// shared the same way: rendered by the first [`MappedCircuit::qasm`]
+/// call on any handle, reused by every later one.
+#[derive(Clone)]
+pub struct MappedCircuit(Arc<Mapped>);
+
+struct Mapped {
+    circuit: Circuit,
+    qasm: OnceLock<String>,
+}
+
+impl MappedCircuit {
+    /// The circuit's OpenQASM text, rendered by `emit` on the first call
+    /// on any handle to this circuit and returned as stored afterwards.
+    /// `emit` is `qxmap_qasm::to_qasm` (this crate does not link the
+    /// QASM writer); every caller must pass the same function.
+    pub fn qasm(&self, emit: impl FnOnce(&Circuit) -> String) -> &str {
+        self.0.qasm.get_or_init(|| emit(&self.0.circuit))
+    }
+
+    /// The length of the rendered QASM text, once some caller rendered it.
+    pub(crate) fn qasm_len(&self) -> Option<usize> {
+        self.0.qasm.get().map(String::len)
+    }
+}
+
+impl From<Circuit> for MappedCircuit {
+    fn from(circuit: Circuit) -> MappedCircuit {
+        MappedCircuit(Arc::new(Mapped {
+            circuit,
+            qasm: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for MappedCircuit {
+    type Target = Circuit;
+
+    fn deref(&self) -> &Circuit {
+        &self.0.circuit
+    }
+}
+
+impl PartialEq for MappedCircuit {
+    fn eq(&self, other: &MappedCircuit) -> bool {
+        self.0.circuit == other.0.circuit
+    }
+}
+
+impl fmt::Debug for MappedCircuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.circuit.fmt(f)
+    }
+}
+
+impl fmt::Display for MappedCircuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.circuit.fmt(f)
     }
 }
 
@@ -88,8 +157,9 @@ pub struct MapReport {
     /// answers are marked with a `cache/` prefix (e.g. `cache/exact`), so
     /// the winner always names who did the work *for this request*.
     pub winner: String,
-    /// The hardware-legal output circuit.
-    pub mapped: Circuit,
+    /// The hardware-legal output circuit, shared with the cache entry
+    /// and the hits that serve it (see [`MappedCircuit`]).
+    pub mapped: MappedCircuit,
     /// Logical→physical layout before the first gate.
     pub initial_layout: Layout,
     /// Logical→physical layout after the last gate.
@@ -182,7 +252,7 @@ impl MapReport {
             iterations: Some(result.iterations),
             windows: None,
             trace: None,
-            mapped: result.mapped,
+            mapped: result.mapped.into(),
             initial_layout: result.initial_layout,
             final_layout: result.final_layout,
         }
@@ -215,7 +285,7 @@ impl MapReport {
             iterations: None,
             windows: None,
             trace: None,
-            mapped: result.mapped,
+            mapped: result.mapped.into(),
             initial_layout: result.initial_layout,
             final_layout: result.final_layout,
         }

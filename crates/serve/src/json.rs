@@ -135,6 +135,7 @@ impl Json {
     /// Returns a [`JsonError`] locating the first defect.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -154,6 +155,7 @@ impl Json {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -269,6 +271,17 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece: those bytes are ASCII, so the run ends
+            // on a character boundary.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek().ok_or_else(|| self.err("unterminated string"))? {
                 b'"' => {
                     self.pos += 1;
@@ -313,20 +326,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                b if b < 0x20 => return Err(self.err("control character in string")),
-                _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid; find the next one).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input came from a &str"),
-                    );
-                }
+                _ => return Err(self.err("control character in string")),
             }
         }
     }
@@ -419,25 +419,37 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal, copying the runs between the
+/// bytes that need escaping (quote, backslash, controls) in one piece.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1F => None,
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a character boundary.
+        f.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars_parse_and_print() {
@@ -496,6 +508,136 @@ mod tests {
         }
         let e = Json::parse("[1, oops]").unwrap_err();
         assert!(e.offset >= 4, "{e}");
+    }
+
+    #[test]
+    fn string_defects_keep_their_messages_and_offsets() {
+        for (bad, message, offset) in [
+            ("\"unterminated", "unterminated string", 13),
+            ("\"run\\n", "unterminated string", 6),
+            ("\"é\\", "unterminated escape", 4),
+            ("\"ab\u{1}cd\"", "control character in string", 3),
+            ("\"ab\ncd\"", "control character in string", 3),
+            ("\"\\q\"", "invalid escape", 3),
+            ("\"\\ud800\"", "unpaired surrogate", 7),
+            ("\"x\\udc00\"", "unpaired surrogate", 8),
+            ("\"\\ud83d\\u0041\"", "invalid low surrogate", 13),
+            ("\"\\u12g4\"", "invalid hex digit", 5),
+            ("\"\\u12", "unterminated \\u escape", 5),
+        ] {
+            let e = Json::parse(bad).unwrap_err();
+            assert_eq!((e.message, e.offset), (message, offset), "{bad:?}");
+        }
+    }
+
+    /// The per-character escaper the run-copying one replaced, kept as
+    /// the oracle for its output.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Characters a string draw picks from: everything that escapes,
+    /// DEL, multi-byte UTF-8 of every width, and plain ASCII.
+    const PALETTE: &[char] = &[
+        '"', '\\', '/', '\u{7f}', 'a', 'Z', ' ', 'é', 'ß', '€', '中', '😀', '𝄞',
+    ];
+
+    /// One character: a control, a palette entry, or any scalar value.
+    fn draw_char(pick: u32) -> char {
+        match pick % 4 {
+            0 => char::from_u32(pick / 4 % 0x20).expect("controls are scalars"),
+            1 => PALETTE[(pick / 4) as usize % PALETTE.len()],
+            2 => char::from_u32(0x20 + pick / 4 % 0x60).expect("ASCII"),
+            _ => char::from_u32(pick / 4 % 0x11_0000).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    fn draw_string(picks: &[u32]) -> String {
+        picks.iter().map(|&p| draw_char(p)).collect()
+    }
+
+    /// `c` as a `\uXXXX` escape, a surrogate pair outside the BMP, in
+    /// upper- or lower-case hex.
+    fn unicode_escape(c: char, upper: bool) -> String {
+        let mut units = [0u16; 2];
+        c.encode_utf16(&mut units)
+            .iter()
+            .map(|u| {
+                if upper {
+                    format!("\\u{u:04X}")
+                } else {
+                    format!("\\u{u:04x}")
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip_and_escape_like_the_per_char_oracle(
+            picks in prop::collection::vec(any::<u32>(), 0..48),
+        ) {
+            let s = draw_string(&picks);
+            let printed = Json::str(s.as_str()).to_string();
+            prop_assert_eq!(&printed, &escape_per_char(&s));
+            prop_assert_eq!(Json::parse(&printed).unwrap(), Json::str(s));
+        }
+
+        #[test]
+        fn escaped_spellings_of_a_string_parse_back_to_it(
+            picks in prop::collection::vec(any::<u32>(), 0..48),
+            spellings in prop::collection::vec(any::<u8>(), 48),
+        ) {
+            // Each character spelled raw where JSON allows it, as a
+            // short escape where one exists, or as `\u` escapes
+            // (surrogate pairs past the BMP).
+            let s = draw_string(&picks);
+            let mut text = String::from("\"");
+            for (c, &how) in s.chars().zip(&spellings) {
+                let short = match c {
+                    '"' => Some("\\\""),
+                    '\\' => Some("\\\\"),
+                    '/' => Some("\\/"),
+                    '\u{8}' => Some("\\b"),
+                    '\u{c}' => Some("\\f"),
+                    '\n' => Some("\\n"),
+                    '\r' => Some("\\r"),
+                    '\t' => Some("\\t"),
+                    _ => None,
+                };
+                let raw_ok = !matches!(c, '"' | '\\') && c as u32 >= 0x20;
+                match (how % 3, short) {
+                    (0, _) if raw_ok => text.push(c),
+                    (1, Some(escape)) => text.push_str(escape),
+                    _ => text.push_str(&unicode_escape(c, how & 4 != 0)),
+                }
+            }
+            text.push('"');
+            prop_assert_eq!(Json::parse(&text).unwrap(), Json::str(s), "{}", text);
+        }
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_scalar() {
+        for text in ["\"\\uD83D\\uDE00\"", "\"\\ud83d\\ude00\""] {
+            assert_eq!(Json::parse(text).unwrap(), Json::str("😀"));
+        }
+        assert_eq!(Json::str("😀\u{7f}").to_string(), "\"😀\u{7f}\"");
     }
 
     #[test]

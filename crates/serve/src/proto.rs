@@ -774,7 +774,10 @@ fn window_json(w: &WindowCertificate) -> Json {
     ])
 }
 
-/// Builds the `result` response for a completed mapping job.
+/// Builds the `result` response for a completed mapping job. The mapped
+/// circuit's QASM text is rendered once per solved answer and shared by
+/// every response that serves it ([`qxmap_map::MappedCircuit::qasm`]):
+/// the cold response and each cache hit, whatever its register naming.
 pub fn result_response(id: Option<Json>, report: &MapReport) -> Json {
     let mut pairs = vec![
         ("type".to_string(), Json::str("result")),
@@ -809,7 +812,7 @@ pub fn result_response(id: Option<Json>, report: &MapReport) -> Json {
         ),
         (
             "mapped_qasm".to_string(),
-            Json::str(qxmap_qasm::to_qasm(&report.mapped)),
+            Json::str(report.mapped.qasm(qxmap_qasm::to_qasm)),
         ),
     ];
     if let Some(windows) = &report.windows {

@@ -555,7 +555,7 @@ impl WindowedEngine {
         Ok(MapReport {
             engine: self.name().to_string(),
             winner: self.name().to_string(),
-            mapped: out,
+            mapped: out.into(),
             initial_layout,
             final_layout,
             cost: CostBreakdown {
@@ -908,7 +908,7 @@ mod tests {
                 // A zero-cost claim that drops every gate: cheaper than
                 // any floor, and wrong.
                 let mut bogus = engine.stitched(&request, None)?;
-                bogus.mapped = Circuit::new(device.num_qubits());
+                bogus.mapped = Circuit::new(device.num_qubits()).into();
                 bogus.cost.objective = 0;
                 Ok(bogus)
             })
