@@ -18,9 +18,10 @@
 //! * [`SwapTable`] — minimal `swaps(π)` counts *and* witness SWAP sequences
 //!   for every permutation realizable on a coupling (sub)graph, computed by
 //!   breadth-first search exactly as the paper prescribes ("determined …
-//!   by using an exhaustive search"). [`SwapTable::shared`] memoizes
-//!   tables in a process-wide cache keyed by the induced subgraph, so
-//!   per-subset exact solves and request batches build each table once.
+//!   by using an exhaustive search"). Exact solves price permutations
+//!   with its cost-weighted sibling [`CostedSwapTable`], which
+//!   [`DeviceModel::costed_table`] serves from one process-wide LRU of 64
+//!   entries keyed by the weighted local topology.
 //! * [`connected_subsets`] — the Section 4.1 physical-qubit subset
 //!   enumeration with the isolation filter.
 //! * [`Layout`] — a (partial) assignment of logical to physical qubits.
@@ -59,4 +60,4 @@ pub use model::{DeviceModel, DeviceStats};
 pub use perm::Permutation;
 pub use route::CostModel;
 pub use subsets::connected_subsets;
-pub use swaps::{CostedSwapTable, SwapTable, SwapTableCacheStats};
+pub use swaps::{CostedSwapTable, SwapTable};

@@ -28,6 +28,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use qxmap_circuit::Fnv1a;
+
 use crate::coupling::CouplingMap;
 use crate::route::CostModel;
 use crate::swaps::CostedSwapTable;
@@ -571,7 +573,8 @@ impl DeviceModel {
                 return Arc::clone(table);
             }
         }
-        // Build outside the lock, like `SwapTable::shared`.
+        // Build outside the lock: construction is the expensive part and
+        // must not serialize concurrent solves on other keys.
         let built = Arc::new(CostedSwapTable::for_weighted_edges(subset.len(), &key.1));
         let mut cache = cache.lock().expect("cache lock");
         cache.tick += 1;
@@ -581,10 +584,9 @@ impl DeviceModel {
         let entry = cache.map.entry(key).or_insert((built, tick));
         entry.1 = tick;
         let table = Arc::clone(&entry.0);
-        // Unlike the topology-only `SwapTable::shared` memo (whose key
-        // universe is tiny), weighted keys are unbounded under drifting
-        // calibrations: evict least-recently-used entries past the cap
-        // so long-lived services cannot grow without limit.
+        // Weighted keys are unbounded under drifting calibrations: evict
+        // least-recently-used entries past the cap so long-lived services
+        // cannot grow without limit.
         while cache.map.len() > COSTED_TABLE_CACHE_CAPACITY {
             let stalest = cache
                 .map
@@ -607,15 +609,8 @@ fn fingerprint_of(
     swap: &BTreeMap<(usize, usize), u32>,
     reverse: &BTreeMap<(usize, usize), u32>,
 ) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut eat = |v: u64| h.write_u64(v);
     eat(cm.num_qubits() as u64);
     for (c, t) in cm.edges() {
         eat(c as u64);
@@ -634,7 +629,7 @@ fn fingerprint_of(
         eat(t as u64);
         eat(u64::from(w));
     }
-    h
+    h.finish()
 }
 
 /// Key of the process-wide costed-table cache: subset size plus the
@@ -776,6 +771,12 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_content_not_name() {
+        // Fingerprints key persisted cache entries, so the hash of a
+        // fixed model is pinned.
+        assert_eq!(
+            DeviceModel::paper(devices::ibm_qx4()).fingerprint(),
+            0x8953_871f_5f0f_5719
+        );
         let a = DeviceModel::new(devices::ibm_qx4());
         let renamed = DeviceModel::new(
             CouplingMap::from_edges(5, devices::ibm_qx4().edges().collect::<Vec<_>>())

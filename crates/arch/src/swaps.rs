@@ -9,32 +9,9 @@
 //! the mapped circuit.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::coupling::CouplingMap;
 use crate::perm::Permutation;
-
-/// Key of the process-wide [`SwapTable`] cache: a (device, subset) pair,
-/// normalized to what actually determines the table — the size and sorted
-/// undirected edge list of the induced subgraph. Identical local
-/// topologies (e.g. two 3-qubit triangles of a bigger device) therefore
-/// share one entry.
-type TableKey = (usize, Vec<(usize, usize)>);
-
-static TABLE_CACHE: OnceLock<Mutex<HashMap<TableKey, Arc<SwapTable>>>> = OnceLock::new();
-static TABLE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static TABLE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Hit/miss counters of the process-wide [`SwapTable`] cache (see
-/// [`SwapTable::shared`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapTableCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build a table.
-    pub misses: u64,
-}
 
 /// Minimal SWAP counts and witness sequences for all realizable
 /// permutations of a coupling graph.
@@ -108,46 +85,6 @@ impl SwapTable {
             }
         }
         SwapTable { entries, max_swaps }
-    }
-
-    /// The memoized variant of [`SwapTable::for_subset`]: answers from a
-    /// process-wide cache keyed by the induced subgraph, so repeated
-    /// requests against the same (device, subset) — the common case in
-    /// per-subset exact solves and `map_many` batches — build each table
-    /// exactly once per process.
-    ///
-    /// Tables are behind `Arc` and safe to share across threads; when two
-    /// threads race on a cold key, one build wins and the other is
-    /// dropped. The cache is never evicted: it holds at most one entry
-    /// per distinct ≤ 8-qubit subgraph ever mapped, which is small.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset.len() > 8` (like [`SwapTable::for_subset`]).
-    pub fn shared(cm: &CouplingMap, subset: &[usize]) -> Arc<SwapTable> {
-        let sub = cm.subgraph(subset);
-        // `undirected_edges` is already normalized (`a < b`) and sorted.
-        let key: TableKey = (subset.len(), sub.undirected_edges());
-
-        let cache = TABLE_CACHE.get_or_init(Mutex::default);
-        if let Some(table) = cache.lock().expect("cache lock").get(&key) {
-            TABLE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(table);
-        }
-        TABLE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock: table construction is the expensive part
-        // and must not serialize concurrent workers on disjoint keys.
-        let built = Arc::new(SwapTable::for_subset(cm, subset));
-        let mut cache = cache.lock().expect("cache lock");
-        Arc::clone(cache.entry(key).or_insert(built))
-    }
-
-    /// Cumulative hit/miss counters of the [`SwapTable::shared`] cache.
-    pub fn cache_stats() -> SwapTableCacheStats {
-        SwapTableCacheStats {
-            hits: TABLE_CACHE_HITS.load(Ordering::Relaxed),
-            misses: TABLE_CACHE_MISSES.load(Ordering::Relaxed),
-        }
     }
 
     /// Minimal number of SWAPs realizing `π`, or `None` if `π` is not
@@ -256,36 +193,6 @@ mod tests {
             assert_eq!(table.swaps(&Permutation::identity(n)), Some(0));
             assert_eq!(table.sequence(&Permutation::identity(n)).unwrap().len(), 0);
         }
-    }
-
-    #[test]
-    fn shared_tables_are_cached_and_identical() {
-        let cm = devices::ibm_qx4();
-        let before = SwapTable::cache_stats();
-        let a = SwapTable::shared(&cm, &[0, 1, 2, 3]);
-        let b = SwapTable::shared(&cm, &[0, 1, 2, 3]);
-        // Same data, and in fact the same allocation.
-        assert_eq!(*a, *b);
-        assert!(Arc::ptr_eq(&a, &b));
-        // The cached table matches a from-scratch build exactly.
-        assert_eq!(*a, SwapTable::for_subset(&cm, &[0, 1, 2, 3]));
-        let after = SwapTable::cache_stats();
-        assert!(after.hits > before.hits, "second lookup must hit");
-        assert!(after.misses >= before.misses);
-    }
-
-    #[test]
-    fn cache_keys_on_the_induced_subgraph() {
-        // {0,2,3} and {0,2,4} of QX4 induce the same local topology (a
-        // path through the hub), so they share one cache entry; the
-        // triangle {2,3,4} does not.
-        let cm = devices::ibm_qx4();
-        let path_a = SwapTable::shared(&cm, &[0, 2, 3]);
-        let path_b = SwapTable::shared(&cm, &[0, 2, 4]);
-        let triangle = SwapTable::shared(&cm, &[2, 3, 4]);
-        assert!(Arc::ptr_eq(&path_a, &path_b));
-        assert!(!Arc::ptr_eq(&path_a, &triangle));
-        assert_eq!(triangle.len(), 6);
     }
 
     use crate::coupling::CouplingMap;

@@ -6,20 +6,20 @@
 //! mapping), and reversible-netlist-style locality (consecutive CNOTs
 //! tend to share a qubit, as Toffoli decompositions do).
 
-use qxmap_circuit::{Circuit, OneQubitKind};
+use qxmap_circuit::{Circuit, Fnv1a, OneQubitKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::profiles::BenchmarkProfile;
 
 /// Builds the deterministic stand-in circuit for a Table 1 profile
-/// (seeded by the benchmark name).
+/// (seeded by the FNV-1a hash of the benchmark name).
 pub fn circuit_for(profile: &BenchmarkProfile) -> Circuit {
     synthetic_circuit(
         profile.qubits,
         profile.single_qubit_gates,
         profile.cnots,
-        fnv1a(profile.name),
+        Fnv1a::hash(profile.name.as_bytes()),
     )
     .named(profile.name)
 }
@@ -102,16 +102,6 @@ fn next_pair(rng: &mut StdRng, n: usize, prev: Option<(usize, usize)>) -> (usize
         t = rng.gen_range(0..n);
     }
     (c, t)
-}
-
-/// FNV-1a hash for stable name→seed derivation.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -99,6 +99,97 @@ impl OneQubitKind {
             OneQubitKind::I | OneQubitKind::X | OneQubitKind::Y | OneQubitKind::Z | OneQubitKind::H
         )
     }
+
+    /// The kind's code in every byte format that stores gates (QXBC
+    /// records, solve-cache journal records and skeleton tokens): `I` = 0,
+    /// `X` = 1, `Y` = 2, `Z` = 3, `H` = 4, `S` = 5, `Sdg` = 6, `T` = 7,
+    /// `Tdg` = 8, `Rx` = 9, `Ry` = 10, `Rz` = 11, `Phase` = 12, `U` = 13.
+    /// Each format writes the code followed by [`OneQubitKind::angles`]
+    /// and reads it back with [`OneQubitKind::angle_count`] and
+    /// [`OneQubitKind::from_code`]. The codes are persisted: changing one
+    /// changes those formats' bytes.
+    ///
+    /// ```
+    /// use qxmap_circuit::OneQubitKind;
+    /// let u = OneQubitKind::U(0.1, 0.2, 0.3);
+    /// let mut angles = [0.0; 3];
+    /// for (slot, a) in angles.iter_mut().zip(u.angles()) {
+    ///     *slot = a;
+    /// }
+    /// assert_eq!(OneQubitKind::angle_count(u.code()), Some(3));
+    /// assert_eq!(OneQubitKind::from_code(u.code(), angles), Some(u));
+    /// ```
+    #[inline]
+    pub fn code(&self) -> u8 {
+        match self {
+            OneQubitKind::I => 0,
+            OneQubitKind::X => 1,
+            OneQubitKind::Y => 2,
+            OneQubitKind::Z => 3,
+            OneQubitKind::H => 4,
+            OneQubitKind::S => 5,
+            OneQubitKind::Sdg => 6,
+            OneQubitKind::T => 7,
+            OneQubitKind::Tdg => 8,
+            OneQubitKind::Rx(_) => 9,
+            OneQubitKind::Ry(_) => 10,
+            OneQubitKind::Rz(_) => 11,
+            OneQubitKind::Phase(_) => 12,
+            OneQubitKind::U(..) => 13,
+        }
+    }
+
+    /// The kind's angles in encoding order: none for the fixed kinds,
+    /// one for the rotations and `Phase`, and `θ, φ, λ` for `U`.
+    #[inline]
+    pub fn angles(&self) -> impl ExactSizeIterator<Item = f64> {
+        let (angles, n) = match *self {
+            OneQubitKind::Rx(a)
+            | OneQubitKind::Ry(a)
+            | OneQubitKind::Rz(a)
+            | OneQubitKind::Phase(a) => ([a, 0.0, 0.0], 1),
+            OneQubitKind::U(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
+        };
+        angles.into_iter().take(n)
+    }
+
+    /// How many angles a kind with this [`code`](OneQubitKind::code)
+    /// carries, or `None` for a code no kind has.
+    #[inline]
+    pub fn angle_count(code: u8) -> Option<usize> {
+        match code {
+            0..=8 => Some(0),
+            9..=12 => Some(1),
+            13 => Some(3),
+            _ => None,
+        }
+    }
+
+    /// The kind with this [`code`](OneQubitKind::code), taking its angles
+    /// from the front of `angles` (the rest are ignored), or `None` for a
+    /// code no kind has.
+    #[inline]
+    pub fn from_code(code: u8, angles: [f64; 3]) -> Option<OneQubitKind> {
+        let [a, b, c] = angles;
+        Some(match code {
+            0 => OneQubitKind::I,
+            1 => OneQubitKind::X,
+            2 => OneQubitKind::Y,
+            3 => OneQubitKind::Z,
+            4 => OneQubitKind::H,
+            5 => OneQubitKind::S,
+            6 => OneQubitKind::Sdg,
+            7 => OneQubitKind::T,
+            8 => OneQubitKind::Tdg,
+            9 => OneQubitKind::Rx(a),
+            10 => OneQubitKind::Ry(a),
+            11 => OneQubitKind::Rz(a),
+            12 => OneQubitKind::Phase(a),
+            13 => OneQubitKind::U(a, b, c),
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for OneQubitKind {
@@ -160,7 +251,60 @@ pub enum Gate {
     },
 }
 
+/// The tag that opens a gate's record in every byte format that stores
+/// gates — QXBC records, solve-cache journal records and skeleton tokens
+/// — one per [`Gate`] variant. Single-qubit records follow the tag with
+/// [`OneQubitKind::code`]. The codes are persisted: changing one changes
+/// those formats' bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum GateTag {
+    /// [`Gate::One`].
+    One = 1,
+    /// [`Gate::Cnot`].
+    Cnot = 2,
+    /// [`Gate::Swap`].
+    Swap = 3,
+    /// [`Gate::Barrier`].
+    Barrier = 4,
+    /// [`Gate::Measure`].
+    Measure = 5,
+}
+
+impl GateTag {
+    /// The tag's byte code.
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The tag with this byte code, or `None` for a code no tag has.
+    #[inline]
+    pub fn from_code(code: u8) -> Option<GateTag> {
+        Some(match code {
+            1 => GateTag::One,
+            2 => GateTag::Cnot,
+            3 => GateTag::Swap,
+            4 => GateTag::Barrier,
+            5 => GateTag::Measure,
+            _ => return None,
+        })
+    }
+}
+
 impl Gate {
+    /// The tag of this gate's variant in the byte formats.
+    #[inline]
+    pub fn tag(&self) -> GateTag {
+        match self {
+            Gate::One { .. } => GateTag::One,
+            Gate::Cnot { .. } => GateTag::Cnot,
+            Gate::Swap { .. } => GateTag::Swap,
+            Gate::Barrier(_) => GateTag::Barrier,
+            Gate::Measure { .. } => GateTag::Measure,
+        }
+    }
+
     /// Convenience constructor for a single-qubit gate.
     pub fn one(kind: OneQubitKind, qubit: usize) -> Gate {
         Gate::One { kind, qubit }
@@ -310,6 +454,53 @@ mod tests {
             OneQubitKind::U(1.0, 2.0, 3.0).inverse(),
             OneQubitKind::U(-1.0, -3.0, -2.0)
         );
+    }
+
+    #[test]
+    fn codes_round_trip_every_kind_and_tag() {
+        let kinds = [
+            OneQubitKind::I,
+            OneQubitKind::X,
+            OneQubitKind::Y,
+            OneQubitKind::Z,
+            OneQubitKind::H,
+            OneQubitKind::S,
+            OneQubitKind::Sdg,
+            OneQubitKind::T,
+            OneQubitKind::Tdg,
+            OneQubitKind::Rx(0.5),
+            OneQubitKind::Ry(-1.25),
+            OneQubitKind::Rz(2.0),
+            OneQubitKind::Phase(0.75),
+            OneQubitKind::U(0.1, -0.2, 0.3),
+        ];
+        for (code, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), code);
+            let mut angles = [0.0; 3];
+            for (slot, a) in angles.iter_mut().zip(kind.angles()) {
+                *slot = a;
+            }
+            assert_eq!(
+                OneQubitKind::angle_count(kind.code()),
+                Some(kind.angles().len())
+            );
+            assert_eq!(OneQubitKind::from_code(kind.code(), angles), Some(kind));
+        }
+        assert_eq!(OneQubitKind::angle_count(14), None);
+        assert_eq!(OneQubitKind::from_code(14, [0.0; 3]), None);
+        let gates = [
+            Gate::one(OneQubitKind::H, 0),
+            Gate::cnot(0, 1),
+            Gate::swap(0, 1),
+            Gate::Barrier(vec![0]),
+            Gate::Measure { qubit: 0, clbit: 0 },
+        ];
+        for (i, gate) in gates.iter().enumerate() {
+            assert_eq!(usize::from(gate.tag().code()), i + 1);
+            assert_eq!(GateTag::from_code(gate.tag().code()), Some(gate.tag()));
+        }
+        assert_eq!(GateTag::from_code(0), None);
+        assert_eq!(GateTag::from_code(6), None);
     }
 
     #[test]

@@ -41,6 +41,7 @@ mod circuit;
 mod dag;
 mod draw;
 mod gate;
+mod hash;
 mod interaction;
 mod layers;
 mod skeleton;
@@ -48,7 +49,8 @@ mod skeleton;
 pub use circuit::{paper_example, Circuit, CircuitError, CircuitStats};
 pub use dag::{Dag, DagNode};
 pub use draw::draw;
-pub use gate::{Gate, OneQubitKind};
+pub use gate::{Gate, GateTag, OneQubitKind};
+pub use hash::Fnv1a;
 pub use interaction::InteractionGraph;
 pub use layers::{asap_layers, sequential_layers, Layer};
 pub use skeleton::{CircuitSkeleton, SkeletonBuilder};

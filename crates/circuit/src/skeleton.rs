@@ -21,7 +21,8 @@
 use std::hash::{Hash, Hasher};
 
 use crate::circuit::Circuit;
-use crate::gate::{Gate, OneQubitKind};
+use crate::gate::Gate;
+use crate::hash::Fnv1a;
 
 /// The canonical form of a circuit under qubit relabeling.
 ///
@@ -149,21 +150,13 @@ impl CircuitSkeleton {
     /// fingerprints; the fingerprint does not depend on process, platform
     /// or run.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_qubits as u64);
-        mix(self.num_clbits as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.num_qubits as u64);
+        h.write_u64(self.num_clbits as u64);
         for &t in &self.tokens {
-            mix(t);
+            h.write_u64(t);
         }
-        h
+        h.finish()
     }
 
     /// The qubit correspondence between this skeleton's circuit and
@@ -260,27 +253,29 @@ impl SkeletonBuilder {
         l as u64
     }
 
-    /// Appends the next gate of the stream to the canonical form.
+    /// Appends the next gate of the stream to the canonical form: its
+    /// [`GateTag`](crate::GateTag) code, then its operands — for a
+    /// single-qubit gate the kind's code and angle bit patterns first.
+    /// Angles compare by bit pattern: a near-miss in the last ulp is a
+    /// cache miss, never a wrong hit.
+    #[inline]
     pub fn push(&mut self, gate: &Gate) {
+        self.tokens.push(u64::from(gate.tag().code()));
         match gate {
             Gate::One { kind, qubit } => {
-                self.tokens.push(1);
-                encode_kind(kind, &mut self.tokens);
+                self.tokens.push(u64::from(kind.code()));
+                self.tokens.extend(kind.angles().map(f64::to_bits));
                 let l = self.label(*qubit);
                 self.tokens.push(l);
             }
-            Gate::Cnot { control, target } => {
-                self.tokens.push(2);
-                let c = self.label(*control);
-                let t = self.label(*target);
-                self.tokens.push(c);
-                self.tokens.push(t);
+            Gate::Cnot {
+                control: a,
+                target: b,
             }
-            Gate::Swap { a, b } => {
+            | Gate::Swap { a, b } => {
                 // A SWAP is symmetric as an operation but its stored
                 // operand order fixes its CNOT decomposition, so the
                 // order is kept.
-                self.tokens.push(3);
                 let a = self.label(*a);
                 let b = self.label(*b);
                 self.tokens.push(a);
@@ -290,14 +285,15 @@ impl SkeletonBuilder {
                 // A barrier is a *set* of qubits: labels are assigned in
                 // stored order (deterministic) but emitted sorted, so
                 // operand order is irrelevant.
-                self.tokens.push(4);
                 self.tokens.push(qs.len() as u64);
-                let mut labels: Vec<u64> = qs.iter().map(|&q| self.label(q)).collect();
-                labels.sort_unstable();
-                self.tokens.extend(labels);
+                let start = self.tokens.len();
+                for &q in qs {
+                    let l = self.label(q);
+                    self.tokens.push(l);
+                }
+                self.tokens[start..].sort_unstable();
             }
             Gate::Measure { qubit, clbit } => {
-                self.tokens.push(5);
                 let l = self.label(*qubit);
                 self.tokens.push(l);
                 self.tokens.push(*clbit as u64);
@@ -346,38 +342,6 @@ impl Hash for CircuitSkeleton {
         self.num_qubits.hash(state);
         self.num_clbits.hash(state);
         self.tokens.hash(state);
-    }
-}
-
-/// Encodes a single-qubit gate kind (tag + angle bit patterns) into the
-/// token stream. Angles compare by bit pattern: a near-miss in the last
-/// ulp is a cache miss, never a wrong hit.
-fn encode_kind(kind: &OneQubitKind, tokens: &mut Vec<u64>) {
-    let (tag, angles): (u64, &[f64]) = match kind {
-        OneQubitKind::I => (0, &[]),
-        OneQubitKind::X => (1, &[]),
-        OneQubitKind::Y => (2, &[]),
-        OneQubitKind::Z => (3, &[]),
-        OneQubitKind::H => (4, &[]),
-        OneQubitKind::S => (5, &[]),
-        OneQubitKind::Sdg => (6, &[]),
-        OneQubitKind::T => (7, &[]),
-        OneQubitKind::Tdg => (8, &[]),
-        OneQubitKind::Rx(a) => (9, std::slice::from_ref(a)),
-        OneQubitKind::Ry(a) => (10, std::slice::from_ref(a)),
-        OneQubitKind::Rz(a) => (11, std::slice::from_ref(a)),
-        OneQubitKind::Phase(a) => (12, std::slice::from_ref(a)),
-        OneQubitKind::U(t, p, l) => {
-            tokens.push(13);
-            tokens.push(t.to_bits());
-            tokens.push(p.to_bits());
-            tokens.push(l.to_bits());
-            return;
-        }
-    };
-    tokens.push(tag);
-    for a in angles {
-        tokens.push(a.to_bits());
     }
 }
 

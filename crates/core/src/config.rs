@@ -96,7 +96,7 @@ pub struct MapperConfig {
     pub use_subsets: bool,
     /// Cost accounting for inserted operations.
     pub cost_model: CostModel,
-    /// Objective-minimization schedule and budget. With the subset
+    /// Objective-minimization budget and bound. With the subset
     /// optimization enabled, the conflict budget is a *total* shared
     /// across all per-subset subinstances (enforced through one atomic
     /// pool even when they solve in parallel), not a per-subset allowance.

@@ -391,7 +391,6 @@ impl ExactMapper {
             // The shared pool governs; no per-call cap on top of it.
             conflict_budget: None,
             initial_upper_bound: ub,
-            ..self.config.minimize
         };
         let conflicts_before = enc.solver.stats().conflicts;
         let mut minimize_span = trace.span(&format!("subset{i}/minimize"));

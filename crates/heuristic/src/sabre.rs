@@ -74,9 +74,8 @@ impl SabreMapper {
     }
 
     /// The lookahead window the classic default of 20 scales to on a
-    /// device with these statistics — the same signals (and the same
-    /// shape: halve on tiny uniform devices, double per signal, cap at
-    /// 4×) that already scale the portfolio's stochastic trial counts:
+    /// device with these statistics — halve on tiny uniform devices,
+    /// double per signal, cap at 4×:
     ///
     /// * diameter ≤ 2 without cost skew: SWAP choices barely differ, a
     ///   deep scored window is wasted work — halve it;

@@ -24,11 +24,10 @@ use crate::request::MapRequest;
 /// [`crate::SolveCache`], and the rest are served from the
 /// representative's result — so a batch of a thousand identical
 /// subcircuits pays for one solve, and repeated *batches* stop solving
-/// entirely. Below the whole-solve layer,
-/// repeated (device, subset) pairs still hit the `SwapTable` cache (see
-/// `qxmap_arch::SwapTable::shared`). Per-request budgets compose with
-/// batching — here every request gets its own deadline and conflict
-/// budget:
+/// entirely. Below the whole-solve layer, exact solves share cost-weighted
+/// `swaps(π)` tables through `qxmap_arch::DeviceModel::costed_table`.
+/// Per-request budgets compose with batching — here every request gets
+/// its own deadline and conflict budget:
 ///
 /// ```
 /// use std::time::Duration;

@@ -16,7 +16,7 @@ use std::fmt;
 use std::time::Duration;
 
 use qxmap_arch::Layout;
-use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind};
+use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, GateTag, OneQubitKind};
 
 use crate::report::{CostBreakdown, MapReport, WindowCertificate};
 
@@ -57,18 +57,6 @@ impl fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
-
-/// FNV-1a over a byte slice — the checksum sealing each journal record.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Append-only byte sink with the format's primitive encoders.
 #[derive(Default)]
@@ -250,105 +238,59 @@ pub(crate) fn read_skeleton(r: &mut Reader<'_>) -> Result<CircuitSkeleton, Journ
         .ok_or(JournalError::Corrupted("skeleton labels"))
 }
 
-fn write_one_qubit_kind(w: &mut Writer, kind: &OneQubitKind) {
-    let (tag, angles): (u8, &[f64]) = match kind {
-        OneQubitKind::I => (0, &[]),
-        OneQubitKind::X => (1, &[]),
-        OneQubitKind::Y => (2, &[]),
-        OneQubitKind::Z => (3, &[]),
-        OneQubitKind::H => (4, &[]),
-        OneQubitKind::S => (5, &[]),
-        OneQubitKind::Sdg => (6, &[]),
-        OneQubitKind::T => (7, &[]),
-        OneQubitKind::Tdg => (8, &[]),
-        OneQubitKind::Rx(a) => (9, std::slice::from_ref(a)),
-        OneQubitKind::Ry(a) => (10, std::slice::from_ref(a)),
-        OneQubitKind::Rz(a) => (11, std::slice::from_ref(a)),
-        OneQubitKind::Phase(a) => (12, std::slice::from_ref(a)),
-        OneQubitKind::U(t, p, l) => {
-            w.u8(13);
-            w.u64(t.to_bits());
-            w.u64(p.to_bits());
-            w.u64(l.to_bits());
-            return;
+fn write_gate(w: &mut Writer, gate: &Gate) {
+    w.u8(gate.tag().code());
+    match gate {
+        Gate::One { kind, qubit } => {
+            w.u8(kind.code());
+            for angle in kind.angles() {
+                w.u64(angle.to_bits());
+            }
+            w.usize(*qubit);
         }
-    };
-    w.u8(tag);
-    for a in angles {
-        w.u64(a.to_bits());
+        Gate::Cnot {
+            control: a,
+            target: b,
+        }
+        | Gate::Swap { a, b }
+        | Gate::Measure { qubit: a, clbit: b } => {
+            w.usize(*a);
+            w.usize(*b);
+        }
+        Gate::Barrier(qs) => w.usizes(qs),
     }
 }
 
 fn read_one_qubit_kind(r: &mut Reader<'_>) -> Result<OneQubitKind, JournalError> {
-    let angle = |r: &mut Reader<'_>| -> Result<f64, JournalError> { Ok(f64::from_bits(r.u64()?)) };
-    Ok(match r.u8()? {
-        0 => OneQubitKind::I,
-        1 => OneQubitKind::X,
-        2 => OneQubitKind::Y,
-        3 => OneQubitKind::Z,
-        4 => OneQubitKind::H,
-        5 => OneQubitKind::S,
-        6 => OneQubitKind::Sdg,
-        7 => OneQubitKind::T,
-        8 => OneQubitKind::Tdg,
-        9 => OneQubitKind::Rx(angle(r)?),
-        10 => OneQubitKind::Ry(angle(r)?),
-        11 => OneQubitKind::Rz(angle(r)?),
-        12 => OneQubitKind::Phase(angle(r)?),
-        13 => OneQubitKind::U(angle(r)?, angle(r)?, angle(r)?),
-        _ => return Err(JournalError::Corrupted("one-qubit gate tag")),
-    })
-}
-
-fn write_gate(w: &mut Writer, gate: &Gate) {
-    match gate {
-        Gate::One { kind, qubit } => {
-            w.u8(1);
-            write_one_qubit_kind(w, kind);
-            w.usize(*qubit);
-        }
-        Gate::Cnot { control, target } => {
-            w.u8(2);
-            w.usize(*control);
-            w.usize(*target);
-        }
-        Gate::Swap { a, b } => {
-            w.u8(3);
-            w.usize(*a);
-            w.usize(*b);
-        }
-        Gate::Barrier(qs) => {
-            w.u8(4);
-            w.usizes(qs);
-        }
-        Gate::Measure { qubit, clbit } => {
-            w.u8(5);
-            w.usize(*qubit);
-            w.usize(*clbit);
-        }
+    let code = r.u8()?;
+    let n = OneQubitKind::angle_count(code).ok_or(JournalError::Corrupted("one-qubit gate tag"))?;
+    let mut angles = [0.0; 3];
+    for angle in &mut angles[..n] {
+        *angle = f64::from_bits(r.u64()?);
     }
+    Ok(OneQubitKind::from_code(code, angles).expect("angle_count accepted the code"))
 }
 
 fn read_gate(r: &mut Reader<'_>) -> Result<Gate, JournalError> {
-    Ok(match r.u8()? {
-        1 => Gate::One {
+    let tag = GateTag::from_code(r.u8()?).ok_or(JournalError::Corrupted("gate tag"))?;
+    Ok(match tag {
+        GateTag::One => Gate::One {
             kind: read_one_qubit_kind(r)?,
             qubit: r.usize()?,
         },
-        2 => Gate::Cnot {
+        GateTag::Cnot => Gate::Cnot {
             control: r.usize()?,
             target: r.usize()?,
         },
-        3 => Gate::Swap {
+        GateTag::Swap => Gate::Swap {
             a: r.usize()?,
             b: r.usize()?,
         },
-        4 => Gate::Barrier(r.usizes()?),
-        5 => Gate::Measure {
+        GateTag::Barrier => Gate::Barrier(r.usizes()?),
+        GateTag::Measure => Gate::Measure {
             qubit: r.usize()?,
             clbit: r.usize()?,
         },
-        _ => return Err(JournalError::Corrupted("gate tag")),
     })
 }
 
@@ -642,5 +584,181 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.u64s().is_err());
+    }
+
+    /// One circuit holding every single-qubit kind (angles other than 0
+    /// and π), a CNOT, a SWAP, a barrier and a measurement.
+    fn golden_circuit() -> Circuit {
+        use OneQubitKind as K;
+        let mut c = Circuit::with_clbits(3, 2).named("golden");
+        let kinds = [
+            K::I,
+            K::X,
+            K::Y,
+            K::Z,
+            K::H,
+            K::S,
+            K::Sdg,
+            K::T,
+            K::Tdg,
+            K::Rx(0.5),
+            K::Ry(-1.25),
+            K::Rz(2.0),
+            K::Phase(0.75),
+            K::U(0.1, -0.2, 0.3),
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            c.push(Gate::one(kind, i % 3));
+        }
+        c.cx(2, 0).swap_gate(1, 2);
+        c.push(Gate::Barrier(vec![2, 0]));
+        c.measure(1, 1);
+        c
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The three byte formats that carry gate codes, pinned to recorded
+    /// bytes: a code renumbered on both the write and the read side
+    /// still round-trips, so only a golden copy catches it. QXBC and the
+    /// journal are persisted, and skeleton tokens feed cache keys, so any
+    /// change here needs a `QXBC_VERSION` or `JOURNAL_VERSION` bump.
+    #[test]
+    fn gate_codes_match_the_recorded_bytes() {
+        let c = golden_circuit();
+        // QXBC: header, one 36-byte record per gate, aux table, checksum.
+        let qxbc = [
+            "5158424343495243",
+            "01000000",
+            "06000000",
+            "676f6c64656e",
+            "03000000",
+            "02000000",
+            "12000000",
+            "02000000",
+            "010000000000000000000000000000000000000000000000000000000000000000000000",
+            "010100000100000000000000000000000000000000000000000000000000000000000000",
+            "010200000200000000000000000000000000000000000000000000000000000000000000",
+            "010300000000000000000000000000000000000000000000000000000000000000000000",
+            "010400000100000000000000000000000000000000000000000000000000000000000000",
+            "010500000200000000000000000000000000000000000000000000000000000000000000",
+            "010600000000000000000000000000000000000000000000000000000000000000000000",
+            "010700000100000000000000000000000000000000000000000000000000000000000000",
+            "010800000200000000000000000000000000000000000000000000000000000000000000",
+            "010900000000000000000000000000000000e03f00000000000000000000000000000000",
+            "010a00000100000000000000000000000000f4bf00000000000000000000000000000000",
+            "010b00000200000000000000000000000000004000000000000000000000000000000000",
+            "010c00000000000000000000000000000000e83f00000000000000000000000000000000",
+            "010d000001000000000000009a9999999999b93f9a9999999999c9bf333333333333d33f",
+            "020000000200000000000000000000000000000000000000000000000000000000000000",
+            "030000000100000002000000000000000000000000000000000000000000000000000000",
+            "040000000000000002000000000000000000000000000000000000000000000000000000",
+            "050000000100000001000000000000000000000000000000000000000000000000000000",
+            "0200000000000000",
+            "a1affab70fbba127",
+        ];
+        assert_eq!(hex(&qxmap_qasm::encode_qxbc(&c)), qxbc.concat());
+        // Journal circuit frame: name, registers, gate count, then one
+        // variable-width record per gate.
+        let journal = [
+            "0600000000000000",
+            "676f6c64656e",
+            "0300000000000000",
+            "0200000000000000",
+            "1200000000000000",
+            "01000000000000000000",
+            "01010100000000000000",
+            "01020200000000000000",
+            "01030000000000000000",
+            "01040100000000000000",
+            "01050200000000000000",
+            "01060000000000000000",
+            "01070100000000000000",
+            "01080200000000000000",
+            "0109000000000000e03f0000000000000000",
+            "010a000000000000f4bf0100000000000000",
+            "010b00000000000000400200000000000000",
+            "010c000000000000e83f0000000000000000",
+            "010d9a9999999999b93f9a9999999999c9bf333333333333d33f0100000000000000",
+            "0202000000000000000000000000000000",
+            "0301000000000000000200000000000000",
+            "04020000000000000002000000000000000000000000000000",
+            "0501000000000000000100000000000000",
+        ];
+        let mut w = Writer::new();
+        write_circuit(&mut w, &c);
+        assert_eq!(hex(&w.into_bytes()), journal.concat());
+        // Skeleton tokens: gate tag, kind code, angle bits, canonical labels.
+        let skeleton = CircuitSkeleton::of(&c);
+        assert_eq!(
+            skeleton.tokens(),
+            [
+                1,
+                0,
+                0,
+                1,
+                1,
+                1,
+                1,
+                2,
+                2,
+                1,
+                3,
+                0,
+                1,
+                4,
+                1,
+                1,
+                5,
+                2,
+                1,
+                6,
+                0,
+                1,
+                7,
+                1,
+                1,
+                8,
+                2,
+                1,
+                9,
+                4602678819172646912,
+                0,
+                1,
+                10,
+                13831680355561635840,
+                1,
+                1,
+                11,
+                4611686018427387904,
+                2,
+                1,
+                12,
+                4604930618986332160,
+                0,
+                1,
+                13,
+                4591870180066957722,
+                13819745816549104026,
+                4599075939470750515,
+                1,
+                2,
+                2,
+                0,
+                3,
+                1,
+                2,
+                4,
+                2,
+                0,
+                2,
+                5,
+                1,
+                1,
+            ]
+        );
+        assert_eq!(skeleton.fingerprint(), 0x7fde_d9fa_77c0_ce28);
     }
 }

@@ -33,7 +33,7 @@ pub trait Engine: Send + Sync {
 
     /// The engine's identity in [`SolveCache`] keys. Defaults to
     /// [`Engine::name`]; engines whose configuration changes their
-    /// answers (trial counts, pool composition) must extend it so
+    /// answers (trial counts, window sizes) must extend it so
     /// distinct configurations never share cache entries.
     fn cache_signature(&self) -> String {
         self.name().to_string()
@@ -263,7 +263,8 @@ impl HeuristicEngine {
 impl HeuristicEngine {
     /// The shared implementation behind [`Engine::run`]: `control`, when
     /// present, is the racing supervisor's handle whose cancel flag stops
-    /// stochastic trials early (the [`crate::Portfolio`] passes its own).
+    /// SABRE, A* and stochastic trials early (the [`crate::Portfolio`]
+    /// passes its own).
     pub(crate) fn run_inner(
         &self,
         request: &MapRequest,

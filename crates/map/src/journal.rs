@@ -29,12 +29,8 @@
 //! end of the file is the torn tail an interrupted append leaves behind
 //! — replay stops there, flags [`JournalReplay::torn`], and
 //! [`JournalReplay::bytes_consumed`] marks the last byte of intact
-//! data. That offset is also the tail-following cursor: a warm-sharing
-//! replica re-reads the file from its previous `bytes_consumed`, feeds
-//! the new bytes to [`replay_records`], and admits whatever complete
-//! records have landed since. Such a replica only reads the file: one
-//! [`Journal`] writes each path, since attaching truncates a torn tail
-//! and compaction renames a new file over the path.
+//! data. One [`Journal`] writes each path, since attaching truncates a
+//! torn tail and compaction renames a new file over the path.
 //!
 //! Records are admitted in file order, each as the most recently used
 //! entry so far, so replaying a compacted file rebuilds the writer's
@@ -60,6 +56,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
+use qxmap_circuit::Fnv1a;
+
 use crate::cache::{CacheKey, SolveCache};
 use crate::codec::{self, JournalError, Reader, Writer};
 use crate::report::MapReport;
@@ -84,8 +82,7 @@ pub struct JournalReplay {
     /// The file ended mid-record (the torn tail of an interrupted
     /// append); everything before `bytes_consumed` was still replayed.
     pub torn: bool,
-    /// Offset one past the last complete record — the cursor a
-    /// tail-following replica resumes from, and the length
+    /// Offset one past the last complete record — the length
     /// [`Journal::attach`] truncates to before appending.
     pub bytes_consumed: u64,
     /// The existing file's header was unusable (bad magic or an
@@ -356,7 +353,7 @@ fn encode_record(key: &CacheKey, canon_to_original: &[usize], report: &MapReport
             .expect("record < 4 GiB")
             .to_le_bytes(),
     );
-    out.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -394,11 +391,10 @@ pub fn replay_journal(cache: &SolveCache, bytes: &[u8]) -> Result<JournalReplay,
     Ok(replay)
 }
 
-/// Replays a headerless run of journal records — the tail-following
-/// entry point: a replica that already consumed a prefix of the file
-/// feeds just the new bytes here and adds the returned
-/// [`JournalReplay::bytes_consumed`] to its cursor.
-pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
+/// Replays a headerless run of journal records: the body of
+/// [`replay_journal`] after the header. The returned
+/// [`JournalReplay::bytes_consumed`] counts from the start of `bytes`.
+pub(crate) fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
     let mut replay = JournalReplay::default();
     let mut at = 0usize;
     while at < bytes.len() {
@@ -418,7 +414,7 @@ pub fn replay_records(cache: &SolveCache, bytes: &[u8]) -> JournalReplay {
         };
         at += 12 + len;
         replay.bytes_consumed = at as u64;
-        if codec::checksum(payload) != declared {
+        if Fnv1a::hash(payload) != declared {
             replay.rejected += 1;
             continue;
         }

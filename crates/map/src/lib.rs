@@ -41,8 +41,10 @@
 //! request options and the budget class. Repeated requests, including
 //! relabeled-register equivalents, are answered in microseconds with
 //! [`MapReport::served_from_cache`] set ([`Engine::run_cached`] is the
-//! single-request entry). Below it, repeated (device, subset) pairs are
-//! served from the process-wide `SwapTable` cache.
+//! single-request entry). Below it, exact solves read their
+//! cost-weighted `swaps(π)` tables from the process-wide LRU behind
+//! [`qxmap_arch::DeviceModel::costed_table`], keyed by the weighted local
+//! topology.
 //!
 //! ## Quickstart
 //!
@@ -80,8 +82,7 @@ pub use codec::JournalError;
 pub use engine::{Baseline, Engine, ExactEngine, HeuristicEngine};
 pub use error::MapperError;
 pub use journal::{
-    replay_journal, replay_records, Journal, JournalReplay, JournalStats, JOURNAL_MAGIC,
-    JOURNAL_VERSION,
+    replay_journal, Journal, JournalReplay, JournalStats, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use portfolio::Portfolio;
 pub use report::{CostBreakdown, MapReport, MappedCircuit, WindowCertificate};

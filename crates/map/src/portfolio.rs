@@ -53,31 +53,13 @@ use crate::request::{Guarantee, MapRequest};
 /// println!("won by {} in {:?}", report.winner, report.elapsed);
 /// # Ok::<(), qxmap_map::MapperError>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Portfolio {
-    stochastic_trials: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Portfolio;
 
 impl Portfolio {
-    /// The default portfolio: naive + SABRE heuristics, exact when in
-    /// regime.
+    /// The portfolio: naive + SABRE heuristics, exact when in regime.
     pub fn new() -> Portfolio {
-        Portfolio {
-            stochastic_trials: 0,
-        }
-    }
-
-    /// Additionally races `trials` seeded stochastic-swap runs in the
-    /// heuristic pool.
-    pub fn with_stochastic_trials(mut self, trials: u64) -> Portfolio {
-        self.stochastic_trials = trials;
-        self
-    }
-}
-
-impl Default for Portfolio {
-    fn default() -> Portfolio {
-        Portfolio::new()
+        Portfolio
     }
 }
 
@@ -115,55 +97,20 @@ impl Portfolio {
 }
 
 impl Portfolio {
-    /// How many stochastic trials the scheduler actually races on a
-    /// device with these statistics, given the configured baseline of
-    /// [`Portfolio::with_stochastic_trials`]. Randomized search earns
-    /// its keep exactly where the choice *between* SWAPs matters:
-    ///
-    /// * tiny, uniform devices (diameter ≤ 2, no cost skew) leave the
-    ///   sampler almost nothing to discover beyond what one trial finds
-    ///   — the configured count is halved (never below one trial);
-    /// * calibrated skew ([`DeviceStats::cost_skew`] ≥ 2) makes SWAP
-    ///   choices price-sensitive, and a wide device (diameter ≥ 6)
-    ///   multiplies the routes per interaction — each doubles the
-    ///   count, capped at 4× the configured baseline.
-    ///
-    /// The scaling only redistributes the caller's budget; a configured
-    /// count of 0 still means no stochastic racer at all.
-    fn scaled_stochastic_trials(&self, stats: &qxmap_arch::DeviceStats) -> u64 {
-        let base = self.stochastic_trials;
-        if base == 0 {
-            return 0;
-        }
-        let skewed = stats.cost_skew() >= 2.0;
-        let wide = stats.diameter >= 6;
-        if stats.diameter <= 2 && !skewed {
-            return (base / 2).max(1);
-        }
-        let factor = match (skewed, wide) {
-            (true, true) => 4,
-            (true, false) | (false, true) => 2,
-            (false, false) => 1,
-        };
-        base.saturating_mul(factor)
-    }
-
     /// The cost-model-aware scheduler: reads the cheap
     /// [`DeviceStats`](qxmap_arch::DeviceStats) off the request's device
     /// model and skips baselines the statistics prove dominated, instead
-    /// of always racing the full pool — and scales the stochastic
-    /// racer's trial count to the device (see
-    /// [`Portfolio::scaled_stochastic_trials`]).
+    /// of always racing the full pool.
     ///
     /// The skips fire only on a **provably free** device — all-to-all,
     /// bidirectional, and with no CNOT-cost calibration above the
     /// baseline — where *every* layout executes every gate at cost 0:
-    /// SABRE and the stochastic mapper reduce to exactly the naive
-    /// floor's output, and the exact engine cannot improve on the
-    /// floor's self-certifying zero. On a merely all-to-all device the
-    /// full pool still races: unidirectional edges make reversals
-    /// layout-dependent, and calibrated CNOT costs make dear edges worth
-    /// steering around — both are exactly what the other engines find.
+    /// SABRE reduces to exactly the naive floor's output, and the exact
+    /// engine cannot improve on the floor's self-certifying zero. On a
+    /// merely all-to-all device the full pool still races:
+    /// unidirectional edges make reversals layout-dependent, and
+    /// calibrated CNOT costs make dear edges worth steering around —
+    /// both are exactly what the other engines find.
     ///
     /// The naive floor always races: the portfolio's "never worse than
     /// naive" contract is scheduler-independent.
@@ -179,19 +126,8 @@ impl Portfolio {
                 "free all-to-all device: every pair is adjacent in both directions \
                  at baseline cost, so no layout beats the shortest-path floor",
             ));
-            if self.stochastic_trials > 0 {
-                skipped.push((
-                    "stochastic",
-                    "free all-to-all device: randomized SWAP search has no SWAPs to choose",
-                ));
-            }
         } else {
             pool.push(HeuristicEngine::sabre());
-            if self.stochastic_trials > 0 {
-                pool.push(HeuristicEngine::stochastic(
-                    self.scaled_stochastic_trials(stats),
-                ));
-            }
         }
         let mut run_exact = exact_in_regime(request);
         if run_exact && provably_free {
@@ -213,12 +149,6 @@ impl Portfolio {
 impl Engine for Portfolio {
     fn name(&self) -> &str {
         "portfolio"
-    }
-
-    fn cache_signature(&self) -> String {
-        // The pool's composition changes the race's answers: distinct
-        // configurations must never share cache entries.
-        format!("portfolio:s{}", self.stochastic_trials)
     }
 
     fn run(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
@@ -288,9 +218,8 @@ impl Engine for Portfolio {
                     let heuristic_request = &heuristic_request;
                     scope.spawn(move || {
                         // Heuristics receive the race's control handle:
-                        // the stochastic trial pool stops early when a
-                        // zero-cost win cancels the race (and observes
-                        // the request's deadline on its own).
+                        // SABRE stops early when a zero-cost win cancels
+                        // the race.
                         let result = engine.run_inner(heuristic_request, Some(control));
                         if let Ok(report) = &result {
                             control.bound().tighten(report.cost.objective);
@@ -536,17 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn stochastic_trials_join_the_pool() {
-        let request = MapRequest::new(paper_example(), devices::ibm_qx4());
-        let report = Portfolio::new()
-            .with_stochastic_trials(3)
-            .run(&request)
-            .unwrap();
-        assert_eq!(report.cost.objective, 4);
-        assert!(report.proved_optimal);
-    }
-
-    #[test]
     fn restricted_strategy_exhaustion_is_no_certificate() {
         // The interaction graph of this circuit cannot embed in QX4, so
         // with no permutation points the exact formulation is Infeasible
@@ -615,74 +533,21 @@ mod tests {
 
     #[test]
     fn scheduler_skips_dominated_baselines_on_all_to_all_devices() {
-        // K6 (bidirectional all-to-all): SABRE, stochastic AND the exact
-        // engine are all dominated by the naive floor's guaranteed-zero
-        // result.
+        // K6 (bidirectional all-to-all): SABRE AND the exact engine are
+        // both dominated by the naive floor's guaranteed-zero result.
         let request = MapRequest::new(Circuit::new(4), devices::fully_connected(6));
-        let plan = Portfolio::new()
-            .with_stochastic_trials(3)
-            .plan_race(&request);
+        let plan = Portfolio::new().plan_race(&request);
         assert_eq!(plan.pool.len(), 1, "only the naive floor races");
         assert!(!plan.run_exact);
         let skipped: Vec<&str> = plan.skipped.iter().map(|(e, _)| *e).collect();
-        assert_eq!(skipped, vec!["sabre", "stochastic", "exact"]);
+        assert_eq!(skipped, vec!["sabre", "exact"]);
 
         // QX4 keeps the full pool and the exact racer.
         let request = MapRequest::new(Circuit::new(4), devices::ibm_qx4());
-        let plan = Portfolio::new()
-            .with_stochastic_trials(3)
-            .plan_race(&request);
-        assert_eq!(plan.pool.len(), 3);
+        let plan = Portfolio::new().plan_race(&request);
+        assert_eq!(plan.pool.len(), 2);
         assert!(plan.run_exact);
         assert!(plan.skipped.is_empty());
-    }
-
-    #[test]
-    fn stochastic_trials_scale_with_device_statistics() {
-        use crate::engine::Baseline;
-        use qxmap_arch::DeviceModel;
-        let planned_trials = |request: &MapRequest| -> Option<u64> {
-            let plan = Portfolio::new()
-                .with_stochastic_trials(8)
-                .plan_race(request);
-            plan.pool.iter().find_map(|e| match e.baseline() {
-                Baseline::Stochastic { trials } => Some(trials),
-                _ => None,
-            })
-        };
-
-        // Tiny uniform device (QX4: diameter 2, no skew): half the budget.
-        let tiny = MapRequest::new(Circuit::new(3), devices::ibm_qx4());
-        assert_eq!(planned_trials(&tiny), Some(4));
-
-        // Wide device (linear-8: diameter 7): doubled.
-        let wide = MapRequest::new(Circuit::new(3), devices::linear(8));
-        assert_eq!(planned_trials(&wide), Some(16));
-
-        // Skewed calibration on the same tiny device: doubled, not halved
-        // — price-sensitive SWAP choices are what sampling explores.
-        let skewed_model = DeviceModel::new(devices::ibm_qx4()).with_swap_cost(3, 4, 70);
-        assert!(skewed_model.stats().cost_skew() >= 2.0);
-        let skewed = MapRequest::for_model(Circuit::new(3), skewed_model);
-        assert_eq!(planned_trials(&skewed), Some(16));
-
-        // Skewed *and* wide: the full 4x, capped there.
-        let both_model = DeviceModel::new(devices::linear(8)).with_swap_cost(0, 1, 70);
-        let both = MapRequest::for_model(Circuit::new(3), both_model);
-        assert_eq!(planned_trials(&both), Some(32));
-
-        // A provably free device still races no stochastic trials at all.
-        let free = MapRequest::new(Circuit::new(3), devices::fully_connected(6));
-        assert_eq!(planned_trials(&free), None);
-
-        // And a configured count of one never collapses to zero.
-        let one = Portfolio::new()
-            .with_stochastic_trials(1)
-            .plan_race(&MapRequest::new(Circuit::new(3), devices::ibm_qx4()));
-        assert!(one
-            .pool
-            .iter()
-            .any(|e| matches!(e.baseline(), Baseline::Stochastic { trials: 1 })));
     }
 
     #[test]

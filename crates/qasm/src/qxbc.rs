@@ -35,7 +35,9 @@
 use std::error::Error;
 use std::fmt;
 
-use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind, SkeletonBuilder};
+use qxmap_circuit::{
+    Circuit, CircuitSkeleton, Fnv1a, Gate, GateTag, OneQubitKind, SkeletonBuilder,
+};
 
 /// File magic: the first eight bytes of every QXBC payload.
 pub const QXBC_MAGIC: &[u8; 8] = b"QXBCCIRC";
@@ -88,17 +90,6 @@ impl fmt::Display for QxbcError {
 
 impl Error for QxbcError {}
 
-/// FNV-1a over a byte slice — same mix as the solve-cache journal and
-/// [`CircuitSkeleton::fingerprint`].
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encodes a circuit as a QXBC payload.
 pub fn encode_qxbc(circuit: &Circuit) -> Vec<u8> {
     let gates = circuit.gates();
@@ -119,21 +110,29 @@ pub fn encode_qxbc(circuit: &Circuit) -> Vec<u8> {
     // Aux count must precede the records, so lay the table out first.
     let mut records = Vec::with_capacity(gates.len() * RECORD_BYTES);
     for gate in gates {
-        let (tag, kind, a, b, params): (u8, u8, u32, u32, [u64; 3]) = match gate {
-            Gate::One { kind, qubit } => {
-                let (k, params) = encode_kind(kind);
-                (1, k, *qubit as u32, 0, params)
+        let mut kind = 0;
+        let mut params = [0u64; 3];
+        let (a, b) = match gate {
+            Gate::One { kind: k, qubit } => {
+                kind = k.code();
+                for (p, angle) in params.iter_mut().zip(k.angles()) {
+                    *p = angle.to_bits();
+                }
+                (*qubit as u32, 0)
             }
-            Gate::Cnot { control, target } => (2, 0, *control as u32, *target as u32, [0; 3]),
-            Gate::Swap { a, b } => (3, 0, *a as u32, *b as u32, [0; 3]),
+            Gate::Cnot {
+                control: a,
+                target: b,
+            }
+            | Gate::Swap { a, b }
+            | Gate::Measure { qubit: a, clbit: b } => (*a as u32, *b as u32),
             Gate::Barrier(qs) => {
                 let offset = aux.len() as u32;
                 aux.extend(qs.iter().map(|&q| q as u32));
-                (4, 0, offset, qs.len() as u32, [0; 3])
+                (offset, qs.len() as u32)
             }
-            Gate::Measure { qubit, clbit } => (5, 0, *qubit as u32, *clbit as u32, [0; 3]),
         };
-        records.push(tag);
+        records.push(gate.tag().code());
         records.push(kind);
         records.extend_from_slice(&[0, 0]);
         records.extend_from_slice(&a.to_le_bytes());
@@ -147,66 +146,25 @@ pub fn encode_qxbc(circuit: &Circuit) -> Vec<u8> {
     for word in &aux {
         out.extend_from_slice(&word.to_le_bytes());
     }
-    let sum = checksum(&out);
+    let sum = Fnv1a::hash(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
-fn encode_kind(kind: &OneQubitKind) -> (u8, [u64; 3]) {
-    match kind {
-        OneQubitKind::I => (0, [0; 3]),
-        OneQubitKind::X => (1, [0; 3]),
-        OneQubitKind::Y => (2, [0; 3]),
-        OneQubitKind::Z => (3, [0; 3]),
-        OneQubitKind::H => (4, [0; 3]),
-        OneQubitKind::S => (5, [0; 3]),
-        OneQubitKind::Sdg => (6, [0; 3]),
-        OneQubitKind::T => (7, [0; 3]),
-        OneQubitKind::Tdg => (8, [0; 3]),
-        OneQubitKind::Rx(a) => (9, [a.to_bits(), 0, 0]),
-        OneQubitKind::Ry(a) => (10, [a.to_bits(), 0, 0]),
-        OneQubitKind::Rz(a) => (11, [a.to_bits(), 0, 0]),
-        OneQubitKind::Phase(a) => (12, [a.to_bits(), 0, 0]),
-        OneQubitKind::U(t, p, l) => (13, [t.to_bits(), p.to_bits(), l.to_bits()]),
-    }
-}
-
-fn decode_kind(kind: u8, params: [u64; 3]) -> Result<OneQubitKind, QxbcError> {
-    let fixed = |k: OneQubitKind| {
-        if params == [0; 3] {
-            Ok(k)
+/// The single-qubit kind of a record: its code, and one parameter word
+/// per angle with the unused words zero.
+fn decode_kind(code: u8, params: [u64; 3]) -> Result<OneQubitKind, QxbcError> {
+    let kind = OneQubitKind::from_code(code, params.map(f64::from_bits))
+        .ok_or(QxbcError::Corrupted("unknown single-qubit gate kind"))?;
+    let n = kind.angles().len();
+    if params[n..].iter().any(|&w| w != 0) {
+        return Err(QxbcError::Corrupted(if n == 0 {
+            "parameter words on a fixed gate kind"
         } else {
-            Err(QxbcError::Corrupted("parameter words on a fixed gate kind"))
-        }
-    };
-    let angled = |k: fn(f64) -> OneQubitKind| {
-        if params[1] == 0 && params[2] == 0 {
-            Ok(k(f64::from_bits(params[0])))
-        } else {
-            Err(QxbcError::Corrupted("excess parameter words"))
-        }
-    };
-    match kind {
-        0 => fixed(OneQubitKind::I),
-        1 => fixed(OneQubitKind::X),
-        2 => fixed(OneQubitKind::Y),
-        3 => fixed(OneQubitKind::Z),
-        4 => fixed(OneQubitKind::H),
-        5 => fixed(OneQubitKind::S),
-        6 => fixed(OneQubitKind::Sdg),
-        7 => fixed(OneQubitKind::T),
-        8 => fixed(OneQubitKind::Tdg),
-        9 => angled(OneQubitKind::Rx),
-        10 => angled(OneQubitKind::Ry),
-        11 => angled(OneQubitKind::Rz),
-        12 => angled(OneQubitKind::Phase),
-        13 => Ok(OneQubitKind::U(
-            f64::from_bits(params[0]),
-            f64::from_bits(params[1]),
-            f64::from_bits(params[2]),
-        )),
-        _ => Err(QxbcError::Corrupted("unknown single-qubit gate kind")),
+            "excess parameter words"
+        }));
     }
+    Ok(kind)
 }
 
 /// Bounds-checked cursor over a QXBC payload.
@@ -324,7 +282,7 @@ fn open(bytes: &[u8]) -> Result<Header<'_>, QxbcError> {
     if r.remaining() != 0 {
         return Err(QxbcError::Corrupted("trailing bytes after checksum"));
     }
-    if checksum(&bytes[..bytes.len() - 8]) != declared {
+    if Fnv1a::hash(&bytes[..bytes.len() - 8]) != declared {
         return Err(QxbcError::ChecksumMismatch);
     }
     Ok(Header {
@@ -354,17 +312,18 @@ fn record_gate(h: &Header<'_>, i: usize) -> Result<Gate, QxbcError> {
             Err(QxbcError::Corrupted("stray fields on a two-operand record"))
         }
     };
-    let gate = match rec[0] {
-        1 => Gate::One {
+    let tag = GateTag::from_code(rec[0]).ok_or(QxbcError::Corrupted("unknown gate tag"))?;
+    let gate = match tag {
+        GateTag::One => Gate::One {
             kind: decode_kind(rec[1], params)?,
             qubit: a,
         },
-        2 => plain(Gate::Cnot {
+        GateTag::Cnot => plain(Gate::Cnot {
             control: a,
             target: b,
         })?,
-        3 => plain(Gate::Swap { a, b })?,
-        4 => {
+        GateTag::Swap => plain(Gate::Swap { a, b })?,
+        GateTag::Barrier => {
             if rec[1] != 0 || params != [0; 3] {
                 return Err(QxbcError::Corrupted("stray fields on a barrier record"));
             }
@@ -374,8 +333,7 @@ fn record_gate(h: &Header<'_>, i: usize) -> Result<Gate, QxbcError> {
                 .ok_or(QxbcError::Corrupted("barrier aux span out of range"))?;
             Gate::Barrier(h.aux[a..end].iter().map(|&q| q as usize).collect())
         }
-        5 => plain(Gate::Measure { qubit: a, clbit: b })?,
-        _ => return Err(QxbcError::Corrupted("unknown gate tag")),
+        GateTag::Measure => plain(Gate::Measure { qubit: a, clbit: b })?,
     };
     if !gate.fits(h.num_qubits, h.num_clbits) {
         return Err(QxbcError::Corrupted("gate out of range"));

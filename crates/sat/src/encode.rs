@@ -2,9 +2,9 @@
 //!
 //! The symbolic formulation needs *exactly-one* constraints (Eq. 1's
 //! well-defined-mapping condition, the permutation selectors of footnote 5)
-//! and *at-most-one* / *at-most-k* constraints. Small constraints use the
-//! pairwise encoding; larger ones the sequential (ladder) encoding, which
-//! is linear in clauses and auxiliary variables.
+//! and *at-most-one* constraints. Small constraints use the pairwise
+//! encoding; larger ones the sequential (ladder) encoding, which is linear
+//! in clauses and auxiliary variables.
 
 use crate::lit::Lit;
 use crate::solver::Solver;
@@ -58,67 +58,6 @@ pub fn at_most_one_sequential(solver: &mut Solver, lits: &[Lit]) {
 pub fn exactly_one(solver: &mut Solver, lits: &[Lit]) {
     at_least_one(solver, lits);
     at_most_one(solver, lits);
-}
-
-/// Commander at-most-one (Klieber & Kwon 2007): split into groups of
-/// `group` literals, pairwise-encode each group, introduce one commander
-/// literal per group ("some member is true"), and recurse on the
-/// commanders. `O(n)` clauses with small constants; often the best
-/// encoding between the pairwise and sequential extremes.
-pub fn at_most_one_commander(solver: &mut Solver, lits: &[Lit], group: usize) {
-    let group = group.max(2);
-    if lits.len() <= group + 1 {
-        at_most_one_pairwise(solver, lits);
-        return;
-    }
-    let mut commanders = Vec::with_capacity(lits.len().div_ceil(group));
-    for chunk in lits.chunks(group) {
-        at_most_one_pairwise(solver, chunk);
-        let commander = solver.new_lit();
-        // commander ↔ (some member true): both directions keep the
-        // commander honest so the recursion's AMO is exact.
-        for &l in chunk {
-            solver.add_clause([!l, commander]);
-        }
-        let mut clause: Vec<Lit> = chunk.to_vec();
-        clause.push(!commander);
-        solver.add_clause(clause);
-        commanders.push(commander);
-    }
-    at_most_one_commander(solver, &commanders, group);
-}
-
-/// Adds `ℓ₁ + … + ℓₙ ≤ k` via the sequential counter encoding
-/// (Sinz 2005): `O(n·k)` auxiliary variables and clauses.
-pub fn at_most_k(solver: &mut Solver, lits: &[Lit], k: usize) {
-    let n = lits.len();
-    if n <= k {
-        return; // trivially satisfied
-    }
-    if k == 0 {
-        for &l in lits {
-            solver.add_clause([!l]);
-        }
-        return;
-    }
-    // r[i][j]: among lits[0..=i] at least j+1 are true (j < k).
-    let mut r: Vec<Vec<Lit>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        r.push((0..k).map(|_| solver.new_lit()).collect());
-    }
-    solver.add_clause([!lits[0], r[0][0]]);
-    for &rj in &r[0][1..k] {
-        solver.add_clause([!rj]);
-    }
-    for i in 1..n {
-        solver.add_clause([!lits[i], r[i][0]]);
-        solver.add_clause([!r[i - 1][0], r[i][0]]);
-        for j in 1..k {
-            solver.add_clause([!lits[i], !r[i - 1][j - 1], r[i][j]]);
-            solver.add_clause([!r[i - 1][j], r[i][j]]);
-        }
-        solver.add_clause([!lits[i], !r[i - 1][k - 1]]);
-    }
 }
 
 /// Tseitin AND: returns a literal `g` with `g ↔ (ℓ₁ ∧ … ∧ ℓₙ)`.
@@ -221,54 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn commander_amo_matches_pairwise() {
-        for n in [3usize, 7, 12, 20] {
-            for group in [2usize, 3, 4] {
-                let mut s1 = Solver::new();
-                let v1 = lits(&mut s1, n);
-                at_most_one_pairwise(&mut s1, &v1);
-                let mut s2 = Solver::new();
-                let v2 = lits(&mut s2, n);
-                at_most_one_commander(&mut s2, &v2, group);
-                assert_eq!(
-                    count_models(&mut s1, &v1),
-                    count_models(&mut s2, &v2),
-                    "n={n} group={group}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn at_most_k_model_counts() {
-        // Sum over i ≤ k of C(n, i).
-        fn binom(n: usize, k: usize) -> usize {
-            if k > n {
-                return 0;
-            }
-            (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
-        }
-        for (n, k) in [(4, 2), (5, 1), (5, 3), (6, 0), (3, 3)] {
-            let mut s = Solver::new();
-            let v = lits(&mut s, n);
-            at_most_k(&mut s, &v, k);
-            let expected: usize = (0..=k).map(|i| binom(n, i)).sum();
-            assert_eq!(count_models(&mut s, &v), expected, "n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn at_most_k_forces_unsat_when_k_exceeded() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 5);
-        at_most_k(&mut s, &v, 2);
-        for &l in &v[0..3] {
-            s.add_clause([l]);
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
     fn and_gate_truth_table() {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
@@ -321,7 +212,6 @@ mod tests {
     fn empty_constraints_are_noops() {
         let mut s = Solver::new();
         at_most_one(&mut s, &[]);
-        at_most_k(&mut s, &[], 0);
         assert!(s.solve().is_sat());
     }
 }

@@ -55,5 +55,5 @@ mod solver;
 pub mod totalizer;
 
 pub use lit::{Lit, Var};
-pub use optimize::{minimize, MinimizeError, MinimizeOptions, MinimizeStrategy, Minimum};
+pub use optimize::{minimize, MinimizeError, MinimizeOptions, Minimum};
 pub use solver::{Model, SolveResult, Solver, SolverStats, StopCause};

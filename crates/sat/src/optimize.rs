@@ -1,37 +1,20 @@
 //! Objective minimization (the "extended interpretation" of Definition 3).
 //!
 //! Given a satisfiable formula and an objective `F = Σ wᵢ·ℓᵢ` split into
-//! at-most-one groups, find a model minimizing `F`. Two complementary
-//! search schedules are provided, both driven by [`Totalizer`] bound
-//! literals assumed incrementally (the clause database, including
-//! everything learnt, is reused across iterations):
-//!
-//! * **linear descent** (default): solve, read off the model cost `C`,
-//!   assume `F ≤ C − 1`, repeat until unsatisfiable — matching the paper's
-//!   "add the objective min: F" usage where each improving model tightens
-//!   the bound;
-//! * **binary search**: bisect on `F ≤ mid` between 0 and the first model's
-//!   cost (the paper's footnote alternative).
+//! at-most-one groups, find a model minimizing `F` by linear descent:
+//! solve, read off the model cost `C`, assume `F ≤ C − 1`, repeat until
+//! unsatisfiable — matching the paper's "add the objective min: F" usage
+//! where each improving model tightens the bound. The bounds are
+//! [`Totalizer`] literals assumed incrementally, so the clause database,
+//! including everything learnt, is reused across iterations.
 
 use crate::lit::Lit;
 use crate::solver::{Model, SolveResult, Solver};
 use crate::totalizer::{evaluate, Totalizer};
 
-/// Search schedule for [`minimize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MinimizeStrategy {
-    /// Model-improving linear descent from the first model's cost.
-    #[default]
-    LinearDescent,
-    /// Binary search on the bound.
-    BinarySearch,
-}
-
 /// Options for [`minimize`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinimizeOptions {
-    /// Search schedule.
-    pub strategy: MinimizeStrategy,
     /// Total conflict budget shared by the whole minimization
     /// (`None` = unlimited). When it runs out, the best model found so
     /// far is returned with `proved_optimal = false`.
@@ -45,12 +28,6 @@ pub struct MinimizeOptions {
 }
 
 impl MinimizeOptions {
-    /// Sets the search schedule (builder style).
-    pub fn with_strategy(mut self, strategy: MinimizeStrategy) -> MinimizeOptions {
-        self.strategy = strategy;
-        self
-    }
-
     /// Sets the total conflict budget (builder style).
     pub fn with_conflict_budget(mut self, budget: Option<u64>) -> MinimizeOptions {
         self.conflict_budget = budget;
@@ -224,15 +201,10 @@ pub fn minimize(
                 None => break 'search false,
             },
         };
-        // Both schedules narrow `[lo, best_cost)`, the costs neither
-        // refuted nor attained: linear descent always asks for
-        // `best − 1`, binary search for the midpoint.
-        let mut lo = 0u64;
-        while lo < best_cost {
-            let target = match options.strategy {
-                MinimizeStrategy::LinearDescent => best_cost - 1,
-                MinimizeStrategy::BinarySearch => lo + (best_cost - lo) / 2,
-            };
+        // Each round asks for a model strictly cheaper than the best so
+        // far; the first refutation proves the best optimal.
+        while best_cost > 0 {
+            let target = best_cost - 1;
             // `best_cost` is attainable and at most the cap, so with
             // at-most-one groups an output above `target` always exists.
             let Some(bl) = totalizer.bound_literal(target) else {
@@ -251,7 +223,7 @@ pub fn minimize(
                         break 'search false;
                     }
                 }
-                SolveResult::Unsat => lo = target + 1,
+                SolveResult::Unsat => break,
                 SolveResult::Unknown => break 'search false,
             }
         }
@@ -295,28 +267,15 @@ mod tests {
 
     #[test]
     fn picks_cheapest_of_exactly_one() {
-        for strategy in [
-            MinimizeStrategy::LinearDescent,
-            MinimizeStrategy::BinarySearch,
-        ] {
-            let mut s = Solver::new();
-            let v = lits(&mut s, 4);
-            exactly_one(&mut s, &v);
-            // The exactly-one selectors form one group.
-            let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
-            let min = minimize(
-                &mut s,
-                &obj,
-                MinimizeOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .expect("sat");
-            assert_eq!(min.cost, 2, "{strategy:?}");
-            assert!(min.model.value(v[1]));
-            assert!(min.proved_optimal);
-        }
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        exactly_one(&mut s, &v);
+        // The exactly-one selectors form one group.
+        let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
+        let min = minimize(&mut s, &obj, MinimizeOptions::default()).expect("sat");
+        assert_eq!(min.cost, 2);
+        assert!(min.model.value(v[1]));
+        assert!(min.proved_optimal);
     }
 
     #[test]
@@ -348,28 +307,22 @@ mod tests {
 
     #[test]
     fn upper_bound_prunes_but_preserves_the_minimum() {
-        for strategy in [
-            MinimizeStrategy::LinearDescent,
-            MinimizeStrategy::BinarySearch,
-        ] {
-            let mut s = Solver::new();
-            let v = lits(&mut s, 4);
-            exactly_one(&mut s, &v);
-            // The exactly-one selectors form one group.
-            let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
-            let min = minimize(
-                &mut s,
-                &obj,
-                MinimizeOptions {
-                    strategy,
-                    initial_upper_bound: Some(6),
-                    ..Default::default()
-                },
-            )
-            .expect("cost 2 < 6 exists");
-            assert_eq!(min.cost, 2, "{strategy:?}");
-            assert!(min.proved_optimal);
-        }
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        exactly_one(&mut s, &v);
+        // The exactly-one selectors form one group.
+        let obj = vec![vec![(9u64, v[0]), (2, v[1]), (5, v[2]), (7, v[3])]];
+        let min = minimize(
+            &mut s,
+            &obj,
+            MinimizeOptions {
+                initial_upper_bound: Some(6),
+                ..Default::default()
+            },
+        )
+        .expect("cost 2 < 6 exists");
+        assert_eq!(min.cost, 2);
+        assert!(min.proved_optimal);
     }
 
     #[test]
@@ -445,30 +398,24 @@ mod tests {
         // encoded sum of a ∧ b ∧ ¬c is 5 while its true cost is 10. Every
         // search reaches a bound that admits that model, and the model
         // breaks it.
-        for strategy in [
-            MinimizeStrategy::LinearDescent,
-            MinimizeStrategy::BinarySearch,
-        ] {
-            for ub in [None, Some(7), Some(11)] {
-                let mut s = Solver::new();
-                let v = lits(&mut s, 3);
-                let (a, b, c) = (v[0], v[1], v[2]);
-                s.add_clause([a, c]);
-                s.add_clause([b, c]);
-                let obj = vec![vec![(5, a), (5, b)], vec![(6, c)]];
-                let min = minimize(
-                    &mut s,
-                    &obj,
-                    MinimizeOptions {
-                        strategy,
-                        initial_upper_bound: ub,
-                        ..Default::default()
-                    },
-                )
-                .expect("satisfiable");
-                assert!(!min.proved_optimal, "{strategy:?} ub={ub:?}");
-                assert_eq!(min.cost, evaluate(&obj, &min.model));
-            }
+        for ub in [None, Some(7), Some(11)] {
+            let mut s = Solver::new();
+            let v = lits(&mut s, 3);
+            let (a, b, c) = (v[0], v[1], v[2]);
+            s.add_clause([a, c]);
+            s.add_clause([b, c]);
+            let obj = vec![vec![(5, a), (5, b)], vec![(6, c)]];
+            let min = minimize(
+                &mut s,
+                &obj,
+                MinimizeOptions {
+                    initial_upper_bound: ub,
+                    ..Default::default()
+                },
+            )
+            .expect("satisfiable");
+            assert!(!min.proved_optimal, "ub={ub:?}");
+            assert_eq!(min.cost, evaluate(&obj, &min.model));
         }
     }
 
@@ -477,82 +424,30 @@ mod tests {
         // The first model clears `pigeons` (cost 1); asking for cost 0
         // means refuting a pigeonhole instance (7 pigeons, 6 holes), far
         // beyond the conflict budget.
-        for strategy in [
-            MinimizeStrategy::LinearDescent,
-            MinimizeStrategy::BinarySearch,
-        ] {
-            let mut s = Solver::new();
-            let pigeons = s.new_lit();
-            let p: Vec<Vec<Lit>> = (0..7).map(|_| lits(&mut s, 6)).collect();
-            for pigeon in &p {
-                s.add_clause(pigeon.iter().copied().chain([!pigeons]));
-            }
-            for h in 0..6 {
-                for (i, a) in p.iter().enumerate() {
-                    for b in &p[i + 1..] {
-                        s.add_clause([!a[h], !b[h], !pigeons]);
-                    }
-                }
-            }
-            let min = minimize(
-                &mut s,
-                &[vec![(1, !pigeons)]],
-                MinimizeOptions {
-                    strategy,
-                    conflict_budget: Some(50),
-                    ..Default::default()
-                },
-            )
-            .expect("the first model needs no search");
-            assert_eq!(min.cost, 1, "{strategy:?}");
-            assert!(!min.proved_optimal, "{strategy:?}");
+        let mut s = Solver::new();
+        let pigeons = s.new_lit();
+        let p: Vec<Vec<Lit>> = (0..7).map(|_| lits(&mut s, 6)).collect();
+        for pigeon in &p {
+            s.add_clause(pigeon.iter().copied().chain([!pigeons]));
         }
-    }
-
-    #[test]
-    fn binary_and_linear_agree_on_random_instances() {
-        let mut seed = 0x12345u64;
-        let mut rnd = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 33
-        };
-        for _ in 0..20 {
-            let n = 8;
-            let mut clauses: Vec<Vec<(usize, bool)>> = Vec::new();
-            for _ in 0..12 {
-                let mut cl = Vec::new();
-                for _ in 0..3 {
-                    cl.push(((rnd() % n as u64) as usize, rnd() % 2 == 0));
+        for h in 0..6 {
+            for (i, a) in p.iter().enumerate() {
+                for b in &p[i + 1..] {
+                    s.add_clause([!a[h], !b[h], !pigeons]);
                 }
-                clauses.push(cl);
             }
-            let weights: Vec<u64> = (0..n).map(|_| rnd() % 9 + 1).collect();
-
-            let run = |strategy: MinimizeStrategy| {
-                let mut s = Solver::new();
-                let v = lits(&mut s, n);
-                for cl in &clauses {
-                    s.add_clause(cl.iter().map(|&(i, pos)| if pos { v[i] } else { !v[i] }));
-                }
-                let obj: Vec<(u64, Lit)> = weights.iter().copied().zip(v.iter().copied()).collect();
-                minimize(
-                    &mut s,
-                    &singletons(&obj),
-                    MinimizeOptions {
-                        strategy,
-                        ..Default::default()
-                    },
-                )
-                .ok()
-                .map(|m| m.cost)
-            };
-            assert_eq!(
-                run(MinimizeStrategy::LinearDescent),
-                run(MinimizeStrategy::BinarySearch)
-            );
         }
+        let min = minimize(
+            &mut s,
+            &[vec![(1, !pigeons)]],
+            MinimizeOptions {
+                conflict_budget: Some(50),
+                ..Default::default()
+            },
+        )
+        .expect("the first model needs no search");
+        assert_eq!(min.cost, 1);
+        assert!(!min.proved_optimal);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use qxmap_sat::{
-    brute, encode, minimize, Lit, MinimizeError, MinimizeOptions, MinimizeStrategy, SolveResult,
-    Solver,
+    brute, encode, minimize, Lit, MinimizeError, MinimizeOptions, SolveResult, Solver,
 };
 
 /// A random clause over `num_vars` variables, as DIMACS-style integers.
@@ -154,29 +153,22 @@ proptest! {
         let flat: Vec<(u64, Lit)> = groups.iter().flatten().copied().collect();
         let expected = brute::minimum_cost(10, &lit_clauses, &flat);
 
-        for strategy in [MinimizeStrategy::LinearDescent, MinimizeStrategy::BinarySearch] {
-            // The solver sees the library's own cardinality encodings.
-            let mut s = build_solver(10, &clauses);
-            for (members, exactly) in &constrained {
-                if *exactly {
-                    encode::exactly_one(&mut s, members);
-                } else {
-                    encode::at_most_one(&mut s, members);
-                }
+        // The solver sees the library's own cardinality encodings.
+        let mut s = build_solver(10, &clauses);
+        for (members, exactly) in &constrained {
+            if *exactly {
+                encode::exactly_one(&mut s, members);
+            } else {
+                encode::at_most_one(&mut s, members);
             }
-            let got = minimize(
-                &mut s,
-                &groups,
-                MinimizeOptions::default().with_strategy(strategy),
-            );
-            match (expected, got) {
-                (None, Err(MinimizeError::Unsatisfiable)) => {}
-                (Some(e), Ok(m)) => {
-                    prop_assert_eq!(e, m.cost, "{:?}", strategy);
-                    prop_assert!(m.proved_optimal, "{:?}", strategy);
-                }
-                (e, g) => prop_assert!(false, "{strategy:?}: expected {e:?}, got {g:?}"),
+        }
+        match (expected, minimize(&mut s, &groups, MinimizeOptions::default())) {
+            (None, Err(MinimizeError::Unsatisfiable)) => {}
+            (Some(e), Ok(m)) => {
+                prop_assert_eq!(e, m.cost);
+                prop_assert!(m.proved_optimal);
             }
+            (e, g) => prop_assert!(false, "expected {e:?}, got {g:?}"),
         }
     }
 }

@@ -56,10 +56,7 @@
 //! record by record — rejecting torn or corrupt records individually,
 //! keeping everything intact — so a graceful restart comes back with the
 //! same entries in the same recency order, and a `kill -9` loses at most
-//! the unsynced tail. Each daemon owns its journal file; a replica
-//! reads another daemon's journal without writing it — booting on a
-//! copy of a compacted file, or tail-following the live one with
-//! [`qxmap_map::replay_records`] — and journals to a path of its own.
+//! the unsynced tail.
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{self, BufRead, BufReader, Write as _};

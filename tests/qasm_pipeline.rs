@@ -81,3 +81,70 @@ t1 c
     )
     .expect("unitary"));
 }
+
+/// Every gate kind keeps its persisted code, and QXBC, the skeleton
+/// builder and the in-memory circuit agree on it: the QXBC round trip is
+/// lossless and the skeleton decoded straight from QXBC bytes equals the
+/// one built from the decoded circuit.
+#[test]
+fn every_gate_kind_keeps_its_code_across_byte_formats() {
+    use qxmap::circuit::{CircuitSkeleton, Gate, GateTag, OneQubitKind};
+
+    let kinds = [
+        OneQubitKind::I,
+        OneQubitKind::X,
+        OneQubitKind::Y,
+        OneQubitKind::Z,
+        OneQubitKind::H,
+        OneQubitKind::S,
+        OneQubitKind::Sdg,
+        OneQubitKind::T,
+        OneQubitKind::Tdg,
+        OneQubitKind::Rx(0.25),
+        OneQubitKind::Ry(-1.5),
+        OneQubitKind::Rz(3.0),
+        OneQubitKind::Phase(0.125),
+        OneQubitKind::U(0.1, 0.2, 0.3),
+    ];
+    for (code, kind) in kinds.iter().enumerate() {
+        assert_eq!(usize::from(kind.code()), code, "{kind:?}");
+        let mut angles = [0.0; 3];
+        for (slot, a) in angles.iter_mut().zip(kind.angles()) {
+            *slot = a;
+        }
+        assert_eq!(
+            OneQubitKind::angle_count(kind.code()),
+            Some(kind.angles().len())
+        );
+        assert_eq!(OneQubitKind::from_code(kind.code(), angles), Some(*kind));
+    }
+    assert_eq!(OneQubitKind::from_code(14, [0.0; 3]), None);
+
+    let mut circuit = qxmap::circuit::Circuit::with_clbits(3, 1);
+    for (i, &kind) in kinds.iter().enumerate() {
+        circuit.one(kind, i % 3);
+    }
+    circuit.cx(0, 1).swap_gate(1, 2).barrier().measure(2, 0);
+    let tags: Vec<u8> = circuit.gates().iter().map(|g| g.tag().code()).collect();
+    assert_eq!(&tags[kinds.len()..], &[2, 3, 4, 5]);
+    assert!(tags[..kinds.len()].iter().all(|&t| t == 1));
+    for (code, tag) in [
+        (1, GateTag::One),
+        (2, GateTag::Cnot),
+        (3, GateTag::Swap),
+        (4, GateTag::Barrier),
+        (5, GateTag::Measure),
+    ] {
+        assert_eq!(GateTag::from_code(code), Some(tag));
+        assert_eq!(tag.code(), code);
+    }
+    assert_eq!(GateTag::from_code(0), None);
+    assert!(matches!(circuit.gates()[kinds.len()], Gate::Cnot { .. }));
+
+    let bytes = qasm::encode_qxbc(&circuit);
+    assert_eq!(qasm::decode_qxbc(&bytes).expect("decodes"), circuit);
+    assert_eq!(
+        qasm::decode_qxbc_skeleton(&bytes).expect("decodes"),
+        CircuitSkeleton::of(&circuit)
+    );
+}

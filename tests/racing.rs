@@ -1,12 +1,12 @@
 //! Contract tests for the concurrent solve subsystem: deadline-bounded
-//! portfolio races, winner/elapsed reporting, the process-wide `SwapTable`
-//! memo cache, and repeated-batch behavior.
+//! portfolio races, winner/elapsed reporting, the process-wide costed
+//! `swaps(π)` table cache, and repeated-batch behavior.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use qxmap::arch::{devices, CouplingMap, SwapTable};
+use qxmap::arch::{devices, CostedSwapTable, CouplingMap, DeviceModel};
 use qxmap::circuit::{paper_example, Circuit};
 use qxmap::map::{map_many, Engine, ExactEngine, HeuristicEngine, MapRequest, Portfolio};
 
@@ -90,15 +90,21 @@ fn reports_surface_winner_and_elapsed() {
 }
 
 #[test]
-fn swap_table_cache_yields_identical_tables() {
-    // The same (device, subset) request twice: same contents, same
-    // allocation, and both equal to an uncached build.
-    let cm = devices::ibm_qx4();
-    let a = SwapTable::shared(&cm, &[0, 1, 2, 3]);
-    let b = SwapTable::shared(&cm, &[0, 1, 2, 3]);
-    assert_eq!(*a, *b);
+fn costed_table_cache_yields_identical_tables() {
+    // The same (model, subset) request twice: same allocation, and the
+    // same costs and witnesses as an uncached build.
+    let model = DeviceModel::paper(devices::ibm_qx4());
+    let subset = [0, 1, 2, 3];
+    let a = model.costed_table(&subset);
+    let b = model.costed_table(&subset);
     assert!(Arc::ptr_eq(&a, &b));
-    assert_eq!(*a, SwapTable::for_subset(&cm, &[0, 1, 2, 3]));
+    let uncached = CostedSwapTable::for_subset(&devices::ibm_qx4(), &subset);
+    assert_eq!(a.len(), uncached.len());
+    assert_eq!(a.cheaper_than(None), uncached.cheaper_than(None));
+    for (cost, pi) in uncached.cheaper_than(None) {
+        assert_eq!(a.cost(pi), Some(*cost));
+        assert_eq!(a.sequence(pi), uncached.sequence(pi));
+    }
 }
 
 #[test]
@@ -109,12 +115,8 @@ fn repeated_batches_dedupe_through_the_solve_cache() {
         .map(|_| MapRequest::new(paper_example(), devices::ibm_qx4()))
         .collect();
 
-    // The first batch builds its SwapTables (or reuses earlier tests');
-    // the interesting claim is about the *solve* layer above them. (The
-    // SwapTable counters are process-wide and concurrently bumped by
-    // sibling tests, so no assertion on them can be made race-free here;
-    // their behavior is covered by swap_table_cache_yields_identical_
-    // tables and the qxmap-arch unit tests.)
+    // The claim is about the *solve* layer: the first batch solves once,
+    // the second solves nothing.
     let first_timer = Instant::now();
     let first = map_many(&requests);
     let first_elapsed = first_timer.elapsed();
