@@ -228,8 +228,9 @@ fn ingest_row(source: &str, circuit: &Circuit) -> (Json, f64) {
         "{source}: QXBC skeleton diverged"
     );
 
+    // The daemon's miss path: text to circuit, no AST.
     let parse_seq_ms = best_ms(|| {
-        qxmap_qasm::to_circuit(&qxmap_qasm::parse_program(&text).unwrap()).unwrap();
+        qxmap_qasm::parse(&text).unwrap();
     });
     let skeleton_ms = best_ms(|| {
         qxmap_qasm::parse_skeleton(&text).unwrap();

@@ -1,7 +1,15 @@
 //! Abstract syntax tree for OpenQASM 2.0.
+//!
+//! [`crate::parse_program`] builds it; conversion reads it back through
+//! [`Program::replay`], the same statement stream the parser hands the
+//! text entry points. Only gate bodies are kept as [`GateOp`]s on the
+//! text path: conversion replays a body on every call of its gate.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+
+use crate::parse::{ArgRef, Build, Eval, ParseQasmError, Stmt, Value, TOP_LEVEL};
 
 /// A parsed program.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -83,9 +91,24 @@ pub struct Arg {
 
 impl fmt::Display for Arg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.index {
-            Some(i) => write!(f, "{}[{i}]", self.register),
-            None => write!(f, "{}", self.register),
+        ArgRef::from(self).fmt(f)
+    }
+}
+
+impl<'a> From<&'a Arg> for ArgRef<'a> {
+    fn from(arg: &'a Arg) -> ArgRef<'a> {
+        ArgRef {
+            register: &arg.register,
+            index: arg.index,
+        }
+    }
+}
+
+impl From<ArgRef<'_>> for Arg {
+    fn from(arg: ArgRef<'_>) -> Arg {
+        Arg {
+            register: arg.register.to_string(),
+            index: arg.index,
         }
     }
 }
@@ -156,42 +179,112 @@ impl Expr {
     ///
     /// Returns [`EvalError`] for unbound identifiers or unknown functions.
     pub fn eval(&self, bindings: &HashMap<String, f64>) -> Result<f64, EvalError> {
+        self.fold(&Eval(|name: &str| bindings.get(name).copied()))
+    }
+
+    /// Rebuilds the expression through `b`, bottom up.
+    pub(crate) fn fold<'e, B: Build<'e>>(&'e self, b: &B) -> B::Expr {
         match self {
-            Expr::Num(v) => Ok(*v),
-            Expr::Pi => Ok(std::f64::consts::PI),
-            Expr::Ident(name) => bindings
-                .get(name)
-                .copied()
-                .ok_or_else(|| EvalError { what: name.clone() }),
-            Expr::Neg(e) => Ok(-e.eval(bindings)?),
-            Expr::Bin { op, lhs, rhs } => {
-                let l = lhs.eval(bindings)?;
-                let r = rhs.eval(bindings)?;
-                Ok(match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => l / r,
-                    BinOp::Pow => l.powf(r),
-                })
-            }
-            Expr::Func { func, arg } => {
-                let v = arg.eval(bindings)?;
-                Ok(match func.as_str() {
-                    "sin" => v.sin(),
-                    "cos" => v.cos(),
-                    "tan" => v.tan(),
-                    "exp" => v.exp(),
-                    "ln" => v.ln(),
-                    "sqrt" => v.sqrt(),
-                    other => {
-                        return Err(EvalError {
-                            what: other.to_string(),
-                        })
-                    }
-                })
-            }
+            Expr::Num(v) => b.num(*v),
+            Expr::Pi => b.pi(),
+            Expr::Ident(name) => b.ident(name),
+            Expr::Neg(e) => b.neg(e.fold(b)),
+            Expr::Bin { op, lhs, rhs } => b.bin(*op, lhs.fold(b), rhs.fold(b)),
+            Expr::Func { func, arg } => b.func(func, arg.fold(b)),
         }
+    }
+}
+
+/// Builds parameter expressions as [`Expr`] trees.
+pub(crate) struct Ast;
+
+impl<'a> Build<'a> for Ast {
+    type Expr = Expr;
+
+    fn num(&self, v: f64) -> Expr {
+        Expr::Num(v)
+    }
+
+    fn pi(&self) -> Expr {
+        Expr::Pi
+    }
+
+    fn ident(&self, name: &'a str) -> Expr {
+        Expr::Ident(name.to_string())
+    }
+
+    fn neg(&self, e: Expr) -> Expr {
+        Expr::Neg(Box::new(e))
+    }
+
+    fn bin(&self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::Bin {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        }
+    }
+
+    fn func(&self, name: &'a str, arg: Expr) -> Expr {
+        Expr::Func {
+            func: name.to_string(),
+            arg: Box::new(arg),
+        }
+    }
+}
+
+impl Program {
+    /// Hands the statements to `sink` as the parser hands a source's,
+    /// top-level parameters evaluated, so conversion runs the same on
+    /// either.
+    pub(crate) fn replay<'p>(
+        &'p self,
+        sink: &mut dyn FnMut(Stmt<'p, '_, Value>) -> Result<(), ParseQasmError>,
+    ) -> Result<(), ParseQasmError> {
+        if self.includes_qelib {
+            sink(Stmt::Qelib)?;
+        }
+        let (mut params, mut args) = (Vec::new(), Vec::new());
+        for statement in &self.statements {
+            let stmt = match statement {
+                Statement::QReg { name, size } => Stmt::QReg { name, size: *size },
+                Statement::CReg { name, size } => Stmt::CReg { name, size: *size },
+                Statement::GateDef {
+                    name,
+                    params: formals,
+                    qargs,
+                    body,
+                } => Stmt::Gate {
+                    name,
+                    params: formals.iter().map(String::as_str).collect(),
+                    qargs: qargs.iter().map(String::as_str).collect(),
+                    body: Cow::Borrowed(body),
+                },
+                Statement::Apply(op) => {
+                    params.clear();
+                    params.extend(op.params.iter().map(|e| e.fold(&TOP_LEVEL)));
+                    args.clear();
+                    args.extend(op.args.iter().map(ArgRef::from));
+                    Stmt::Apply {
+                        name: &op.name,
+                        params: &params,
+                        args: &args,
+                        line: op.line,
+                    }
+                }
+                Statement::Measure { qubit, clbit } => Stmt::Measure {
+                    qubit: qubit.into(),
+                    clbit: clbit.into(),
+                },
+                Statement::Barrier(list) => {
+                    args.clear();
+                    args.extend(list.iter().map(ArgRef::from));
+                    Stmt::Barrier(&args)
+                }
+            };
+            sink(stmt)?;
+        }
+        Ok(())
     }
 }
 

@@ -1,39 +1,169 @@
-//! AST → circuit conversion with hierarchical gate inlining.
+//! Statement stream → circuit conversion with hierarchical gate inlining.
+//!
+//! Conversion walks a program's statements twice. The first walk checks
+//! the syntax and records the declarations: each register's offset and
+//! size, and each gate definition's body. The second walk emits gates
+//! into a sink — a [`Circuit`] or a [`SkeletonBuilder`] — in program
+//! order, so a register or gate may be used before it is declared. The
+//! statements come from the parser walking source tokens, or from a
+//! built [`Program`] replaying itself; either way one converter runs.
+//!
+//! Errors rank in a fixed order: syntax (a lex error first), then
+//! register overflow, then conversion errors in program order. The
+//! daemon checks the declared width against its device between the
+//! last two, before anything is sized by the width.
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind, SkeletonBuilder};
 
-use crate::ast::{Arg, GateOp, Program, Statement};
-use crate::parse::ParseQasmError;
+use crate::ast::{GateOp, Program};
+use crate::lex::Token;
+use crate::parse::{lex, walk, ArgRef, Eval, ParseQasmError, Stmt, Value, TOP_LEVEL};
 
-struct GateDef {
-    params: Vec<String>,
-    qargs: Vec<String>,
-    body: Vec<GateOp>,
+/// A gate definition: its formal names, and the body replayed per call.
+struct GateDef<'a> {
+    params: Vec<&'a str>,
+    qargs: Vec<&'a str>,
+    body: Cow<'a, [GateOp]>,
 }
 
 /// The standard library's gate definitions, parsed once per process.
-/// Programs flag `include "qelib1.inc";` instead of splicing the
-/// library's statements (see [`Program::includes_qelib`]); conversion
-/// falls back to this table, so per-request parsing never pays for the
-/// library again.
-fn qelib_gates() -> &'static HashMap<String, GateDef> {
-    static TABLE: std::sync::OnceLock<HashMap<String, GateDef>> = std::sync::OnceLock::new();
+/// A program flags `include "qelib1.inc";` instead of splicing the
+/// library's statements, and conversion falls back to this table, so
+/// per-request parsing never pays for the library again.
+fn qelib_gates() -> &'static HashMap<&'static str, GateDef<'static>> {
+    static TABLE: OnceLock<HashMap<&'static str, GateDef<'static>>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let lib = crate::parse::parse_program(crate::qelib::QELIB1)
-            .expect("the embedded qelib1.inc parses");
-        let mut gates = HashMap::new();
-        for stmt in lib.statements {
-            if let Statement::GateDef {
+        Parsed::new(crate::qelib::QELIB1)
+            .expect("the embedded qelib1.inc parses")
+            .decls
+            .gates
+    })
+}
+
+/// Where a program's statements come from.
+enum Statements<'a> {
+    /// Source tokens, walked by the parser.
+    Text(Vec<Token<'a>>),
+    /// A built AST, replayed.
+    Program(&'a Program),
+}
+
+impl<'a> Statements<'a> {
+    fn each(
+        &self,
+        sink: &mut dyn FnMut(Stmt<'a, '_, Value>) -> Result<(), ParseQasmError>,
+    ) -> Result<(), ParseQasmError> {
+        match self {
+            Statements::Text(tokens) => walk(tokens, &TOP_LEVEL, sink),
+            Statements::Program(program) => program.replay(sink),
+        }
+    }
+}
+
+/// One kind of register, quantum or classical, laid out contiguously
+/// in declaration order.
+#[derive(Default)]
+struct Registers<'a> {
+    /// (name, offset, size) per declared name; a redeclared name keeps
+    /// its last layout. Programs declare a register or two, so lookups
+    /// scan this list while it holds at most [`Registers::SCAN`] names.
+    layouts: Vec<(&'a str, usize, usize)>,
+    /// Name → position in `layouts`, for lookups past the scan limit: a
+    /// source declaring thousands of registers cannot make conversion
+    /// quadratic.
+    index: HashMap<&'a str, usize>,
+    total: usize,
+    /// The first declaration that overflowed the total, with the number
+    /// of the statement that made it.
+    overflow: Option<(usize, ParseQasmError)>,
+}
+
+impl<'a> Registers<'a> {
+    const SCAN: usize = 8;
+
+    fn declare(&mut self, name: &'a str, size: usize, statement: usize) {
+        let layout = (name, self.total, size);
+        match self.index.entry(name) {
+            Entry::Occupied(at) => self.layouts[*at.get()] = layout,
+            Entry::Vacant(at) => {
+                at.insert(self.layouts.len());
+                self.layouts.push(layout);
+            }
+        }
+        match self.total.checked_add(size) {
+            Some(total) => self.total = total,
+            None => {
+                self.overflow.get_or_insert_with(|| {
+                    let message =
+                        format!("register `{name}[{size}]` overflows the total register size");
+                    (statement, ParseQasmError::new(None, message))
+                });
+            }
+        }
+    }
+
+    /// The declared width, unless a declaration overflowed it.
+    fn width(&self) -> Result<usize, ParseQasmError> {
+        match &self.overflow {
+            Some((_, error)) => Err(error.clone()),
+            None => Ok(self.total),
+        }
+    }
+
+    /// Expands a register argument to its range of global indices —
+    /// a range, not a list, so a huge declared register costs nothing
+    /// until a gate is emitted on it.
+    fn expand(&self, arg: ArgRef<'_>) -> Result<Range<usize>, ParseQasmError> {
+        let layout = if self.layouts.len() <= Registers::SCAN {
+            self.layouts.iter().find(|l| l.0 == arg.register)
+        } else {
+            self.index.get(arg.register).map(|&i| &self.layouts[i])
+        };
+        let &(_, offset, size) = layout.ok_or_else(|| {
+            ParseQasmError::new(None, format!("unknown register `{}`", arg.register))
+        })?;
+        match arg.index {
+            Some(i) if i < size => Ok(offset + i..offset + i + 1),
+            Some(i) => Err(ParseQasmError::new(
+                None,
+                format!("index {i} out of range for `{}[{size}]`", arg.register),
+            )),
+            None => Ok(offset..offset + size),
+        }
+    }
+}
+
+/// What the first walk records.
+#[derive(Default)]
+struct Declarations<'a> {
+    qubits: Registers<'a>,
+    clbits: Registers<'a>,
+    gates: HashMap<&'a str, GateDef<'a>>,
+    qelib: bool,
+    /// Statements recorded so far: orders overflows of the two kinds.
+    statements: usize,
+}
+
+impl<'a> Declarations<'a> {
+    fn record(&mut self, stmt: Stmt<'a, '_, Value>) {
+        self.statements += 1;
+        match stmt {
+            Stmt::Qelib => self.qelib = true,
+            Stmt::QReg { name, size } => self.qubits.declare(name, size, self.statements),
+            Stmt::CReg { name, size } => self.clbits.declare(name, size, self.statements),
+            Stmt::Gate {
                 name,
                 params,
                 qargs,
                 body,
-            } = stmt
-            {
-                gates.insert(
+            } => {
+                self.gates.insert(
                     name,
                     GateDef {
                         params,
@@ -42,230 +172,21 @@ fn qelib_gates() -> &'static HashMap<String, GateDef> {
                     },
                 );
             }
-        }
-        gates
-    })
-}
-
-struct Converter {
-    qubit_offset: HashMap<String, (usize, usize)>, // name -> (offset, size)
-    clbit_offset: HashMap<String, (usize, usize)>,
-    num_qubits: usize,
-    num_clbits: usize,
-    gates: HashMap<String, GateDef>,
-    qelib: bool,
-}
-
-/// Converts a parsed program into a flat circuit.
-///
-/// Quantum registers are laid out contiguously in declaration order; gate
-/// definitions are inlined recursively with parameters constant-folded.
-///
-/// # Errors
-///
-/// Returns [`ParseQasmError`] on unknown registers or gates, index or
-/// arity violations, or broadcast-size mismatches.
-pub fn to_circuit(program: &Program) -> Result<Circuit, ParseQasmError> {
-    let conv = Converter::of(program)?;
-    let mut circuit = Circuit::with_clbits(conv.num_qubits, conv.num_clbits);
-    conv.run(program, &mut |g| circuit.push(g))?;
-    crate::hooks::note_circuit_built();
-    Ok(circuit)
-}
-
-/// Converts a parsed program straight into its canonical
-/// [`CircuitSkeleton`] without materializing a [`Circuit`].
-///
-/// Gates stream into a [`SkeletonBuilder`] as conversion emits them, so
-/// the result (tokens, fingerprint, canonical labels) is identical to
-/// `CircuitSkeleton::of(&to_circuit(program)?)` — the single-pass entry
-/// behind skeleton-first cache probes, where a warm hit never pays for
-/// the circuit's gate vector.
-///
-/// # Errors
-///
-/// Returns exactly the [`ParseQasmError`] that [`to_circuit`] would
-/// return on the same program (both run the same conversion).
-pub fn to_skeleton(program: &Program) -> Result<CircuitSkeleton, ParseQasmError> {
-    let conv = Converter::of(program)?;
-    let mut builder = SkeletonBuilder::new(conv.num_qubits, conv.num_clbits);
-    conv.run(program, &mut |g| builder.push(&g))?;
-    Ok(builder.finish())
-}
-
-impl Program {
-    /// The number of qubits the program's `qreg`s declare: the width of
-    /// the circuit [`to_circuit`] builds. Only the declarations are read,
-    /// so a caller can bound the width before conversion allocates
-    /// per-qubit state.
-    ///
-    /// # Errors
-    ///
-    /// The sizes overflow `usize` when summed; conversion fails with the
-    /// same error.
-    pub fn num_qubits(&self) -> Result<usize, ParseQasmError> {
-        self.statements
-            .iter()
-            .try_fold(0, |total, stmt| match stmt {
-                Statement::QReg { name, size } => grow(total, name, *size),
-                _ => Ok(total),
-            })
-    }
-}
-
-/// `total` plus one more register of `size`, refusing a sum that
-/// overflows.
-fn grow(total: usize, name: &str, size: usize) -> Result<usize, ParseQasmError> {
-    total.checked_add(size).ok_or_else(|| {
-        ParseQasmError::new(
-            None,
-            format!("register `{name}[{size}]` overflows the total register size"),
-        )
-    })
-}
-
-impl Converter {
-    /// First pass: registers and gate definitions.
-    fn of(program: &Program) -> Result<Converter, ParseQasmError> {
-        let mut conv = Converter {
-            qubit_offset: HashMap::new(),
-            clbit_offset: HashMap::new(),
-            num_qubits: 0,
-            num_clbits: 0,
-            gates: HashMap::new(),
-            qelib: program.includes_qelib,
-        };
-        for stmt in &program.statements {
-            match stmt {
-                Statement::QReg { name, size } => {
-                    conv.qubit_offset
-                        .insert(name.clone(), (conv.num_qubits, *size));
-                    conv.num_qubits = grow(conv.num_qubits, name, *size)?;
-                }
-                Statement::CReg { name, size } => {
-                    conv.clbit_offset
-                        .insert(name.clone(), (conv.num_clbits, *size));
-                    conv.num_clbits = grow(conv.num_clbits, name, *size)?;
-                }
-                Statement::GateDef {
-                    name,
-                    params,
-                    qargs,
-                    body,
-                } => {
-                    conv.gates.insert(
-                        name.clone(),
-                        GateDef {
-                            params: params.clone(),
-                            qargs: qargs.clone(),
-                            body: body.clone(),
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
-        Ok(conv)
-    }
-
-    /// Second pass: applications, streamed into `sink` in program order.
-    /// Every emitted gate is in range by construction ([`Converter::expand`]
-    /// validates indices), so sinks need no validation of their own.
-    fn run(&self, program: &Program, sink: &mut dyn FnMut(Gate)) -> Result<(), ParseQasmError> {
-        for stmt in &program.statements {
-            match stmt {
-                Statement::Apply(op) => self.apply(sink, op)?,
-                Statement::Measure { qubit, clbit } => {
-                    let qs = self.expand(qubit, &self.qubit_offset)?;
-                    let cs = self.expand(clbit, &self.clbit_offset)?;
-                    if qs.len() != cs.len() {
-                        return Err(ParseQasmError::new(
-                            None,
-                            format!("measure size mismatch: {qubit} vs {clbit}"),
-                        ));
-                    }
-                    for (q, c) in qs.zip(cs) {
-                        sink(Gate::Measure { qubit: q, clbit: c });
-                    }
-                }
-                Statement::Barrier(args) => {
-                    let mut qs = Vec::new();
-                    for a in args {
-                        qs.extend(self.expand(a, &self.qubit_offset)?);
-                    }
-                    sink(Gate::Barrier(qs));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Expands a register argument to its range of global indices —
-    /// a range, not a list, so a huge declared register costs nothing
-    /// until a gate is emitted on it.
-    fn expand(
-        &self,
-        arg: &Arg,
-        table: &HashMap<String, (usize, usize)>,
-    ) -> Result<Range<usize>, ParseQasmError> {
-        let (offset, size) = table.get(&arg.register).ok_or_else(|| {
-            ParseQasmError::new(None, format!("unknown register `{}`", arg.register))
-        })?;
-        match arg.index {
-            Some(i) if i < *size => Ok(offset + i..offset + i + 1),
-            Some(i) => Err(ParseQasmError::new(
-                None,
-                format!("index {i} out of range for `{}[{size}]`", arg.register),
-            )),
-            None => Ok(*offset..offset + size),
+            _ => {}
         }
     }
 
-    /// Applies a top-level gate op, broadcasting over registers.
-    fn apply(&self, sink: &mut dyn FnMut(Gate), op: &GateOp) -> Result<(), ParseQasmError> {
-        let expanded: Vec<Range<usize>> = op
-            .args
-            .iter()
-            .map(|a| self.expand(a, &self.qubit_offset))
-            .collect::<Result<_, _>>()?;
-        let width = expanded
-            .iter()
-            .map(ExactSizeIterator::len)
-            .filter(|&l| l > 1)
-            .max()
-            .unwrap_or(1);
-        for lane in &expanded {
-            if lane.len() != 1 && lane.len() != width {
-                return Err(ParseQasmError::new(
-                    Some(op.line),
-                    format!("broadcast size mismatch in `{}`", op.name),
-                ));
-            }
+    /// The quantum and classical widths, or the first declaration (of
+    /// either kind, in statement order) that overflowed its total.
+    fn widths(&self) -> Result<(usize, usize), ParseQasmError> {
+        let first = [&self.qubits.overflow, &self.clbits.overflow]
+            .into_iter()
+            .flatten()
+            .min_by_key(|(statement, _)| *statement);
+        match first {
+            Some((_, error)) => Err(error.clone()),
+            None => Ok((self.qubits.total, self.clbits.total)),
         }
-        let params: Vec<f64> = op
-            .params
-            .iter()
-            .map(|e| {
-                e.eval(&HashMap::new()).map_err(|err| {
-                    ParseQasmError::new(Some(op.line), format!("in `{}`: {err}", op.name))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        for lane_idx in 0..width {
-            let qubits: Vec<usize> = expanded
-                .iter()
-                .map(|lane| {
-                    if lane.len() == 1 {
-                        lane.start
-                    } else {
-                        lane.start + lane_idx
-                    }
-                })
-                .collect();
-            self.emit(sink, &op.name, &params, &qubits, op.line, 0)?;
-        }
-        Ok(())
     }
 
     /// Emits one concrete gate application, inlining user definitions.
@@ -305,47 +226,30 @@ impl Converter {
             }
             Ok(Gate::one(kind, qubits[0]))
         };
+        let angles = |n: usize| {
+            if params.len() == n {
+                Ok(params)
+            } else {
+                Err(param_err(n))
+            }
+        };
         let known = match name {
             "U" | "u3" => {
-                if params.len() != 3 {
-                    return Err(param_err(3));
-                }
-                Some(one(OneQubitKind::U(params[0], params[1], params[2]))?)
+                let p = angles(3)?;
+                Some(one(OneQubitKind::U(p[0], p[1], p[2]))?)
             }
             "u2" => {
-                if params.len() != 2 {
-                    return Err(param_err(2));
-                }
+                let p = angles(2)?;
                 Some(one(OneQubitKind::U(
                     std::f64::consts::FRAC_PI_2,
-                    params[0],
-                    params[1],
+                    p[0],
+                    p[1],
                 ))?)
             }
-            "u1" => {
-                if params.len() != 1 {
-                    return Err(param_err(1));
-                }
-                Some(one(OneQubitKind::Phase(params[0]))?)
-            }
-            "rx" => {
-                if params.len() != 1 {
-                    return Err(param_err(1));
-                }
-                Some(one(OneQubitKind::Rx(params[0]))?)
-            }
-            "ry" => {
-                if params.len() != 1 {
-                    return Err(param_err(1));
-                }
-                Some(one(OneQubitKind::Ry(params[0]))?)
-            }
-            "rz" => {
-                if params.len() != 1 {
-                    return Err(param_err(1));
-                }
-                Some(one(OneQubitKind::Rz(params[0]))?)
-            }
+            "u1" => Some(one(OneQubitKind::Phase(angles(1)?[0]))?),
+            "rx" => Some(one(OneQubitKind::Rx(angles(1)?[0]))?),
+            "ry" => Some(one(OneQubitKind::Ry(angles(1)?[0]))?),
+            "rz" => Some(one(OneQubitKind::Rz(angles(1)?[0]))?),
             "id" | "u0" => Some(one(OneQubitKind::I)?),
             "x" => Some(one(OneQubitKind::X)?),
             "y" => Some(one(OneQubitKind::Y)?),
@@ -392,24 +296,17 @@ impl Converter {
         if def.params.len() != params.len() {
             return Err(param_err(def.params.len()));
         }
-        let bindings: HashMap<String, f64> = def
-            .params
-            .iter()
-            .cloned()
-            .zip(params.iter().copied())
-            .collect();
-        let qubit_of: HashMap<&str, usize> = def
-            .qargs
-            .iter()
-            .map(String::as_str)
-            .zip(qubits.iter().copied())
-            .collect();
-        for body_op in &def.body {
+        // A formal named twice binds its last position.
+        let bound = Eval(|formal: &str| {
+            let i = def.params.iter().rposition(|&p| p == formal)?;
+            Some(params[i])
+        });
+        for body_op in def.body.iter() {
             let sub_params: Vec<f64> = body_op
                 .params
                 .iter()
                 .map(|e| {
-                    e.eval(&bindings).map_err(|err| {
+                    e.fold(&bound).map_err(|err| {
                         ParseQasmError::new(Some(body_op.line), format!("in `{name}`: {err}"))
                     })
                 })
@@ -418,7 +315,8 @@ impl Converter {
                 .args
                 .iter()
                 .map(|a| {
-                    qubit_of.get(a.register.as_str()).copied().ok_or_else(|| {
+                    let i = def.qargs.iter().rposition(|&q| q == a.register);
+                    i.map(|i| qubits[i]).ok_or_else(|| {
                         ParseQasmError::new(
                             Some(body_op.line),
                             format!("unknown gate argument `{}` in `{name}`", a.register),
@@ -437,6 +335,213 @@ impl Converter {
         }
         Ok(())
     }
+}
+
+/// The second walk: applications streamed into a gate sink, with
+/// scratch buffers reused across statements. Every emitted gate is in
+/// range by construction ([`Registers::expand`] validates indices), so
+/// sinks need no validation of their own.
+struct Converter<'d, 'a, 's> {
+    decls: &'d Declarations<'a>,
+    sink: &'s mut dyn FnMut(Gate),
+    lanes: Vec<Range<usize>>,
+    values: Vec<f64>,
+    qubits: Vec<usize>,
+}
+
+impl Converter<'_, '_, '_> {
+    fn statement(&mut self, stmt: Stmt<'_, '_, Value>) -> Result<(), ParseQasmError> {
+        match stmt {
+            Stmt::Apply {
+                name,
+                params,
+                args,
+                line,
+            } => self.apply(name, params, args, line),
+            Stmt::Measure { qubit, clbit } => {
+                let qs = self.decls.qubits.expand(qubit)?;
+                let cs = self.decls.clbits.expand(clbit)?;
+                if qs.len() != cs.len() {
+                    return Err(ParseQasmError::new(
+                        None,
+                        format!("measure size mismatch: {qubit} vs {clbit}"),
+                    ));
+                }
+                for (q, c) in qs.zip(cs) {
+                    (self.sink)(Gate::Measure { qubit: q, clbit: c });
+                }
+                Ok(())
+            }
+            Stmt::Barrier(args) => {
+                let mut qs = Vec::new();
+                for &a in args {
+                    qs.extend(self.decls.qubits.expand(a)?);
+                }
+                (self.sink)(Gate::Barrier(qs));
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Applies a top-level gate op, broadcasting over registers.
+    fn apply(
+        &mut self,
+        name: &str,
+        params: &[Value],
+        args: &[ArgRef<'_>],
+        line: usize,
+    ) -> Result<(), ParseQasmError> {
+        self.lanes.clear();
+        for &a in args {
+            self.lanes.push(self.decls.qubits.expand(a)?);
+        }
+        let width = self
+            .lanes
+            .iter()
+            .map(ExactSizeIterator::len)
+            .filter(|&l| l > 1)
+            .max()
+            .unwrap_or(1);
+        if self.lanes.iter().any(|l| l.len() != 1 && l.len() != width) {
+            return Err(ParseQasmError::new(
+                Some(line),
+                format!("broadcast size mismatch in `{name}`"),
+            ));
+        }
+        self.values.clear();
+        for value in params {
+            match value {
+                Ok(v) => self.values.push(*v),
+                Err(err) => {
+                    return Err(ParseQasmError::new(
+                        Some(line),
+                        format!("in `{name}`: {err}"),
+                    ))
+                }
+            }
+        }
+        for lane in 0..width {
+            self.qubits.clear();
+            self.qubits.extend(self.lanes.iter().map(|l| {
+                if l.len() == 1 {
+                    l.start
+                } else {
+                    l.start + lane
+                }
+            }));
+            self.decls
+                .emit(self.sink, name, &self.values, &self.qubits, line, 0)?;
+        }
+        Ok(())
+    }
+}
+
+/// An OpenQASM 2.0 program after its first walk: syntax checked, the
+/// declarations recorded, and nothing built yet. [`crate::parse`] and
+/// [`crate::parse_skeleton`] are [`Parsed::new`] followed by
+/// [`Parsed::to_circuit`] or [`Parsed::to_skeleton`]. A caller that
+/// must bound the circuit's width reads [`Parsed::num_qubits`] in
+/// between, before anything is sized by it.
+pub struct Parsed<'a> {
+    statements: Statements<'a>,
+    decls: Declarations<'a>,
+}
+
+impl<'a> Parsed<'a> {
+    /// Tokenizes `source` and walks it once: syntax and declarations.
+    ///
+    /// # Errors
+    ///
+    /// Lex and syntax errors, a lex error anywhere first.
+    pub fn new(source: &'a str) -> Result<Parsed<'a>, ParseQasmError> {
+        Parsed::of(Statements::Text(lex(source)?))
+    }
+
+    fn of(statements: Statements<'a>) -> Result<Parsed<'a>, ParseQasmError> {
+        let mut decls = Declarations::default();
+        statements.each(&mut |stmt| {
+            decls.record(stmt);
+            Ok(())
+        })?;
+        Ok(Parsed { statements, decls })
+    }
+
+    /// The number of qubits the `qreg`s declare: the width of the
+    /// circuit [`Parsed::to_circuit`] builds.
+    ///
+    /// # Errors
+    ///
+    /// The sizes overflow `usize` when summed; conversion fails with the
+    /// same error.
+    pub fn num_qubits(&self) -> Result<usize, ParseQasmError> {
+        self.decls.qubits.width()
+    }
+
+    /// Converts into a flat circuit. Quantum registers are laid out
+    /// contiguously in declaration order; gate definitions are inlined
+    /// recursively with parameters constant-folded.
+    ///
+    /// # Errors
+    ///
+    /// Register overflow first, then the first conversion error in
+    /// program order: unknown registers or gates, index or arity
+    /// violations, broadcast-size mismatches.
+    pub fn to_circuit(&self) -> Result<Circuit, ParseQasmError> {
+        let (qubits, clbits) = self.decls.widths()?;
+        let mut circuit = Circuit::with_clbits(qubits, clbits);
+        self.emit(&mut |g| circuit.push(g))?;
+        crate::hooks::note_circuit_built();
+        Ok(circuit)
+    }
+
+    /// Converts straight into the canonical [`CircuitSkeleton`] without
+    /// materializing a [`Circuit`]: gates stream into a
+    /// [`SkeletonBuilder`] as conversion emits them, so the result is
+    /// identical to `CircuitSkeleton::of(&self.to_circuit()?)`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Parsed::to_circuit`].
+    pub fn to_skeleton(&self) -> Result<CircuitSkeleton, ParseQasmError> {
+        let (qubits, clbits) = self.decls.widths()?;
+        let mut builder = SkeletonBuilder::new(qubits, clbits);
+        self.emit(&mut |g| builder.push(&g))?;
+        Ok(builder.finish())
+    }
+
+    /// The second walk: applications, streamed into `sink` in program
+    /// order.
+    fn emit(&self, sink: &mut dyn FnMut(Gate)) -> Result<(), ParseQasmError> {
+        let mut conv = Converter {
+            decls: &self.decls,
+            sink,
+            lanes: Vec::new(),
+            values: Vec::new(),
+            qubits: Vec::new(),
+        };
+        self.statements.each(&mut |stmt| conv.statement(stmt))
+    }
+}
+
+/// Converts a parsed program into a flat circuit, replaying it through
+/// the converter the text entry points use.
+///
+/// # Errors
+///
+/// Those of [`Parsed::to_circuit`].
+pub fn to_circuit(program: &Program) -> Result<Circuit, ParseQasmError> {
+    Parsed::of(Statements::Program(program))?.to_circuit()
+}
+
+/// Converts a parsed program straight into its canonical
+/// [`CircuitSkeleton`] without materializing a [`Circuit`].
+///
+/// # Errors
+///
+/// Exactly those of [`to_circuit`] on the same program.
+pub fn to_skeleton(program: &Program) -> Result<CircuitSkeleton, ParseQasmError> {
+    Parsed::of(Statements::Program(program))?.to_skeleton()
 }
 
 #[cfg(test)]
@@ -474,6 +579,18 @@ mod tests {
     fn multiple_registers_are_contiguous() {
         let c = circuit(&format!("{HEADER}qreg a[2];\nqreg b[2];\nx b[1];"));
         assert_eq!(c.gates()[0].qubits(), vec![3]);
+    }
+
+    #[test]
+    fn registers_past_the_scan_limit_resolve_by_name() {
+        // Past a handful of names, lookups go through the index; a
+        // redeclared name keeps its last layout either way.
+        let mut src: String = (0..10).map(|r| format!("qreg r{r}[2];\n")).collect();
+        src.push_str("qreg r3[1];\nx r3[0];\nx r9[1];\nqreg r0[3];\nx r0[2];");
+        let c = circuit(&src);
+        assert_eq!(c.num_qubits(), 24);
+        let qubits: Vec<_> = c.gates().iter().map(Gate::qubits).collect();
+        assert_eq!(qubits, [vec![20], vec![19], vec![23]]);
     }
 
     #[test]
@@ -546,7 +663,14 @@ mod tests {
         let src = "qreg a[18446744073709551615];\nqreg b[2];\ncx b[0], b[1];";
         let program = parse_program(src).unwrap();
         let message = "register `b[2]` overflows the total register size";
-        assert_eq!(program.num_qubits().unwrap_err().to_string(), message);
+        assert_eq!(
+            Parsed::new(src)
+                .unwrap()
+                .num_qubits()
+                .unwrap_err()
+                .to_string(),
+            message
+        );
         assert_eq!(to_circuit(&program).unwrap_err().to_string(), message);
         assert_eq!(
             super::to_skeleton(&program).unwrap_err().to_string(),
@@ -554,7 +678,7 @@ mod tests {
         );
         let clbits = "qreg q[1];\ncreg a[18446744073709551615];\ncreg b[1];";
         assert!(to_circuit(&parse_program(clbits).unwrap()).is_err());
-        let program = parse_program("qreg a[2];\ncreg c[9];\nqreg b[3];").unwrap();
+        let program = Parsed::new("qreg a[2];\ncreg c[9];\nqreg b[3];").unwrap();
         assert_eq!(program.num_qubits(), Ok(5));
     }
 

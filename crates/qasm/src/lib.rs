@@ -14,6 +14,21 @@
 //! `if`/`reset`/`opaque` applications are rejected with a clear error (the
 //! mapping IR is purely unitary plus terminal measurement).
 //!
+//! ## One parser, two walks
+//!
+//! A source is tokenized whole, then parsed by one recursive-descent
+//! parser that hands each statement to a sink instead of returning a
+//! tree. [`Parsed::new`] walks the tokens once to check the syntax and
+//! record the declarations; [`Parsed::to_circuit`] and
+//! [`Parsed::to_skeleton`] walk them again, emitting gates straight into
+//! a [`Circuit`] or a skeleton builder. So a register or gate may be used
+//! before its declaration, and errors rank as they always have: lex,
+//! then syntax, then register overflow, then conversion in program
+//! order. [`parse`] and [`parse_skeleton`] build no AST. The AST
+//! ([`Program`]) is one more sink, behind [`parse_program`];
+//! [`to_circuit`] and [`to_skeleton`] replay a [`Program`] into the same
+//! converter.
+//!
 //! ## Example
 //!
 //! ```
@@ -46,7 +61,7 @@ mod qxbc;
 mod write;
 
 pub use ast::{Arg, EvalError, Expr, GateOp, Program, Statement};
-pub use convert::{to_circuit, to_skeleton};
+pub use convert::{to_circuit, to_skeleton, Parsed};
 /// [`parse_program`] under its former name, kept as an alias for callers
 /// that still use it.
 pub use parse::parse_program as parse_program_fast;
@@ -59,27 +74,26 @@ pub use write::to_qasm;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton};
 
-/// Parses OpenQASM 2.0 source into a circuit: [`parse_program`], then
-/// [`to_circuit`].
+/// Parses OpenQASM 2.0 source into a circuit: [`Parsed::new`], then
+/// [`Parsed::to_circuit`]. No AST is built.
 ///
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] on syntax errors, unknown gates or
 /// registers, arity mismatches, or unsupported statements.
 pub fn parse(source: &str) -> Result<Circuit, ParseQasmError> {
-    let program = parse_program(source)?;
-    to_circuit(&program)
+    Parsed::new(source)?.to_circuit()
 }
 
 /// Parses OpenQASM 2.0 source straight to its canonical
-/// [`CircuitSkeleton`], never materializing a [`Circuit`] — the text
-/// half of the skeleton-first warm path. Accepts and rejects exactly
-/// the sources [`parse`] does, with identical errors.
+/// [`CircuitSkeleton`]: [`Parsed::new`], then [`Parsed::to_skeleton`].
+/// Neither an AST nor a [`Circuit`] is built — the text half of the
+/// skeleton-first warm path. Accepts and rejects exactly the sources
+/// [`parse`] does, with identical errors.
 ///
 /// # Errors
 ///
 /// Exactly those of [`parse`].
 pub fn parse_skeleton(source: &str) -> Result<CircuitSkeleton, ParseQasmError> {
-    let program = parse_program(source)?;
-    to_skeleton(&program)
+    Parsed::new(source)?.to_skeleton()
 }

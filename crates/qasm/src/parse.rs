@@ -1,9 +1,15 @@
 //! Recursive-descent parser for OpenQASM 2.0.
+//!
+//! One parser serves every entry point. It hands each statement to a
+//! sink as it is parsed: the conversion's declaration walk, its emitting
+//! walk, or the AST builder behind [`parse_program`]. Only the AST sink
+//! keeps statements; the other two copy out what they need and move on.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-use crate::ast::{Arg, BinOp, Expr, GateOp, Program, Statement};
+use crate::ast::{Arg, Ast, BinOp, EvalError, GateOp, Program, Statement};
 use crate::lex::{tokenize, Token, TokenKind};
 
 /// A parse (or later conversion) failure, with source line when known.
@@ -38,54 +44,261 @@ impl fmt::Display for ParseQasmError {
 
 impl Error for ParseQasmError {}
 
-/// Parses source into an AST (no semantic checks beyond syntax).
+/// A register argument as written, `q` or `q[3]`, borrowing its name
+/// from the source.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArgRef<'a> {
+    pub register: &'a str,
+    pub index: Option<usize>,
+}
+
+impl fmt::Display for ArgRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.index {
+            Some(i) => write!(f, "{}[{i}]", self.register),
+            None => write!(f, "{}", self.register),
+        }
+    }
+}
+
+/// A top-level parameter expression, evaluated where it stands: there
+/// are no bindings outside a gate body, so an identifier is an error,
+/// reported when the application is converted.
+pub(crate) type Value = Result<f64, EvalError>;
+
+/// One statement as the parser hands it to its sink. Names borrow from
+/// the source (`'a`); an application's parameters and arguments borrow
+/// the parser's reusable buffers (`'b`), so a top-level statement costs
+/// no allocation. Gate bodies, which conversion replays per call, are
+/// kept as [`GateOp`]s.
+pub(crate) enum Stmt<'a, 'b, P> {
+    /// The `OPENQASM` header's version token.
+    Version(TokenKind<'a>),
+    /// `include "qelib1.inc";`
+    Qelib,
+    QReg {
+        name: &'a str,
+        size: usize,
+    },
+    CReg {
+        name: &'a str,
+        size: usize,
+    },
+    Gate {
+        name: &'a str,
+        params: Vec<&'a str>,
+        qargs: Vec<&'a str>,
+        body: Cow<'a, [GateOp]>,
+    },
+    Apply {
+        name: &'a str,
+        params: &'b [P],
+        args: &'b [ArgRef<'a>],
+        line: usize,
+    },
+    Measure {
+        qubit: ArgRef<'a>,
+        clbit: ArgRef<'a>,
+    },
+    Barrier(&'b [ArgRef<'a>]),
+}
+
+/// What the parser makes of a parameter expression: an [`Expr`] tree
+/// (the AST and gate bodies) or its value ([`Eval`]).
+pub(crate) trait Build<'a> {
+    type Expr;
+    fn num(&self, v: f64) -> Self::Expr;
+    fn pi(&self) -> Self::Expr;
+    fn ident(&self, name: &'a str) -> Self::Expr;
+    fn neg(&self, e: Self::Expr) -> Self::Expr;
+    fn bin(&self, op: BinOp, lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr;
+    fn func(&self, name: &'a str, arg: Self::Expr) -> Self::Expr;
+}
+
+/// Top-level parameters: no identifier is bound.
+pub(crate) const TOP_LEVEL: Eval<fn(&str) -> Option<f64>> = Eval(|_| None);
+
+/// Evaluates an expression under the bindings its lookup knows. The one
+/// definition of QASM arithmetic: [`Expr::eval`] folds a tree through it.
+pub(crate) struct Eval<F>(pub F);
+
+impl<'a, F: Fn(&str) -> Option<f64>> Build<'a> for Eval<F> {
+    type Expr = Result<f64, EvalError>;
+
+    fn num(&self, v: f64) -> Self::Expr {
+        Ok(v)
+    }
+
+    fn pi(&self) -> Self::Expr {
+        Ok(std::f64::consts::PI)
+    }
+
+    fn ident(&self, name: &'a str) -> Self::Expr {
+        (self.0)(name).ok_or_else(|| EvalError {
+            what: name.to_string(),
+        })
+    }
+
+    fn neg(&self, e: Self::Expr) -> Self::Expr {
+        Ok(-e?)
+    }
+
+    fn bin(&self, op: BinOp, lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr {
+        let (l, r) = (lhs?, rhs?);
+        Ok(match op {
+            BinOp::Add => l + r,
+            BinOp::Sub => l - r,
+            BinOp::Mul => l * r,
+            BinOp::Div => l / r,
+            BinOp::Pow => l.powf(r),
+        })
+    }
+
+    fn func(&self, name: &'a str, arg: Self::Expr) -> Self::Expr {
+        let v = arg?;
+        Ok(match name {
+            "sin" => v.sin(),
+            "cos" => v.cos(),
+            "tan" => v.tan(),
+            "exp" => v.exp(),
+            "ln" => v.ln(),
+            "sqrt" => v.sqrt(),
+            other => {
+                return Err(EvalError {
+                    what: other.to_string(),
+                })
+            }
+        })
+    }
+}
+
+/// Tokenizes a whole source. Nothing is parsed before every token is
+/// read, so a lex error anywhere outranks an earlier parse error.
+pub(crate) fn lex(source: &str) -> Result<Vec<Token<'_>>, ParseQasmError> {
+    tokenize(source).map_err(|e| ParseQasmError::new(Some(e.line), e.message))
+}
+
+/// Parses a token stream, handing each statement to `sink` in source
+/// order with its parameters built by `build`. Stops at the first
+/// syntax error, or at the first error the sink returns.
 ///
 /// `include "qelib1.inc";` selects the embedded standard library; any
-/// other include is an error (the parser has no filesystem access). The
-/// whole source is tokenized before any of it is parsed, so a lex error
-/// anywhere outranks an earlier parse error.
+/// other include is an error (the parser has no filesystem access).
+pub(crate) fn walk<'a, B, S>(tokens: &[Token<'a>], build: &B, sink: S) -> Result<(), ParseQasmError>
+where
+    B: Build<'a>,
+    S: FnMut(Stmt<'a, '_, B::Expr>) -> Result<(), ParseQasmError>,
+{
+    let mut parser = Parser { tokens, pos: 0 };
+    parser.run(build, sink)
+}
+
+/// Parses source into an AST (no semantic checks beyond syntax): the
+/// parser with a sink that keeps every statement.
 ///
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] with line information on malformed input.
 pub fn parse_program(source: &str) -> Result<Program, ParseQasmError> {
-    let tokens = tokenize(source).map_err(|e| ParseQasmError::new(Some(e.line), e.message))?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        program: Program::default(),
-    };
-    parser.run()?;
-    Ok(parser.program)
+    let tokens = lex(source)?;
+    let mut program = Program::default();
+    walk(&tokens, &Ast, |stmt| {
+        let statement = match stmt {
+            Stmt::Version(version) => {
+                program.version = match version {
+                    TokenKind::Real(v) => format!("{v:.1}"),
+                    other => other.to_string(),
+                };
+                return Ok(());
+            }
+            Stmt::Qelib => {
+                program.includes_qelib = true;
+                return Ok(());
+            }
+            Stmt::QReg { name, size } => Statement::QReg {
+                name: name.to_string(),
+                size,
+            },
+            Stmt::CReg { name, size } => Statement::CReg {
+                name: name.to_string(),
+                size,
+            },
+            Stmt::Gate {
+                name,
+                params,
+                qargs,
+                body,
+            } => Statement::GateDef {
+                name: name.to_string(),
+                params: params.into_iter().map(str::to_string).collect(),
+                qargs: qargs.into_iter().map(str::to_string).collect(),
+                body: body.into_owned(),
+            },
+            Stmt::Apply {
+                name,
+                params,
+                args,
+                line,
+            } => Statement::Apply(GateOp {
+                name: name.to_string(),
+                params: params.to_vec(),
+                args: args.iter().copied().map(Arg::from).collect(),
+                line,
+            }),
+            Stmt::Measure { qubit, clbit } => Statement::Measure {
+                qubit: qubit.into(),
+                clbit: clbit.into(),
+            },
+            Stmt::Barrier(args) => {
+                Statement::Barrier(args.iter().copied().map(Arg::from).collect())
+            }
+        };
+        program.statements.push(statement);
+        Ok(())
+    })?;
+    Ok(program)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token<'a>>,
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
-    program: Program,
 }
 
-impl<'a> Parser<'a> {
-    fn run(&mut self) -> Result<(), ParseQasmError> {
+impl<'a> Parser<'_, 'a> {
+    fn run<B, S>(&mut self, build: &B, mut sink: S) -> Result<(), ParseQasmError>
+    where
+        B: Build<'a>,
+        S: FnMut(Stmt<'a, '_, B::Expr>) -> Result<(), ParseQasmError>,
+    {
         // Optional OPENQASM header.
         if self.peek_ident() == Some("OPENQASM") {
             self.skip();
             let t = self.next_token()?;
-            let version = match t.kind {
-                TokenKind::Real(v) => format!("{v:.1}"),
-                TokenKind::Int(v) => format!("{v}"),
-                _ => return Err(self.expected("version", t)),
-            };
+            if !matches!(t.kind, TokenKind::Real(_) | TokenKind::Int(_)) {
+                return Err(self.expected("version", t));
+            }
             self.expect(TokenKind::Semicolon)?;
-            self.program.version = version;
+            sink(Stmt::Version(t.kind))?;
         }
+        let mut params = Vec::new();
+        let mut args = Vec::new();
         while self.pos < self.tokens.len() {
-            self.statement()?;
+            self.statement(build, &mut params, &mut args, &mut sink)?;
         }
         Ok(())
     }
 
-    fn statement(&mut self) -> Result<(), ParseQasmError> {
+    fn statement<B, S>(
+        &mut self,
+        build: &B,
+        params: &mut Vec<B::Expr>,
+        args: &mut Vec<ArgRef<'a>>,
+        sink: &mut S,
+    ) -> Result<(), ParseQasmError>
+    where
+        B: Build<'a>,
+        S: FnMut(Stmt<'a, '_, B::Expr>) -> Result<(), ParseQasmError>,
+    {
         let Some(name) = self.peek_ident() else {
             let t = self.next_token()?;
             return Err(ParseQasmError::new(
@@ -93,7 +306,7 @@ impl<'a> Parser<'a> {
                 format!("expected statement, found {}", t.kind),
             ));
         };
-        match name {
+        let stmt = match name {
             "qreg" | "creg" => {
                 self.skip();
                 let reg = self.expect_ident()?;
@@ -101,11 +314,11 @@ impl<'a> Parser<'a> {
                 let size = self.expect_int()? as usize;
                 self.expect(TokenKind::RBracket)?;
                 self.expect(TokenKind::Semicolon)?;
-                self.program.statements.push(if name == "qreg" {
-                    Statement::QReg { name: reg, size }
+                if name == "qreg" {
+                    Stmt::QReg { name: reg, size }
                 } else {
-                    Statement::CReg { name: reg, size }
-                });
+                    Stmt::CReg { name: reg, size }
+                }
             }
             "include" => {
                 let line = self.line();
@@ -115,14 +328,7 @@ impl<'a> Parser<'a> {
                     return Err(self.expected("filename", t));
                 };
                 self.expect(TokenKind::Semicolon)?;
-                if file == "qelib1.inc" {
-                    // Only flagged, never spliced: conversion resolves
-                    // the library's definitions from a table parsed once
-                    // per process (see [`Program::includes_qelib`]) —
-                    // re-parsing ~30 gate bodies on every request
-                    // dominated the serving tier's warm-hit path.
-                    self.program.includes_qelib = true;
-                } else {
+                if file != "qelib1.inc" {
                     return Err(ParseQasmError::new(
                         Some(line),
                         format!(
@@ -130,34 +336,24 @@ impl<'a> Parser<'a> {
                         ),
                     ));
                 }
+                // Only flagged, never spliced: conversion resolves the
+                // library's definitions from a table parsed once per
+                // process, so no request re-parses ~30 gate bodies.
+                Stmt::Qelib
             }
             "gate" => {
                 self.skip();
                 let gname = self.expect_ident()?;
-                let mut params = Vec::new();
+                let mut formals = Vec::new();
                 if self.peek_is(TokenKind::LParen) {
                     self.skip();
                     if !self.peek_is(TokenKind::RParen) {
-                        loop {
-                            params.push(self.expect_ident()?);
-                            if self.peek_is(TokenKind::Comma) {
-                                self.skip();
-                            } else {
-                                break;
-                            }
-                        }
+                        self.list(&mut formals, Self::expect_ident)?;
                     }
                     self.expect(TokenKind::RParen)?;
                 }
                 let mut qargs = Vec::new();
-                loop {
-                    qargs.push(self.expect_ident()?);
-                    if self.peek_is(TokenKind::Comma) {
-                        self.skip();
-                    } else {
-                        break;
-                    }
-                }
+                self.list(&mut qargs, Self::expect_ident)?;
                 self.expect(TokenKind::LBrace)?;
                 let mut body = Vec::new();
                 while !self.peek_is(TokenKind::RBrace) {
@@ -167,15 +363,22 @@ impl<'a> Parser<'a> {
                         while self.next_token()?.kind != TokenKind::Semicolon {}
                         continue;
                     }
-                    body.push(self.gate_op()?);
+                    let (mut op_params, mut op_args) = (Vec::new(), Vec::new());
+                    let (name, line) = self.op(&Ast, &mut op_params, &mut op_args)?;
+                    body.push(GateOp {
+                        name: name.to_string(),
+                        params: op_params,
+                        args: op_args.into_iter().map(Arg::from).collect(),
+                        line,
+                    });
                 }
                 self.expect(TokenKind::RBrace)?;
-                self.program.statements.push(Statement::GateDef {
+                Stmt::Gate {
                     name: gname,
-                    params,
+                    params: formals,
                     qargs,
-                    body,
-                });
+                    body: Cow::Owned(body),
+                }
             }
             "opaque" => {
                 let line = self.line();
@@ -190,23 +393,14 @@ impl<'a> Parser<'a> {
                 self.expect(TokenKind::Arrow)?;
                 let clbit = self.arg()?;
                 self.expect(TokenKind::Semicolon)?;
-                self.program
-                    .statements
-                    .push(Statement::Measure { qubit, clbit });
+                Stmt::Measure { qubit, clbit }
             }
             "barrier" => {
                 self.skip();
-                let mut args = Vec::new();
-                loop {
-                    args.push(self.arg()?);
-                    if self.peek_is(TokenKind::Comma) {
-                        self.skip();
-                    } else {
-                        break;
-                    }
-                }
+                args.clear();
+                self.list(args, Self::arg)?;
                 self.expect(TokenKind::Semicolon)?;
-                self.program.statements.push(Statement::Barrier(args));
+                Stmt::Barrier(args)
             }
             "reset" => {
                 let line = self.line();
@@ -223,51 +417,58 @@ impl<'a> Parser<'a> {
                 ));
             }
             _ => {
-                let op = self.gate_op()?;
-                self.program.statements.push(Statement::Apply(op));
+                let (name, line) = self.op(build, params, args)?;
+                Stmt::Apply {
+                    name,
+                    params,
+                    args,
+                    line,
+                }
             }
-        }
-        Ok(())
+        };
+        sink(stmt)
     }
 
-    /// `name (params)? arg (, arg)* ;`
-    fn gate_op(&mut self) -> Result<GateOp, ParseQasmError> {
+    /// `name (params)? arg (, arg)* ;`, with the parameters and arguments
+    /// left in the given buffers. Returns the name and its line.
+    fn op<B: Build<'a>>(
+        &mut self,
+        build: &B,
+        params: &mut Vec<B::Expr>,
+        args: &mut Vec<ArgRef<'a>>,
+    ) -> Result<(&'a str, usize), ParseQasmError> {
         let line = self.line();
         let name = self.expect_ident()?;
-        let mut params = Vec::new();
+        params.clear();
         if self.peek_is(TokenKind::LParen) {
             self.skip();
             if !self.peek_is(TokenKind::RParen) {
-                loop {
-                    params.push(self.expr()?);
-                    if self.peek_is(TokenKind::Comma) {
-                        self.skip();
-                    } else {
-                        break;
-                    }
-                }
+                self.list(params, |p| p.expr(build))?;
             }
             self.expect(TokenKind::RParen)?;
         }
-        let mut args = Vec::new();
-        loop {
-            args.push(self.arg()?);
-            if self.peek_is(TokenKind::Comma) {
-                self.skip();
-            } else {
-                break;
-            }
-        }
+        args.clear();
+        self.list(args, Self::arg)?;
         self.expect(TokenKind::Semicolon)?;
-        Ok(GateOp {
-            name,
-            params,
-            args,
-            line,
-        })
+        Ok((name, line))
     }
 
-    fn arg(&mut self) -> Result<Arg, ParseQasmError> {
+    /// `item (, item)*`, appended to `out`.
+    fn list<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseQasmError>,
+    ) -> Result<(), ParseQasmError> {
+        loop {
+            out.push(item(self)?);
+            if !self.peek_is(TokenKind::Comma) {
+                return Ok(());
+            }
+            self.skip();
+        }
+    }
+
+    fn arg(&mut self) -> Result<ArgRef<'a>, ParseQasmError> {
         let register = self.expect_ident()?;
         let index = if self.peek_is(TokenKind::LBracket) {
             self.skip();
@@ -277,17 +478,13 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        Ok(Arg { register, index })
+        Ok(ArgRef { register, index })
     }
 
     // --- expressions (precedence climbing) -------------------------------
 
-    fn expr(&mut self) -> Result<Expr, ParseQasmError> {
-        self.expr_additive()
-    }
-
-    fn expr_additive(&mut self) -> Result<Expr, ParseQasmError> {
-        let mut lhs = self.expr_multiplicative()?;
+    fn expr<B: Build<'a>>(&mut self, b: &B) -> Result<B::Expr, ParseQasmError> {
+        let mut lhs = self.expr_multiplicative(b)?;
         loop {
             let op = if self.peek_is(TokenKind::Plus) {
                 BinOp::Add
@@ -297,18 +494,14 @@ impl<'a> Parser<'a> {
                 break;
             };
             self.skip();
-            let rhs = self.expr_multiplicative()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            let rhs = self.expr_multiplicative(b)?;
+            lhs = b.bin(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn expr_multiplicative(&mut self) -> Result<Expr, ParseQasmError> {
-        let mut lhs = self.expr_unary()?;
+    fn expr_multiplicative<B: Build<'a>>(&mut self, b: &B) -> Result<B::Expr, ParseQasmError> {
+        let mut lhs = self.expr_unary(b)?;
         loop {
             let op = if self.peek_is(TokenKind::Star) {
                 BinOp::Mul
@@ -318,60 +511,46 @@ impl<'a> Parser<'a> {
                 break;
             };
             self.skip();
-            let rhs = self.expr_unary()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            let rhs = self.expr_unary(b)?;
+            lhs = b.bin(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn expr_unary(&mut self) -> Result<Expr, ParseQasmError> {
+    fn expr_unary<B: Build<'a>>(&mut self, b: &B) -> Result<B::Expr, ParseQasmError> {
         if self.peek_is(TokenKind::Minus) {
             self.skip();
-            return Ok(Expr::Neg(Box::new(self.expr_unary()?)));
+            let e = self.expr_unary(b)?;
+            return Ok(b.neg(e));
         }
-        self.expr_power()
-    }
-
-    fn expr_power(&mut self) -> Result<Expr, ParseQasmError> {
-        let base = self.expr_atom()?;
+        let base = self.expr_atom(b)?;
         if self.peek_is(TokenKind::Caret) {
             self.skip();
-            let exp = self.expr_unary()?; // right-associative
-            return Ok(Expr::Bin {
-                op: BinOp::Pow,
-                lhs: Box::new(base),
-                rhs: Box::new(exp),
-            });
+            let exp = self.expr_unary(b)?; // right-associative
+            return Ok(b.bin(BinOp::Pow, base, exp));
         }
         Ok(base)
     }
 
-    fn expr_atom(&mut self) -> Result<Expr, ParseQasmError> {
+    fn expr_atom<B: Build<'a>>(&mut self, b: &B) -> Result<B::Expr, ParseQasmError> {
         let t = self.next_token()?;
         match t.kind {
-            TokenKind::Real(v) => Ok(Expr::Num(v)),
-            TokenKind::Int(v) => Ok(Expr::Num(v as f64)),
+            TokenKind::Real(v) => Ok(b.num(v)),
+            TokenKind::Int(v) => Ok(b.num(v as f64)),
             TokenKind::LParen => {
-                let e = self.expr()?;
+                let e = self.expr(b)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident("pi") => Ok(Expr::Pi),
+            TokenKind::Ident("pi") => Ok(b.pi()),
             TokenKind::Ident(name) => {
                 if self.peek_is(TokenKind::LParen) {
                     self.skip();
-                    let arg = self.expr()?;
+                    let arg = self.expr(b)?;
                     self.expect(TokenKind::RParen)?;
-                    Ok(Expr::Func {
-                        func: name.to_string(),
-                        arg: Box::new(arg),
-                    })
+                    Ok(b.func(name, arg))
                 } else {
-                    Ok(Expr::Ident(name.to_string()))
+                    Ok(b.ident(name))
                 }
             }
             _ => Err(self.expected("expression", t)),
@@ -437,11 +616,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// An identifier, copied out of the source as it enters the AST.
-    fn expect_ident(&mut self) -> Result<String, ParseQasmError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseQasmError> {
         let t = self.next_token()?;
         match t.kind {
-            TokenKind::Ident(s) => Ok(s.to_string()),
+            TokenKind::Ident(s) => Ok(s),
             _ => Err(self.expected("identifier", t)),
         }
     }

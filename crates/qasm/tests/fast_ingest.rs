@@ -127,6 +127,52 @@ proptest! {
         }
     }
 
+    /// Every text entry point reports the same outcome on damaged input:
+    /// `parse`, `parse_skeleton` and the AST route
+    /// `to_skeleton(&parse_program(..)?)` agree on the skeleton when the
+    /// source parses, and on the error — message and line — when it
+    /// does not. The seed text adds registers, a user gate with a
+    /// parameter, a standard-library gate, a measure and a barrier to
+    /// the circuit's own text, and the edits splice in whole tokens as
+    /// well as characters, so every error class is in reach.
+    #[test]
+    fn damaged_text_fails_identically_through_every_entry_point(
+        c in circuit_strategy(),
+        cut in 0usize..1_000_000,
+        edits in prop::collection::vec((0usize..1_000_000, prop_oneof![
+            Just("}"), Just("{"), Just(";"), Just("@"), Just(","), Just("["), Just("]"),
+            Just("("), Just(")"), Just("\n"), Just("->"), Just("-"), Just("*"), Just("e"),
+            Just(" q"), Just(" r"), Just(" c"), Just(" g"), Just(" ccx"), Just(" nope"),
+            Just("0"), Just("7"), Just("18446744073709551615"), Just("pi"), Just("theta"),
+            Just("gate"), Just("qreg"), Just("creg"), Just("measure"), Just("barrier"),
+            Just("include"), Just("OPENQASM"), Just("\"x\""), Just("λ"),
+        ]), 1..4),
+    ) {
+        let text = format!(
+            "{}gate g(t) a, b {{ rz(t/2) b; cx a, b; }}\nqreg r[2];\ncreg d[2];\n\
+             g(pi) r[0], r[1];\nccx r[0], r[1], q[0];\nbarrier r, q[1];\nmeasure r -> d;\n",
+            qxmap_qasm::to_qasm(&c)
+        );
+        prop_assert!(qxmap_qasm::parse(&text).is_ok());
+        let truncated = &text[..cut % (text.len() + 1)];
+        let mut corrupted = text.clone();
+        for (idx, token) in edits {
+            // Edits land on char boundaries: the seed text is ASCII, and
+            // a multi-byte edit is stepped over to its end.
+            let mut i = idx % corrupted.len();
+            while !corrupted.is_char_boundary(i) || !corrupted.is_char_boundary(i + 1) {
+                i = (i + 1) % corrupted.len();
+            }
+            corrupted.replace_range(i..=i, token);
+        }
+        for source in [truncated, corrupted.as_str()] {
+            let full = qxmap_qasm::parse(source).map(|c| CircuitSkeleton::of(&c));
+            prop_assert_eq!(&qxmap_qasm::parse_skeleton(source), &full, "{:?}", source);
+            let via_ast = parse_program(source).and_then(|p| qxmap_qasm::to_skeleton(&p));
+            prop_assert_eq!(&via_ast, &full, "{:?}", source);
+        }
+    }
+
     /// Every checksummed byte matters and every prefix is incomplete:
     /// any single-byte flip and any strict truncation must be rejected —
     /// by the circuit decoder and the skeleton decoder alike.

@@ -46,12 +46,11 @@
 //! QASM syntax and conversion rejections additionally carry a `"line"`
 //! field when the parser attributed the defect to a source line.
 //!
-//! Parsing a `map` request is deliberately *lazy about the circuit*: the
-//! payload is validated and its canonical
-//! [`CircuitSkeleton`] computed in one
-//! pass, but the [`qxmap_circuit::Circuit`] itself is only materialized
-//! by [`MapJob::materialize`] — after the server's skeleton-first
-//! [`MapJob::cache_probe`] has missed the solve cache.
+//! Parsing a `map` request is deliberately *lazy about the circuit*: QASM
+//! text is parsed straight into its canonical [`CircuitSkeleton`], with no
+//! AST and no [`qxmap_circuit::Circuit`] built, and the circuit is only
+//! materialized by [`MapJob::materialize`] — after the server's
+//! skeleton-first [`MapJob::cache_probe`] has missed the solve cache.
 
 use std::time::Duration;
 
@@ -93,9 +92,9 @@ pub enum Request {
 
 /// A fully validated mapping job.
 ///
-/// The circuit payload is held in its ingest form (a parsed QASM
-/// statement stream, or raw QXBC bytes) alongside its canonical
-/// skeleton; the [`qxmap_circuit::Circuit`] is only built by
+/// The circuit payload is held in its ingest form (the validated QASM
+/// text, or raw QXBC bytes) alongside its canonical skeleton; the
+/// [`qxmap_circuit::Circuit`] is only built by
 /// [`MapJob::materialize`], so a solve-cache hit on
 /// [`MapJob::cache_probe`] answers without ever constructing one.
 #[derive(Debug)]
@@ -121,8 +120,10 @@ pub struct MapJob {
 /// The circuit payload after validation, before materialization.
 #[derive(Debug)]
 enum Ingest {
-    /// A parsed QASM statement stream (conversion already validated).
-    Text(qxmap_qasm::Program),
+    /// QASM text whose parse and conversion already succeeded. A miss
+    /// parses it again, a small fraction of the solve behind it, and a
+    /// hit never pays for holding a parsed form.
+    Text(String),
     /// Checksummed QXBC bytes (framing and records already validated).
     Qxbc(Vec<u8>),
 }
@@ -174,8 +175,8 @@ impl MapJob {
     /// reported as a structured rejection rather than a panic.
     pub fn materialize(&self) -> Result<MapRequest, Rejection> {
         let circuit = match &self.ingest {
-            Ingest::Text(program) => {
-                qxmap_qasm::to_circuit(program).map_err(|e| invalid_qasm(self.id.clone(), &e))?
+            Ingest::Text(text) => {
+                qxmap_qasm::parse(text).map_err(|e| invalid_qasm(self.id.clone(), &e))?
             }
             Ingest::Qxbc(bytes) => qxmap_qasm::decode_qxbc(bytes).map_err(|e| {
                 Rejection::bad_request(self.id.clone(), format!("invalid QXBC payload: {e}"))
@@ -483,11 +484,14 @@ fn parse_payload(
         let Some(qasm) = value.get("qasm").and_then(Json::as_str) else {
             return Err(bad("missing string field \"qasm\"".to_string()));
         };
+        // Syntax, then register overflow, then the width, then
+        // conversion: the width is checked before the skeleton builder
+        // is sized by it.
         let invalid = |e| invalid_qasm(id.clone(), &e);
-        let program = qxmap_qasm::parse_program(qasm).map_err(invalid)?;
-        fits(program.num_qubits().map_err(invalid)?)?;
-        let skeleton = qxmap_qasm::to_skeleton(&program).map_err(invalid)?;
-        Ok((Ingest::Text(program), skeleton))
+        let parsed = qxmap_qasm::Parsed::new(qasm).map_err(invalid)?;
+        fits(parsed.num_qubits().map_err(invalid)?)?;
+        let skeleton = parsed.to_skeleton().map_err(invalid)?;
+        Ok((Ingest::Text(qasm.to_string()), skeleton))
     }
 }
 
@@ -1008,6 +1012,53 @@ cx q[1], q[2];
         bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         let r = rejection_response(&parse_request(&line(&bytes)).unwrap_err());
         assert_eq!(r, expected(u32::MAX as usize));
+    }
+
+    #[test]
+    fn qasm_defects_rank_parse_then_width_then_conversion() {
+        let answer = |qasm: &str| {
+            let line = format!(
+                "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\"}}",
+                Json::str(qasm)
+            );
+            parse_request(&line).unwrap_err()
+        };
+        // A syntax error anywhere beats a register too wide for the device.
+        let e = answer("qreg q[9];\nh q[0];\nqreg r[;");
+        assert_eq!(e.code, "bad_request");
+        assert_eq!(e.message, "invalid QASM: line 3: expected integer, found ;");
+        assert_eq!(e.fields, [("line", Json::num(3))]);
+        // A register too wide for the device beats an unknown gate, even
+        // one applied before the register is declared.
+        for qasm in ["qreg q[9];\nnope q[0];", "nope q[0];\nqreg q[9];"] {
+            let e = answer(qasm);
+            assert_eq!(e.code, "too_many_qubits", "{qasm:?}");
+            assert_eq!(
+                e.fields,
+                [("logical", Json::num(9)), ("physical", Json::num(5))]
+            );
+        }
+        // Within the device's width, the unknown gate is the defect.
+        let e = answer("nope q[0];\nqreg q[2];");
+        assert_eq!(e.message, "invalid QASM: line 1: unknown gate `nope`");
+        assert_eq!(e.fields, [("line", Json::num(1))]);
+        // A classical register that overflows ranks below the width
+        // check, and a quantum one above it.
+        let huge = "18446744073709551615";
+        let e = answer(&format!("qreg q[9];\ncreg a[{huge}];\ncreg b[1];"));
+        assert_eq!(e.code, "too_many_qubits");
+        let e = answer(&format!(
+            "creg a[{huge}];\ncreg b[1];\nqreg q[{huge}];\nqreg r[1];"
+        ));
+        assert_eq!(
+            e.message,
+            "invalid QASM: register `r[1]` overflows the total register size"
+        );
+        let e = answer(&format!("creg a[{huge}];\ncreg b[1];\nqreg q[2];"));
+        assert_eq!(
+            e.message,
+            "invalid QASM: register `b[1]` overflows the total register size"
+        );
     }
 
     #[test]

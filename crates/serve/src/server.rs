@@ -723,22 +723,18 @@ impl Server {
     /// probe hit or a malformed payload answers immediately; everything
     /// else comes back ready for [`Server::submit`].
     ///
-    /// `parsed` is when the connection started parsing the line — read
-    /// only for lines that mention `"trace"`, so the untraced warm path
-    /// never pays the extra clock read. It becomes the trace origin
+    /// `received` is when the connection read the line. The request's
+    /// latency, its deadline and its trace all run from it, so they
+    /// cover parsing, the probe and rendering as the client sees them
     /// (the wire trace therefore covers ingest and queue wait on top of
     /// the report's solve-only `elapsed_us`).
-    fn prepare_map(&self, job: proto::MapJob, parsed: Option<Instant>) -> Prepared {
+    fn prepare_map(&self, job: proto::MapJob, received: Instant) -> Prepared {
         self.counters.received.fetch_add(1, Ordering::Relaxed);
         let deadline = job.deadline();
-        let start = Instant::now();
         let trace = if job.wants_trace() {
-            let trace = SpanRecorder::with_origin(parsed.unwrap_or(start));
-            if let Some(t0) = parsed {
-                // Parse + skeleton ran before the flag was known; the
-                // connection timed them from line receipt.
-                trace.record("ingest/parse", t0, start.saturating_duration_since(t0));
-            }
+            let trace = SpanRecorder::with_origin(received);
+            // Parse + skeleton ran before the flag was known.
+            trace.record("ingest/parse", received, received.elapsed());
             trace
         } else {
             SpanRecorder::disabled()
@@ -757,23 +753,24 @@ impl Server {
         probe_span.counter("hit", u64::from(probed.is_some()));
         probe_span.end();
         if let Some(mut report) = probed {
-            let latency_us = self.observe_latency(start, deadline);
+            self.close_ingest(&trace);
+            report.trace = trace.finish();
+            let response = proto::result_response(job.id.clone(), &report).to_string();
+            let latency_us = self.observe_latency(received, deadline);
             self.phase_warm_hit.record(latency_us);
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .served_from_cache
                 .fetch_add(1, Ordering::Relaxed);
-            self.close_ingest(&trace);
-            report.trace = trace.finish();
             self.note_slow(SlowEntry {
                 latency_us,
-                id: job.id.clone(),
-                engine: report.engine.clone(),
-                winner: report.winner.clone(),
+                id: job.id,
+                engine: report.engine,
+                winner: report.winner,
                 served_from_cache: true,
-                trace: report.trace.clone(),
+                trace: report.trace,
             });
-            return Prepared::Immediate(proto::result_response(job.id, &report).to_string());
+            return Prepared::Immediate(response);
         }
         let mat_span = trace.span("ingest/materialize");
         let request = match job.materialize() {
@@ -789,7 +786,7 @@ impl Server {
         Prepared::Job {
             request: Box::new(request.with_trace(trace)),
             id: job.id,
-            start,
+            start: received,
             deadline,
         }
     }
@@ -917,6 +914,11 @@ impl Server {
     ) -> String {
         match outcome {
             JobOutcome::Done(result) => {
+                let response = match &*result {
+                    Ok(report) => proto::result_response(id.clone(), report),
+                    Err(error) => proto::error_response(id.clone(), error),
+                }
+                .to_string();
                 let latency_us = self.observe_latency(start, deadline);
                 match *result {
                     Ok(report) => {
@@ -932,19 +934,18 @@ impl Server {
                             .record(u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX));
                         self.note_slow(SlowEntry {
                             latency_us,
-                            id: id.clone(),
-                            engine: report.engine.clone(),
-                            winner: report.winner.clone(),
+                            id,
+                            engine: report.engine,
+                            winner: report.winner,
                             served_from_cache: report.served_from_cache,
-                            trace: report.trace.clone(),
+                            trace: report.trace,
                         });
-                        proto::result_response(id, &report).to_string()
                     }
-                    Err(error) => {
+                    Err(_) => {
                         self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        proto::error_response(id, &error).to_string()
                     }
                 }
+                response
             }
             JobOutcome::Shed { waited } => {
                 let rejection = Rejection {
@@ -982,10 +983,7 @@ impl Server {
     /// strictly request/response path used by stdio mode and tests; TCP
     /// connections go through the pipelined path instead.
     pub fn handle_line(&self, line: &str) -> Handled {
-        // The extra clock read for ingest attribution is paid only by
-        // lines that could be asking for a trace — the untraced warm
-        // path stays as it was.
-        let parsed = line.contains("\"trace\"").then(Instant::now);
+        let received = Instant::now();
         let request = match proto::parse_request(line) {
             Ok(request) => request,
             Err(rejection) => {
@@ -1002,7 +1000,7 @@ impl Server {
             }),
             Request::Slowlog { id } => Handled::Reply(self.slowlog_json(id).to_string()),
             Request::Shutdown { id } => Handled::ReplyAndShutdown(Server::shutdown_ack(id)),
-            Request::Map(job) => Handled::Reply(match self.prepare_map(*job, parsed) {
+            Request::Map(job) => Handled::Reply(match self.prepare_map(*job, received) {
                 Prepared::Immediate(response) => response,
                 Prepared::Job {
                     request,
@@ -1635,9 +1633,9 @@ impl Server {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
+            let received = Instant::now();
             let text = line.trim_end_matches(['\n', '\r']);
             if !text.trim().is_empty() {
-                let parsed = text.contains("\"trace\"").then(Instant::now);
                 match proto::parse_request(text) {
                     Err(rejection) => {
                         self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -1672,7 +1670,7 @@ impl Server {
                         let _ = writer_thread.join();
                         return;
                     }
-                    Ok(Request::Map(job)) => match self.prepare_map(*job, parsed) {
+                    Ok(Request::Map(job)) => match self.prepare_map(*job, received) {
                         Prepared::Immediate(response) => {
                             pending.push_str(&response);
                             pending.push('\n');
@@ -2167,6 +2165,33 @@ mod tests {
             Some("deadline_expired")
         );
         assert_eq!(parsed.get("id").and_then(Json::as_u64), Some(7));
+        server.finish().unwrap();
+    }
+
+    #[test]
+    fn warm_hit_latency_runs_from_line_receipt() {
+        let server = Server::start(config(1, 8, 1));
+        let line = format!(
+            "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"seed\":41}}",
+            Json::str(QASM)
+        );
+        // The first request solves and fills the cache; the second hits.
+        let solved = Json::parse(server.handle_line(&line).response()).unwrap();
+        assert_eq!(solved.get("type").and_then(Json::as_str), Some("result"));
+        let Ok(Request::Map(job)) = proto::parse_request(&line) else {
+            panic!("a map request");
+        };
+        let before = server.phase_warm_hit.sum_us.load(Ordering::Relaxed);
+        let received = Instant::now() - Duration::from_millis(50);
+        let Prepared::Immediate(response) = server.prepare_map(*job, received) else {
+            panic!("the second request must be a warm hit");
+        };
+        assert!(
+            response.contains("\"served_from_cache\":true"),
+            "{response}"
+        );
+        let recorded = server.phase_warm_hit.sum_us.load(Ordering::Relaxed) - before;
+        assert!(recorded >= 50_000, "warm hit recorded {recorded} µs");
         server.finish().unwrap();
     }
 
