@@ -1,19 +1,18 @@
 //! Statement stream → circuit conversion with hierarchical gate inlining.
 //!
-//! Conversion walks a program's statements twice. The first walk checks
-//! the syntax and records the declarations: each register's offset and
-//! size, and each gate definition's body. The second walk emits gates
-//! into a sink — a [`Circuit`] or a [`SkeletonBuilder`] — in program
-//! order, so a register or gate may be used before it is declared. The
-//! statements come from the parser walking source tokens, or from a
-//! built [`Program`] replaying itself; either way one converter runs.
+//! Conversion walks a program's tokens twice with the parser. The first
+//! walk checks the syntax and records the declarations: each register's
+//! offset and size, and each gate definition's body as its run of
+//! tokens. The second walk emits gates into a sink — a [`Circuit`] or a
+//! [`SkeletonBuilder`] — in program order, so a register or gate may be
+//! used before it is declared. A call of a defined gate walks its body's
+//! tokens again, with the call's arguments bound.
 //!
 //! Errors rank in a fixed order: syntax (a lex error first), then
 //! register overflow, then conversion errors in program order. The
 //! daemon checks the declared width against its device between the
 //! last two, before anything is sized by the width.
 
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -21,22 +20,22 @@ use std::sync::OnceLock;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton, Gate, OneQubitKind, SkeletonBuilder};
 
-use crate::ast::{GateOp, Program};
 use crate::lex::Token;
-use crate::parse::{lex, walk, ArgRef, Eval, ParseQasmError, Stmt, Value, TOP_LEVEL};
+use crate::parse::{eval_error, lex, ArgRef, ParseQasmError, Parser, Stmt, Value};
 
-/// A gate definition: its formal names, and the body replayed per call.
-struct GateDef<'a> {
+/// A gate definition: its formal names, and the tokens of its body,
+/// parsed again on each call.
+pub(crate) struct GateDef<'a> {
     params: Vec<&'a str>,
     qargs: Vec<&'a str>,
-    body: Cow<'a, [GateOp]>,
+    body: Vec<Token<'a>>,
 }
 
 /// The standard library's gate definitions, parsed once per process.
 /// A program flags `include "qelib1.inc";` instead of splicing the
 /// library's statements, and conversion falls back to this table, so
 /// per-request parsing never pays for the library again.
-fn qelib_gates() -> &'static HashMap<&'static str, GateDef<'static>> {
+pub(crate) fn qelib_gates() -> &'static HashMap<&'static str, GateDef<'static>> {
     static TABLE: OnceLock<HashMap<&'static str, GateDef<'static>>> = OnceLock::new();
     TABLE.get_or_init(|| {
         Parsed::new(crate::qelib::QELIB1)
@@ -44,26 +43,6 @@ fn qelib_gates() -> &'static HashMap<&'static str, GateDef<'static>> {
             .decls
             .gates
     })
-}
-
-/// Where a program's statements come from.
-enum Statements<'a> {
-    /// Source tokens, walked by the parser.
-    Text(Vec<Token<'a>>),
-    /// A built AST, replayed.
-    Program(&'a Program),
-}
-
-impl<'a> Statements<'a> {
-    fn each(
-        &self,
-        sink: &mut dyn FnMut(Stmt<'a, '_, Value>) -> Result<(), ParseQasmError>,
-    ) -> Result<(), ParseQasmError> {
-        match self {
-            Statements::Text(tokens) => walk(tokens, &TOP_LEVEL, sink),
-            Statements::Program(program) => program.replay(sink),
-        }
-    }
 }
 
 /// One kind of register, quantum or classical, laid out contiguously
@@ -151,7 +130,7 @@ struct Declarations<'a> {
 }
 
 impl<'a> Declarations<'a> {
-    fn record(&mut self, stmt: Stmt<'a, '_, Value>) {
+    fn record(&mut self, stmt: Stmt<'a, '_>) {
         self.statements += 1;
         match stmt {
             Stmt::Qelib => self.qelib = true,
@@ -168,7 +147,7 @@ impl<'a> Declarations<'a> {
                     GateDef {
                         params,
                         qargs,
-                        body,
+                        body: body.to_vec(),
                     },
                 );
             }
@@ -297,41 +276,29 @@ impl<'a> Declarations<'a> {
             return Err(param_err(def.params.len()));
         }
         // A formal named twice binds its last position.
-        let bound = Eval(|formal: &str| {
+        let bound = |formal: &str| {
             let i = def.params.iter().rposition(|&p| p == formal)?;
             Some(params[i])
-        });
-        for body_op in def.body.iter() {
-            let sub_params: Vec<f64> = body_op
-                .params
-                .iter()
-                .map(|e| {
-                    e.fold(&bound).map_err(|err| {
-                        ParseQasmError::new(Some(body_op.line), format!("in `{name}`: {err}"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let sub_qubits: Vec<usize> = body_op
-                .args
-                .iter()
-                .map(|a| {
-                    let i = def.qargs.iter().rposition(|&q| q == a.register);
-                    i.map(|i| qubits[i]).ok_or_else(|| {
-                        ParseQasmError::new(
-                            Some(body_op.line),
-                            format!("unknown gate argument `{}` in `{name}`", a.register),
-                        )
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            self.emit(
-                sink,
-                &body_op.name,
-                &sub_params,
-                &sub_qubits,
-                line,
-                depth + 1,
-            )?;
+        };
+        let mut body = Parser::new(&def.body);
+        let (mut values, mut args) = (Vec::new(), Vec::new());
+        let (mut sub_params, mut sub_qubits) = (Vec::new(), Vec::new());
+        while let Some((op, op_line)) = body.body_op(&bound, &mut values, &mut args)? {
+            sub_params.clear();
+            for value in &values {
+                sub_params.push(value.map_err(|what| eval_error(op_line, name, what))?);
+            }
+            sub_qubits.clear();
+            for a in &args {
+                let i = def.qargs.iter().rposition(|&q| q == a.register);
+                sub_qubits.push(i.map(|i| qubits[i]).ok_or_else(|| {
+                    ParseQasmError::new(
+                        Some(op_line),
+                        format!("unknown gate argument `{}` in `{name}`", a.register),
+                    )
+                })?);
+            }
+            self.emit(sink, op, &sub_params, &sub_qubits, line, depth + 1)?;
         }
         Ok(())
     }
@@ -350,7 +317,7 @@ struct Converter<'d, 'a, 's> {
 }
 
 impl Converter<'_, '_, '_> {
-    fn statement(&mut self, stmt: Stmt<'_, '_, Value>) -> Result<(), ParseQasmError> {
+    fn statement(&mut self, stmt: Stmt<'_, '_>) -> Result<(), ParseQasmError> {
         match stmt {
             Stmt::Apply {
                 name,
@@ -388,7 +355,7 @@ impl Converter<'_, '_, '_> {
     fn apply(
         &mut self,
         name: &str,
-        params: &[Value],
+        params: &[Value<'_>],
         args: &[ArgRef<'_>],
         line: usize,
     ) -> Result<(), ParseQasmError> {
@@ -411,15 +378,8 @@ impl Converter<'_, '_, '_> {
         }
         self.values.clear();
         for value in params {
-            match value {
-                Ok(v) => self.values.push(*v),
-                Err(err) => {
-                    return Err(ParseQasmError::new(
-                        Some(line),
-                        format!("in `{name}`: {err}"),
-                    ))
-                }
-            }
+            self.values
+                .push(value.map_err(|what| eval_error(line, name, what))?);
         }
         for lane in 0..width {
             self.qubits.clear();
@@ -444,7 +404,7 @@ impl Converter<'_, '_, '_> {
 /// must bound the circuit's width reads [`Parsed::num_qubits`] in
 /// between, before anything is sized by it.
 pub struct Parsed<'a> {
-    statements: Statements<'a>,
+    tokens: Vec<Token<'a>>,
     decls: Declarations<'a>,
 }
 
@@ -455,16 +415,13 @@ impl<'a> Parsed<'a> {
     ///
     /// Lex and syntax errors, a lex error anywhere first.
     pub fn new(source: &'a str) -> Result<Parsed<'a>, ParseQasmError> {
-        Parsed::of(Statements::Text(lex(source)?))
-    }
-
-    fn of(statements: Statements<'a>) -> Result<Parsed<'a>, ParseQasmError> {
+        let tokens = lex(source)?;
         let mut decls = Declarations::default();
-        statements.each(&mut |stmt| {
+        Parser::new(&tokens).run(&mut |stmt| {
             decls.record(stmt);
             Ok(())
         })?;
-        Ok(Parsed { statements, decls })
+        Ok(Parsed { tokens, decls })
     }
 
     /// The number of qubits the `qreg`s declare: the width of the
@@ -520,37 +477,16 @@ impl<'a> Parsed<'a> {
             values: Vec::new(),
             qubits: Vec::new(),
         };
-        self.statements.each(&mut |stmt| conv.statement(stmt))
+        Parser::new(&self.tokens).run(&mut |stmt| conv.statement(stmt))
     }
-}
-
-/// Converts a parsed program into a flat circuit, replaying it through
-/// the converter the text entry points use.
-///
-/// # Errors
-///
-/// Those of [`Parsed::to_circuit`].
-pub fn to_circuit(program: &Program) -> Result<Circuit, ParseQasmError> {
-    Parsed::of(Statements::Program(program))?.to_circuit()
-}
-
-/// Converts a parsed program straight into its canonical
-/// [`CircuitSkeleton`] without materializing a [`Circuit`].
-///
-/// # Errors
-///
-/// Exactly those of [`to_circuit`] on the same program.
-pub fn to_skeleton(program: &Program) -> Result<CircuitSkeleton, ParseQasmError> {
-    Parsed::of(Statements::Program(program))?.to_skeleton()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_program;
 
     fn circuit(src: &str) -> Circuit {
-        to_circuit(&parse_program(src).unwrap()).unwrap()
+        crate::parse(src).unwrap()
     }
 
     const HEADER: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
@@ -628,7 +564,7 @@ mod tests {
 
     #[test]
     fn error_cases() {
-        let parse = |s: &str| to_circuit(&parse_program(s).unwrap());
+        let parse = crate::parse;
         assert!(parse("qreg q[1];\nmystery q[0];").is_err());
         assert!(parse("qreg q[1];\nCX q[0], q[0];").is_err());
         assert!(parse("qreg q[2];\nU(1,2) q[0];").is_err()); // U needs 3 params
@@ -644,40 +580,30 @@ mod tests {
             "{HEADER}qreg q[3];\ncreg c[2];\nh q;\nccx q[0], q[1], q[2];\n\
              barrier q;\nmeasure q[0] -> c[1];"
         );
-        let program = parse_program(&src).unwrap();
-        let skel = super::to_skeleton(&program).unwrap();
-        let full = qxmap_circuit::CircuitSkeleton::of(&to_circuit(&program).unwrap());
+        let program = Parsed::new(&src).unwrap();
+        let skel = program.to_skeleton().unwrap();
+        let full = qxmap_circuit::CircuitSkeleton::of(&program.to_circuit().unwrap());
         assert_eq!(skel, full);
         assert_eq!(skel.fingerprint(), full.fingerprint());
         assert_eq!(skel.canonical_labels(), full.canonical_labels());
         // Both conversions fail identically on a bad program.
-        let bad = parse_program("qreg q[1];\nmystery q[0];").unwrap();
+        let bad = Parsed::new("qreg q[1];\nmystery q[0];").unwrap();
         assert_eq!(
-            super::to_skeleton(&bad).unwrap_err(),
-            to_circuit(&bad).unwrap_err()
+            bad.to_skeleton().unwrap_err(),
+            bad.to_circuit().unwrap_err()
         );
     }
 
     #[test]
     fn register_sizes_that_overflow_are_errors() {
         let src = "qreg a[18446744073709551615];\nqreg b[2];\ncx b[0], b[1];";
-        let program = parse_program(src).unwrap();
+        let program = Parsed::new(src).unwrap();
         let message = "register `b[2]` overflows the total register size";
-        assert_eq!(
-            Parsed::new(src)
-                .unwrap()
-                .num_qubits()
-                .unwrap_err()
-                .to_string(),
-            message
-        );
-        assert_eq!(to_circuit(&program).unwrap_err().to_string(), message);
-        assert_eq!(
-            super::to_skeleton(&program).unwrap_err().to_string(),
-            message
-        );
+        assert_eq!(program.num_qubits().unwrap_err().to_string(), message);
+        assert_eq!(program.to_circuit().unwrap_err().to_string(), message);
+        assert_eq!(program.to_skeleton().unwrap_err().to_string(), message);
         let clbits = "qreg q[1];\ncreg a[18446744073709551615];\ncreg b[1];";
-        assert!(to_circuit(&parse_program(clbits).unwrap()).is_err());
+        assert!(crate::parse(clbits).is_err());
         let program = Parsed::new("qreg a[2];\ncreg c[9];\nqreg b[3];").unwrap();
         assert_eq!(program.num_qubits(), Ok(5));
     }
@@ -687,14 +613,14 @@ mod tests {
         // The measure's size mismatch is found from the two ranges, before
         // anything the size of the classical register is built.
         let src = "qreg q[2];\ncreg c[4000000000000];\nmeasure q -> c;";
-        let err = to_circuit(&parse_program(src).unwrap()).unwrap_err();
+        let err = crate::parse(src).unwrap_err();
         assert!(err.to_string().contains("measure size mismatch"), "{err}");
     }
 
     #[test]
     fn recursive_definitions_are_caught() {
         let src = "qreg q[1];\ngate loop a { loop a; }\nloop q[0];";
-        let err = to_circuit(&parse_program(src).unwrap()).unwrap_err();
+        let err = crate::parse(src).unwrap_err();
         assert!(err.to_string().contains("deeply"));
     }
 }

@@ -20,7 +20,7 @@ pub fn circuits_built() -> u64 {
     CIRCUITS_BUILT.load(Ordering::Relaxed)
 }
 
-/// Records one circuit materialization (called by [`crate::to_circuit`]
+/// Records one circuit materialization (called by [`crate::Parsed::to_circuit`]
 /// and [`crate::decode_qxbc`]).
 pub(crate) fn note_circuit_built() {
     CIRCUITS_BUILT.fetch_add(1, Ordering::Relaxed);

@@ -2,8 +2,9 @@
 //!
 //! The lexer scans the source as bytes. Identifiers and string literals
 //! borrow their text from the source, so tokens are `Copy` and lexing
-//! allocates nothing but the token vector; the parser copies a name into
-//! an owned `String` once, when it enters the AST. QASM is ASCII, so a
+//! allocates nothing but the token vector. No name is ever copied into
+//! an owned `String`: a gate body is kept as a copy of its run of tokens,
+//! still borrowing from the source. QASM is ASCII, so a
 //! non-ASCII byte takes the `char` path: Unicode whitespace is skipped
 //! like any other whitespace, and any other character is reported whole.
 

@@ -24,10 +24,10 @@
 //! a [`Circuit`] or a skeleton builder. So a register or gate may be used
 //! before its declaration, and errors rank as they always have: lex,
 //! then syntax, then register overflow, then conversion in program
-//! order. [`parse`] and [`parse_skeleton`] build no AST. The AST
-//! ([`Program`]) is one more sink, behind [`parse_program`];
-//! [`to_circuit`] and [`to_skeleton`] replay a [`Program`] into the same
-//! converter.
+//! order. No walk builds a tree. A parameter expression is evaluated
+//! where it is parsed, and a gate body is kept as its run of tokens,
+//! parsed again with the call's arguments bound each time the gate is
+//! called.
 //!
 //! ## Example
 //!
@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ast;
 mod convert;
 pub mod hooks;
 mod lex;
@@ -60,12 +59,11 @@ mod qelib;
 mod qxbc;
 mod write;
 
-pub use ast::{Arg, EvalError, Expr, GateOp, Program, Statement};
-pub use convert::{to_circuit, to_skeleton, Parsed};
+pub use convert::Parsed;
+pub use parse::ParseQasmError;
 /// [`parse_program`] under its former name, kept as an alias for callers
 /// that still use it.
-pub use parse::parse_program as parse_program_fast;
-pub use parse::{parse_program, ParseQasmError};
+pub use parse_program as parse_program_fast;
 pub use qxbc::{
     decode_qxbc, decode_qxbc_skeleton, encode_qxbc, qxbc_num_qubits, QxbcError, QXBC_MAGIC,
     QXBC_VERSION,
@@ -74,8 +72,30 @@ pub use write::to_qasm;
 
 use qxmap_circuit::{Circuit, CircuitSkeleton};
 
+/// [`Parsed::new`] as a free function: the first walk, syntax and
+/// declarations. It and [`to_skeleton`] keep the two-step form that
+/// `qxbench/` compiles against and times as `qasm.parse` and
+/// `circuit.skeleton`.
+///
+/// # Errors
+///
+/// Those of [`Parsed::new`].
+pub fn parse_program(source: &str) -> Result<Parsed<'_>, ParseQasmError> {
+    Parsed::new(source)
+}
+
+/// [`Parsed::to_skeleton`] as a free function: the second walk, straight
+/// into the canonical [`CircuitSkeleton`].
+///
+/// # Errors
+///
+/// Those of [`Parsed::to_skeleton`].
+pub fn to_skeleton(parsed: &Parsed<'_>) -> Result<CircuitSkeleton, ParseQasmError> {
+    parsed.to_skeleton()
+}
+
 /// Parses OpenQASM 2.0 source into a circuit: [`Parsed::new`], then
-/// [`Parsed::to_circuit`]. No AST is built.
+/// [`Parsed::to_circuit`].
 ///
 /// # Errors
 ///
@@ -87,7 +107,7 @@ pub fn parse(source: &str) -> Result<Circuit, ParseQasmError> {
 
 /// Parses OpenQASM 2.0 source straight to its canonical
 /// [`CircuitSkeleton`]: [`Parsed::new`], then [`Parsed::to_skeleton`].
-/// Neither an AST nor a [`Circuit`] is built — the text half of the
+/// No [`Circuit`] is built — the text half of the
 /// skeleton-first warm path. Accepts and rejects exactly the sources
 /// [`parse`] does, with identical errors.
 ///

@@ -1,14 +1,14 @@
 //! The QASM front end's error contract, pinned as a golden table: each
 //! source fails with exactly this message on exactly this line, through
-//! every text entry point (`parse`, `parse_skeleton`, and the AST route
-//! `to_skeleton(&parse_program(..)?)`). The table covers each error
+//! every text entry point (`parse`, `parse_skeleton`, and the two free
+//! walks `to_skeleton(&parse_program(..)?)`). The table covers each error
 //! class — lex, syntax, include, end of input, unsupported statements,
 //! unknown names, index range, broadcast, arity, parameter count,
-//! evaluation, recursion depth, register overflow, measure mismatch and
-//! a CX whose control is its target — and the precedence between them:
-//! a lex error outranks parse errors, parse errors outrank register
-//! overflow, overflow outranks conversion errors, and conversion errors
-//! come in program order.
+//! evaluation, expression depth, recursion depth, register overflow,
+//! measure mismatch and a CX whose control is its target — and the
+//! precedence between them: a lex error outranks parse errors, parse
+//! errors outrank register overflow, overflow outranks conversion
+//! errors, and conversion errors come in program order.
 
 use qxmap_circuit::{CircuitSkeleton, Gate};
 use qxmap_qasm::{parse, parse_program, parse_skeleton, to_skeleton, ParseQasmError};
@@ -353,6 +353,41 @@ const GOLDEN: &[(&str, &str, Option<usize>)] = &[
         "qreg q[2];\nh q[0];\nmeasure q -> c;\ncx q[0], q[0];",
         "unknown register `c`",
         None,
+    ),
+    (
+        "qreg q[1];\nrz(((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((0))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "qreg q[1];\nrz(----------------------------------------------------------------1) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "qreg q[1];\nrz(2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^1) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "gate g(t) a {\n  rz(t * ((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((0))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))) a;\n}\nqreg q[1];\ng(1) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "gate g(t) a {\n  rz(t * ----------------------------------------------------------------1) a;\n}\nqreg q[1];\ng(1) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "gate g(t) a {\n  rz(t * 2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^2^1) a;\n}\nqreg q[1];\ng(1) q[0];",
+        "line 2: expression nests more than 64 levels deep",
+        Some(2),
+    ),
+    (
+        "qreg q[1];\nnope q[0];\nrz(sin(----------------------------------------------------------------1)) q[0];",
+        "line 3: expression nests more than 64 levels deep",
+        Some(3),
     ),
 ];
 

@@ -548,6 +548,54 @@ fn hostile_register_sizes_get_structured_errors_and_the_daemon_keeps_answering()
 }
 
 #[test]
+fn a_deeply_nested_expression_is_rejected_and_warm_hits_keep_coming() {
+    let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
+    let daemon = Daemon::boot(&journal);
+    let cold = daemon.request(&map_line());
+    assert_eq!(
+        cold.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{cold}"
+    );
+
+    // One 200 KB line, parsed on a connection thread's default stack: a
+    // parser that recursed once per level would overflow it and abort
+    // the whole daemon.
+    let deep = 100_000;
+    let qasm = format!(
+        "qreg q[1];\nrz({}0{}) q[0];",
+        "(".repeat(deep),
+        ")".repeat(deep)
+    );
+    let line = format!(
+        "{{\"type\":\"map\",\"id\":\"deep\",\"qasm\":{},\"device\":\"qx4\"}}",
+        Json::str(&qasm)
+    );
+    let e = daemon.request(&line);
+    assert_eq!(e.get("type").and_then(Json::as_str), Some("error"), "{e}");
+    assert_eq!(e.get("code").and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(e.get("id").and_then(Json::as_str), Some("deep"));
+    assert_eq!(e.get("line").and_then(Json::as_u64), Some(2), "{e}");
+    let message = e.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.starts_with("invalid QASM: line 2: expression nests"),
+        "{e}"
+    );
+
+    let warm = daemon.request(&map_line());
+    assert_eq!(
+        warm.get("served_from_cache").and_then(Json::as_bool),
+        Some(true),
+        "{warm}"
+    );
+    daemon.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn restart_serves_warm_cache_hits_from_the_journal() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
