@@ -298,7 +298,6 @@ fn main() {
         batch_max: 4,
         journal: Some(journal.clone()),
         trace_log: Some(trace_log.clone()),
-        ..ServerConfig::default()
     });
     server.warm_start().expect("a fresh journal attaches");
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");

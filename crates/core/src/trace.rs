@@ -207,6 +207,7 @@ impl SpanRecorder {
                 recorder: Arc::clone(inner),
                 path: self.full_path(path),
                 start: Instant::now(),
+                excluded: Duration::ZERO,
                 counters: Vec::new(),
             }),
         }
@@ -286,6 +287,8 @@ struct SpanState {
     recorder: Arc<Inner>,
     path: String,
     start: Instant,
+    /// Time inside the span left out of its duration.
+    excluded: Duration,
     counters: Vec<(String, u64)>,
 }
 
@@ -304,6 +307,19 @@ impl Span {
         }
     }
 
+    /// Leaves `waited` out of the span's duration and adds it, in
+    /// microseconds, to the counter `name` — for a phase that blocks on
+    /// work another span already times, so its duration is its own work.
+    pub fn exclude(&mut self, name: &str, waited: Duration) {
+        if let Some(state) = self.inner.as_mut() {
+            state.excluded += waited;
+            match state.counters.iter_mut().find(|(n, _)| n == name) {
+                Some((_, total)) => *total += micros(waited),
+                None => state.counters.push((name.to_string(), micros(waited))),
+            }
+        }
+    }
+
     /// Opens a child span under this one, starting now.
     pub fn child(&self, name: &str) -> Span {
         Span {
@@ -311,6 +327,7 @@ impl Span {
                 recorder: Arc::clone(&state.recorder),
                 path: format!("{}/{}", state.path, name),
                 start: Instant::now(),
+                excluded: Duration::ZERO,
                 counters: Vec::new(),
             }),
         }
@@ -330,7 +347,7 @@ impl Drop for Span {
         let Some(state) = self.inner.take() else {
             return;
         };
-        let duration = state.start.elapsed();
+        let duration = state.start.elapsed().saturating_sub(state.excluded);
         let start_us = micros(state.start.saturating_duration_since(state.recorder.origin));
         state.recorder.push(TraceSpan {
             path: state.path,

@@ -290,13 +290,17 @@ impl<'a> Declarations<'a> {
             }
             sub_qubits.clear();
             for a in &args {
+                // Formals name single qubits: `a[5]` has nothing to index.
                 let i = def.qargs.iter().rposition(|&q| q == a.register);
-                sub_qubits.push(i.map(|i| qubits[i]).ok_or_else(|| {
-                    ParseQasmError::new(
-                        Some(op_line),
-                        format!("unknown gate argument `{}` in `{name}`", a.register),
-                    )
-                })?);
+                let message = match (a.index, i) {
+                    (Some(_), _) => format!("indexed gate argument `{a}` in `{name}`"),
+                    (None, Some(i)) => {
+                        sub_qubits.push(qubits[i]);
+                        continue;
+                    }
+                    (None, None) => format!("unknown gate argument `{}` in `{name}`", a.register),
+                };
+                return Err(ParseQasmError::new(Some(op_line), message));
             }
             self.emit(sink, op, &sub_params, &sub_qubits, line, depth + 1)?;
         }

@@ -389,6 +389,21 @@ const GOLDEN: &[(&str, &str, Option<usize>)] = &[
         "line 3: expression nests more than 64 levels deep",
         Some(3),
     ),
+    (
+        "qreg q[2];\ngate g a { x a[5]; }\ng q[0];",
+        "line 2: indexed gate argument `a[5]` in `g`",
+        Some(2),
+    ),
+    (
+        "qreg q[2];\ngate g a, b {\n  h a;\n  cx a, b[0];\n}\ng q[0], q[1];",
+        "line 4: indexed gate argument `b[0]` in `g`",
+        Some(4),
+    ),
+    (
+        "qreg q[1];\ngate g a { x c[0]; }\ng q[0];",
+        "line 2: indexed gate argument `c[0]` in `g`",
+        Some(2),
+    ),
 ];
 
 fn errors(source: &str) -> [Option<ParseQasmError>; 3] {

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! qxmap-serve [--listen ADDR] [--journal PATH]
-//!             [--workers N] [--queue-depth N] [--batch N] [--pipeline N]
-//!             [--slowlog N] [--trace-log PATH]
+//!             [--workers N] [--queue-depth N] [--batch N] [--trace-log PATH]
 //! ```
 //!
 //! With `--listen` the daemon binds a TCP listener (use port 0 for an
@@ -18,10 +17,8 @@
 //! processes lose only the unsynced tail, and compacts it to the live
 //! entries on graceful shutdown (a `shutdown` request, or stdin EOF in
 //! stdio mode).
-//! `--pipeline` caps how many mapping jobs one connection may have in
-//! flight at once. `--slowlog` sizes the slow-request ring dumped by
-//! `{"type":"slowlog"}` (default 8), and `--trace-log` appends every
-//! ring admission as a JSON line to the given file.
+//! `--trace-log` appends every admission to the slow-request ring
+//! (dumped by `{"type":"slowlog"}`) as a JSON line to the given file.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -35,8 +32,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: qxmap-serve [--listen ADDR] [--journal PATH] \
-                     [--workers N] [--queue-depth N] [--batch N] [--pipeline N] \
-                     [--slowlog N] [--trace-log PATH]";
+                     [--workers N] [--queue-depth N] [--batch N] [--trace-log PATH]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -61,12 +57,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--batch" => {
                 args.config.batch_max = parse_positive("--batch", &value("--batch")?)?;
-            }
-            "--pipeline" => {
-                args.config.pipeline_depth = parse_positive("--pipeline", &value("--pipeline")?)?;
-            }
-            "--slowlog" => {
-                args.config.slowlog_capacity = parse_positive("--slowlog", &value("--slowlog")?)?;
             }
             "--trace-log" => {
                 args.config.trace_log = Some(PathBuf::from(value("--trace-log")?));

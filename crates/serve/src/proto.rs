@@ -42,7 +42,8 @@
 //! with one stable code per [`MapperError`] variant plus the transport
 //! codes `parse`, `bad_request`, `overloaded`, `deadline_expired` (the
 //! job's deadline ran out while it waited in the admission queue — it
-//! was shed, never dispatched) and `shutting_down`.
+//! was shed, never dispatched), `shutting_down` and `internal` (answering
+//! the request panicked; the daemon caught it and keeps serving).
 //! QASM syntax and conversion rejections additionally carry a `"line"`
 //! field when the parser attributed the defect to a source line.
 //!
@@ -206,13 +207,22 @@ pub struct Rejection {
 }
 
 impl Rejection {
-    fn bad_request(id: Option<Json>, message: impl Into<String>) -> Rejection {
+    /// A rejection with no structured fields.
+    pub(crate) fn new(
+        code: &'static str,
+        id: Option<Json>,
+        message: impl Into<String>,
+    ) -> Rejection {
         Rejection {
-            code: "bad_request",
+            code,
             message: message.into(),
             id,
             fields: Vec::new(),
         }
+    }
+
+    fn bad_request(id: Option<Json>, message: impl Into<String>) -> Rejection {
+        Rejection::new("bad_request", id, message)
     }
 
     /// An engine error as a rejection, with one stable code per

@@ -8,14 +8,22 @@
 //! A connection thread parses each line into a [`crate::proto::Request`]
 //! and — for mapping jobs — *submits* it to the admission queue without
 //! waiting for the answer: connections are **pipelined**. Up to
-//! [`ServerConfig::pipeline_depth`] mapping jobs per connection may be
+//! [`PIPELINE_DEPTH`] mapping jobs per connection may be
 //! in flight at once (matched to their requests by `id`), and responses
 //! are written by a dedicated per-connection writer thread in
 //! *completion* order, not submission order — a microsecond warm hit
 //! queued behind an expensive cold solve no longer waits for it. When
 //! the in-flight cap is reached the reader stops consuming input, which
 //! backpressures the client through TCP instead of buffering
-//! unboundedly. Stdio mode stays strictly request/response.
+//! unboundedly. Stdio mode stays strictly request/response. Both
+//! transports answer a line through one dispatcher and differ only in
+//! how they wait for an admitted job. A line longer than
+//! [`MAX_LINE_BYTES`] is rejected and ends its connection.
+//!
+//! A panic while answering a line or solving a batch is caught where
+//! the paths meet: the affected requests get a structured `internal`
+//! rejection, and the daemon keeps serving. Locks recover a poisoned
+//! guard, so one caught panic cannot make every later request panic.
 //!
 //! The admission queue is bounded and **earliest-deadline-first**: jobs
 //! carrying a `deadline_ms` dispatch in deadline order, deadline-less
@@ -59,11 +67,12 @@
 //! the unsynced tail.
 
 use std::collections::{BTreeMap, BinaryHeap};
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,22 +97,10 @@ pub struct ServerConfig {
     /// Most jobs one worker drains into a single
     /// [`qxmap_map::map_many_with`] batch. Defaults to 8.
     pub batch_max: usize,
-    /// Most mapping jobs one pipelined connection may have in flight at
-    /// once; at the cap the connection's reader stops consuming input
-    /// (TCP backpressure). Defaults to 32.
-    pub pipeline_depth: usize,
     /// Append-only cache journal for warm state across restarts and
     /// crashes: replayed and attached by [`Server::warm_start`], drained
     /// and compacted by [`Server::finish`].
     pub journal: Option<PathBuf>,
-    /// Journal records appended between compactions of the journal
-    /// file. Defaults to 1024.
-    pub journal_compact_after: usize,
-    /// Entries kept in the slow-request ring — the N slowest completed
-    /// solves, with their traces when the request carried
-    /// `"trace": true`; dumped by `{"type": "slowlog"}`. Defaults to 8;
-    /// 0 disables the ring (and the trace log).
-    pub slowlog_capacity: usize,
     /// Append slowlog admissions as JSONL to this file (one JSON object
     /// per line, same shape as the `slowlog` response entries).
     pub trace_log: Option<PathBuf>,
@@ -117,13 +114,46 @@ impl Default for ServerConfig {
                 .unwrap_or(2),
             queue_depth: 64,
             batch_max: 8,
-            pipeline_depth: 32,
             journal: None,
-            journal_compact_after: 1024,
-            slowlog_capacity: 8,
             trace_log: None,
         }
     }
+}
+
+/// Most mapping jobs one pipelined connection may have in flight at
+/// once; at the cap the connection's reader stops consuming input (TCP
+/// backpressure).
+pub const PIPELINE_DEPTH: usize = 32;
+
+/// Entries kept in the slow-request ring: the N slowest completed
+/// solves, with their traces when the request carried `"trace": true`,
+/// dumped by `{"type": "slowlog"}`.
+pub const SLOWLOG_CAPACITY: usize = 8;
+
+/// Journal records appended between compactions of the journal file.
+pub const JOURNAL_COMPACT_AFTER: usize = 1024;
+
+/// Most bytes one request line may hold, its line ending excluded. A
+/// longer line gets a `bad_request` rejection and ends its connection,
+/// so no connection buffers more than this for one request.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Locks `mutex`, recovering the guard if a panic poisoned it. Panics
+/// are caught at the request and batch boundaries, so one must not make
+/// every later lock panic too; every critical section here leaves its
+/// data valid at each step, so a recovered guard is sound.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] under the same poison policy as [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// How one request line was handled, and what the connection should do
@@ -156,6 +186,9 @@ enum JobOutcome {
     /// The job's deadline expired while it waited; it was shed without
     /// ever reaching a solver, after `waited` in the queue.
     Shed { waited: Duration },
+    /// The batch solve panicked (or answered the wrong number of jobs):
+    /// the job is answered with an `internal` rejection.
+    Panicked,
 }
 
 /// An admitted job's continuation: invoked exactly once, on the worker
@@ -243,12 +276,8 @@ struct Counters {
     /// broken-promise counter. The engines wind down *near* a deadline,
     /// so a loaded queue, not the solver, is the usual culprit.
     deadline_misses: AtomicU64,
-    total_latency_us: AtomicU64,
-    max_latency_us: AtomicU64,
-    /// Time dispatched jobs spent waiting for a worker (shed jobs are
-    /// excluded; their wait is reported in the rejection itself).
-    queue_wait_total_us: AtomicU64,
-    queue_wait_max_us: AtomicU64,
+    /// Requests answered `internal` because answering them panicked.
+    rejected_internal: AtomicU64,
 }
 
 /// Number of power-of-two latency buckets: bucket `i` counts requests
@@ -270,6 +299,8 @@ struct LatencyHistogram {
     /// Sum of every recorded sample (µs) — the `_sum` series of the
     /// Prometheus histogram exposition.
     sum_us: AtomicU64,
+    /// The largest recorded sample (µs).
+    max_us: AtomicU64,
 }
 
 impl LatencyHistogram {
@@ -282,6 +313,7 @@ impl LatencyHistogram {
     fn record(&self, micros: u64) {
         self.buckets[LatencyHistogram::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(micros, Ordering::Relaxed);
+        self.max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> [u64; LATENCY_BUCKETS] {
@@ -351,20 +383,28 @@ impl LatencyHistogram {
 /// uses [`qxmap_map::map_many_with`] on [`WindowedEngine`].
 type BatchSolver = Box<dyn Fn(&[MapRequest]) -> Vec<Result<MapReport, MapperError>> + Send + Sync>;
 
-/// A mapping job after parsing and cache probing: either the response
-/// is already in hand, or the job is ready for the admission queue.
-enum Prepared {
-    /// The response line is ready now (warm probe hit or a structured
-    /// rejection) — nothing entered the queue.
-    Immediate(String),
-    /// The job must go through [`Server::submit`]. The request is
-    /// boxed to keep the enum small next to `Immediate`.
-    Job {
-        request: Box<MapRequest>,
-        id: Option<Json>,
-        start: Instant,
-        deadline: Option<Duration>,
-    },
+/// What [`Server::answer`] made of one request line. Both transports
+/// deliver a `Reply` or `Shutdown` as it is; they differ only in how
+/// they wait for a `Job` (stdio blocks on it, TCP pipelines it).
+enum Answer {
+    /// The response line is ready now: metrics, a slowlog dump, a warm
+    /// probe hit or a structured rejection.
+    Reply(String),
+    /// The `shutdown` acknowledgement: deliver it, then begin shutdown.
+    Shutdown(String),
+    /// A mapping job that missed the warm probe, for [`Server::submit`]
+    /// (boxed to keep the enum small).
+    Job(Box<Job>),
+}
+
+/// A materialized mapping job on its way to the admission queue.
+struct Job {
+    request: MapRequest,
+    id: Option<Json>,
+    /// When the connection read the line: latency and deadline run
+    /// from here.
+    received: Instant,
+    deadline: Option<Duration>,
 }
 
 /// One completed solve in the slow-request ring.
@@ -487,10 +527,57 @@ fn prom_histogram(out: &mut String, name: &str, help: &str, hist: &LatencyHistog
 /// holds (for the busy-lines gauge), and whether the daemon begins
 /// winding down once it has been flushed (the batch ending in the
 /// `shutdown` acknowledgement).
+#[derive(Default)]
 struct Outgoing {
     text: String,
     lines: usize,
     then_shutdown: bool,
+}
+
+impl Outgoing {
+    fn push(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+        self.lines += 1;
+    }
+}
+
+/// One read from a request stream.
+enum Line<'b> {
+    /// End of input.
+    End,
+    /// A request line, its line ending removed.
+    Text(&'b str),
+    /// A line longer than [`MAX_LINE_BYTES`]; the rest of it is unread.
+    TooLong,
+}
+
+/// Reads one request line into `buf`, never more than
+/// [`MAX_LINE_BYTES`] plus a `\r\n` ending — the one reader behind both
+/// transports.
+///
+/// # Errors
+///
+/// I/O errors, and a line that is not UTF-8 (`InvalidData`).
+fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<Line<'b>> {
+    buf.clear();
+    if reader
+        .take(MAX_LINE_BYTES as u64 + 2)
+        .read_until(b'\n', buf)?
+        == 0
+    {
+        return Ok(Line::End);
+    }
+    let end = buf
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |i| i + 1);
+    if end > MAX_LINE_BYTES {
+        return Ok(Line::TooLong);
+    }
+    std::str::from_utf8(&buf[..end])
+        .map(Line::Text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// The mapping daemon: admission queue, worker pool, metrics and
@@ -584,7 +671,7 @@ impl Server {
             solver,
             config,
         });
-        let mut workers = server.workers.lock().expect("no panics under the lock");
+        let mut workers = lock(&server.workers);
         for _ in 0..server.config.workers.max(1) {
             let server = Arc::clone(&server);
             workers.push(std::thread::spawn(move || server.worker_loop()));
@@ -597,10 +684,12 @@ impl Server {
     /// shedding any whose deadline already expired — solve the rest as
     /// one batch, deliver each outcome, repeat. Exits once shutdown has
     /// begun *and* the queue is empty — every admitted job is answered.
+    /// A panicking batch solve answers its jobs `internal`; the worker
+    /// lives on.
     fn worker_loop(&self) {
         loop {
             let (batch, shed) = {
-                let mut q = self.queue.lock().expect("no panics under the lock");
+                let mut q = lock(&self.queue);
                 loop {
                     if !q.jobs.is_empty() {
                         break;
@@ -608,7 +697,7 @@ impl Server {
                     if q.shutdown {
                         return;
                     }
-                    q = self.available.wait(q).expect("no panics under the lock");
+                    q = wait(&self.available, q);
                 }
                 let now = Instant::now();
                 let mut batch: Vec<QueuedJob> = Vec::new();
@@ -636,14 +725,7 @@ impl Server {
             }
             for job in &batch {
                 let waited = job.enqueued.elapsed();
-                let waited_us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
-                self.counters
-                    .queue_wait_total_us
-                    .fetch_add(waited_us, Ordering::Relaxed);
-                self.counters
-                    .queue_wait_max_us
-                    .fetch_max(waited_us, Ordering::Relaxed);
-                self.phase_queue_wait.record(waited_us);
+                self.phase_queue_wait.record(micros(waited));
                 // Traced jobs get the wait as a `queue` span, with the
                 // EDF slack still on the clock at dispatch.
                 let trace = job.request.trace();
@@ -658,17 +740,20 @@ impl Server {
                     trace.record_with("queue", job.enqueued, waited, &[("slack_ms", slack_ms)]);
                 }
             }
-            let requests: Vec<MapRequest> = batch.iter().map(|job| job.request.clone()).collect();
-            let results = (self.solver)(&requests);
-            assert_eq!(results.len(), batch.len(), "the solver answers every job");
             let n = batch.len();
-            for (job, result) in batch.into_iter().zip(results) {
-                (job.complete)(JobOutcome::Done(Box::new(result)));
+            let requests: Vec<MapRequest> = batch.iter().map(|job| job.request.clone()).collect();
+            let mut results = panic::catch_unwind(AssertUnwindSafe(|| (self.solver)(&requests)))
+                .ok()
+                .filter(|results| results.len() == n)
+                .map(Vec::into_iter);
+            for job in batch {
+                let outcome = match results.as_mut().and_then(Iterator::next) {
+                    Some(result) => JobOutcome::Done(Box::new(result)),
+                    None => JobOutcome::Panicked,
+                };
+                (job.complete)(outcome);
             }
-            self.queue
-                .lock()
-                .expect("no panics under the lock")
-                .in_flight -= n;
+            lock(&self.queue).in_flight -= n;
         }
     }
 
@@ -683,27 +768,28 @@ impl Server {
         id: Option<Json>,
         complete: Complete,
     ) -> Result<(), Rejection> {
-        let mut q = self.queue.lock().expect("no panics under the lock");
-        if q.shutdown {
-            self.count_rejection("shutting_down");
-            return Err(Rejection {
-                code: "shutting_down",
-                message: "the server is shutting down and admits no new work".to_string(),
+        let mut q = lock(&self.queue);
+        let refused = if q.shutdown {
+            Some(Rejection::new(
+                "shutting_down",
                 id,
-                fields: Vec::new(),
-            });
-        }
-        if q.jobs.len() >= self.config.queue_depth {
-            self.count_rejection("overloaded");
-            return Err(Rejection {
-                code: "overloaded",
-                message: format!(
+                "the server is shutting down and admits no new work",
+            ))
+        } else if q.jobs.len() >= self.config.queue_depth {
+            Some(Rejection::new(
+                "overloaded",
+                id,
+                format!(
                     "admission queue is full ({} jobs waiting); retry later or against a replica",
                     q.jobs.len()
                 ),
-                id,
-                fields: Vec::new(),
-            });
+            ))
+        } else {
+            None
+        };
+        if let Some(rejection) = refused {
+            self.count_rejection(rejection.code);
+            return Err(rejection);
         }
         let seq = q.next_seq;
         q.next_seq += 1;
@@ -719,16 +805,35 @@ impl Server {
         Ok(())
     }
 
+    /// The one dispatcher behind both transports: parses a request line
+    /// and answers everything that needs no worker. A mapping job that
+    /// misses the warm probe comes back as [`Answer::Job`]. A panic on
+    /// the way is caught and answered as an `internal` rejection.
+    ///
+    /// `received` is when the connection read the line. A map request's
+    /// latency, its deadline and its trace all run from it, so they
+    /// cover parsing, the probe and rendering as the client sees them.
+    fn answer(&self, text: &str, received: Instant) -> Answer {
+        panic::catch_unwind(AssertUnwindSafe(|| match proto::parse_request(text) {
+            Err(rejection) => Answer::Reply(self.reject(&rejection)),
+            Ok(Request::Metrics { id, prometheus }) => Answer::Reply(if prometheus {
+                self.metrics_prometheus(id).to_string()
+            } else {
+                self.metrics_json(id).to_string()
+            }),
+            Ok(Request::Slowlog { id }) => Answer::Reply(self.slowlog_json(id).to_string()),
+            Ok(Request::Shutdown { id }) => Answer::Shutdown(Server::shutdown_ack(id)),
+            Ok(Request::Map(job)) => self.prepare_map(*job, received),
+        }))
+        .unwrap_or_else(|_| Answer::Reply(self.internal(None)))
+    }
+
     /// Counts, probes and materializes one parsed mapping job: a warm
     /// probe hit or a malformed payload answers immediately; everything
-    /// else comes back ready for [`Server::submit`].
-    ///
-    /// `received` is when the connection read the line. The request's
-    /// latency, its deadline and its trace all run from it, so they
-    /// cover parsing, the probe and rendering as the client sees them
-    /// (the wire trace therefore covers ingest and queue wait on top of
-    /// the report's solve-only `elapsed_us`).
-    fn prepare_map(&self, job: proto::MapJob, received: Instant) -> Prepared {
+    /// else comes back as a [`Job`] for the admission queue. The wire
+    /// trace therefore covers ingest and queue wait on top of the
+    /// report's solve-only `elapsed_us`.
+    fn prepare_map(&self, job: proto::MapJob, received: Instant) -> Answer {
         self.counters.received.fetch_add(1, Ordering::Relaxed);
         let deadline = job.deadline();
         let trace = if job.wants_trace() {
@@ -756,39 +861,23 @@ impl Server {
             self.close_ingest(&trace);
             report.trace = trace.finish();
             let response = proto::result_response(job.id.clone(), &report).to_string();
-            let latency_us = self.observe_latency(received, deadline);
+            let latency_us = self.book(job.id, received, deadline, report);
             self.phase_warm_hit.record(latency_us);
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .served_from_cache
-                .fetch_add(1, Ordering::Relaxed);
-            self.note_slow(SlowEntry {
-                latency_us,
-                id: job.id,
-                engine: report.engine,
-                winner: report.winner,
-                served_from_cache: true,
-                trace: report.trace,
-            });
-            return Prepared::Immediate(response);
+            return Answer::Reply(response);
         }
         let mat_span = trace.span("ingest/materialize");
         let request = match job.materialize() {
             Ok(request) => request,
-            Err(rejection) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.count_rejection(rejection.code);
-                return Prepared::Immediate(proto::rejection_response(&rejection).to_string());
-            }
+            Err(rejection) => return Answer::Reply(self.reject(&rejection)),
         };
         mat_span.end();
         self.close_ingest(&trace);
-        Prepared::Job {
-            request: Box::new(request.with_trace(trace)),
+        Answer::Job(Box::new(Job {
+            request: request.with_trace(trace),
             id: job.id,
-            start: received,
+            received,
             deadline,
-        }
+        }))
     }
 
     /// Seals the `ingest` parent span — trace origin (line receipt) to
@@ -799,18 +888,87 @@ impl Server {
         }
     }
 
+    /// The rejection counters by reason, in exposition order.
+    fn rejections(&self) -> [(&'static str, &AtomicU64); 6] {
+        let c = &self.counters;
+        [
+            ("parse", &c.rejected_parse),
+            ("bad_request", &c.rejected_bad_request),
+            ("overloaded", &c.rejected_overload),
+            ("deadline_expired", &c.rejected_deadline),
+            ("shutting_down", &c.rejected_shutdown),
+            ("internal", &c.rejected_internal),
+        ]
+    }
+
     /// Bumps the per-reason rejection counter for a structured
     /// rejection code (unknown codes only feed the aggregate `errors`).
     fn count_rejection(&self, code: &str) {
-        let cell = match code {
-            "parse" => &self.counters.rejected_parse,
-            "bad_request" => &self.counters.rejected_bad_request,
-            "overloaded" => &self.counters.rejected_overload,
-            "deadline_expired" => &self.counters.rejected_deadline,
-            "shutting_down" => &self.counters.rejected_shutdown,
-            _ => return,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
+        if let Some((_, cell)) = self.rejections().into_iter().find(|&(r, _)| r == code) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Books a request answered with an error before any solver ran
+    /// (`errors` and its reason) and renders the error line.
+    fn reject(&self, rejection: &Rejection) -> String {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.count_rejection(rejection.code);
+        proto::rejection_response(rejection).to_string()
+    }
+
+    /// The `internal` rejection of a request whose answer panicked.
+    fn internal(&self, id: Option<Json>) -> String {
+        self.reject(&Rejection::new(
+            "internal",
+            id,
+            "answering this request panicked; the daemon keeps serving",
+        ))
+    }
+
+    /// Records one finished map request's end-to-end latency, returning
+    /// it in microseconds. The deadline miss is judged on what the
+    /// client asked for: the wall clock against the request's own
+    /// deadline, queueing included.
+    fn observe_latency(&self, received: Instant, deadline: Option<Duration>) -> u64 {
+        let elapsed = received.elapsed();
+        self.latency.record(micros(elapsed));
+        if deadline.is_some_and(|d| elapsed > d) {
+            self.counters
+                .deadline_misses
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        micros(elapsed)
+    }
+
+    /// Books one map job answered with a report, warm hit or solve: its
+    /// latency, the completion counters, the engine tally of a fresh
+    /// solve, and the slow-request ring. Returns the latency in
+    /// microseconds.
+    fn book(
+        &self,
+        id: Option<Json>,
+        received: Instant,
+        deadline: Option<Duration>,
+        report: MapReport,
+    ) -> u64 {
+        let latency_us = self.observe_latency(received, deadline);
+        let c = &self.counters;
+        c.completed.fetch_add(1, Ordering::Relaxed);
+        if report.served_from_cache {
+            c.served_from_cache.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.note_engine(&report);
+        }
+        self.note_slow(SlowEntry {
+            latency_us,
+            id,
+            engine: report.engine,
+            winner: report.winner,
+            served_from_cache: report.served_from_cache,
+            trace: report.trace,
+        });
+        latency_us
     }
 
     /// Feeds the per-engine win/cancel counters from a completed
@@ -818,7 +976,7 @@ impl Server {
     /// zero-cost win racing the other engine down, so that is what the
     /// cancel counter records.
     fn note_engine(&self, report: &MapReport) {
-        let mut stats = self.engine_stats.lock().expect("no panics under the lock");
+        let mut stats = lock(&self.engine_stats);
         stats.entry(report.winner.clone()).or_default().0 += 1;
         if report.engine.starts_with("portfolio") && report.cost.objective == 0 {
             let cancelled = if report.winner == "exact" {
@@ -836,13 +994,9 @@ impl Server {
     /// among the N slowest seen, appending admitted entries to the
     /// trace log (JSONL) when one is configured.
     fn note_slow(&self, entry: SlowEntry) {
-        let cap = self.config.slowlog_capacity;
-        if cap == 0 {
-            return;
-        }
         let line = {
-            let mut ring = self.slowlog.lock().expect("no panics under the lock");
-            if ring.len() < cap {
+            let mut ring = lock(&self.slowlog);
+            if ring.len() < SLOWLOG_CAPACITY {
                 ring.push(entry);
                 ring.last().map(slow_entry_json)
             } else {
@@ -867,7 +1021,7 @@ impl Server {
     /// Appends one line to the trace log. A failed write closes the
     /// log — observability degrades, the daemon keeps serving.
     fn append_trace_log(&self, line: &str) {
-        let mut guard = self.trace_log.lock().expect("no panics under the lock");
+        let mut guard = lock(&self.trace_log);
         if let Some(log) = guard.as_mut() {
             let ok = writeln!(log, "{line}").is_ok() && log.flush().is_ok();
             if !ok {
@@ -878,21 +1032,14 @@ impl Server {
 
     /// The `slowlog` response: ring entries, slowest first.
     pub fn slowlog_json(&self, id: Option<Json>) -> Json {
-        let mut entries: Vec<SlowEntry> = self
-            .slowlog
-            .lock()
-            .expect("no panics under the lock")
-            .clone();
+        let mut entries: Vec<SlowEntry> = lock(&self.slowlog).clone();
         entries.sort_by_key(|e| std::cmp::Reverse(e.latency_us));
         let mut pairs = vec![("type".to_string(), Json::str("slowlog"))];
         if let Some(id) = id {
             pairs.push(("id".to_string(), id));
         }
         pairs.extend([
-            (
-                "capacity".to_string(),
-                Json::num(self.config.slowlog_capacity as u64),
-            ),
+            ("capacity".to_string(), Json::num(SLOWLOG_CAPACITY as u64)),
             (
                 "entries".to_string(),
                 Json::Arr(entries.iter().map(slow_entry_json).collect()),
@@ -901,66 +1048,45 @@ impl Server {
         Json::Obj(pairs)
     }
 
-    /// Renders an admitted job's outcome as its response line, feeding
-    /// the latency and outcome counters. Shed jobs never enter the
-    /// latency histogram — they did no work and would only flatter the
-    /// percentiles.
+    /// Renders an admitted job's outcome as its response line and books
+    /// it. Shed and panicked jobs never enter the latency histogram —
+    /// they did no work and would only flatter the percentiles. A panic
+    /// while rendering is answered as an `internal` rejection.
     fn render_map_outcome(
         &self,
         id: Option<Json>,
-        start: Instant,
+        received: Instant,
         deadline: Option<Duration>,
         outcome: JobOutcome,
     ) -> String {
-        match outcome {
-            JobOutcome::Done(result) => {
-                let response = match &*result {
-                    Ok(report) => proto::result_response(id.clone(), report),
-                    Err(error) => proto::error_response(id.clone(), error),
+        let panicked_id = id.clone();
+        panic::catch_unwind(AssertUnwindSafe(|| match outcome {
+            JobOutcome::Done(result) => match *result {
+                Ok(report) => {
+                    let response = proto::result_response(id.clone(), &report).to_string();
+                    self.phase_solve.record(micros(report.elapsed));
+                    self.book(id, received, deadline, report);
+                    response
                 }
-                .to_string();
-                let latency_us = self.observe_latency(start, deadline);
-                match *result {
-                    Ok(report) => {
-                        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        if report.served_from_cache {
-                            self.counters
-                                .served_from_cache
-                                .fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.note_engine(&report);
-                        }
-                        self.phase_solve
-                            .record(u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX));
-                        self.note_slow(SlowEntry {
-                            latency_us,
-                            id,
-                            engine: report.engine,
-                            winner: report.winner,
-                            served_from_cache: report.served_from_cache,
-                            trace: report.trace,
-                        });
-                    }
-                    Err(_) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                Err(error) => {
+                    self.observe_latency(received, deadline);
+                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    proto::error_response(id, &error).to_string()
                 }
-                response
-            }
-            JobOutcome::Shed { waited } => {
-                let rejection = Rejection {
-                    code: "deadline_expired",
-                    message: format!(
-                        "deadline expired after {} ms in the admission queue; \
-                         the job was shed before dispatch",
-                        waited.as_millis()
-                    ),
-                    id,
-                    fields: Vec::new(),
-                };
-                proto::rejection_response(&rejection).to_string()
-            }
-        }
+            },
+            JobOutcome::Shed { waited } => proto::rejection_response(&Rejection::new(
+                "deadline_expired",
+                id,
+                format!(
+                    "deadline expired after {} ms in the admission queue; \
+                     the job was shed before dispatch",
+                    waited.as_millis()
+                ),
+            ))
+            .to_string(),
+            JobOutcome::Panicked => self.internal(id),
+        }))
+        .unwrap_or_else(|_| self.internal(panicked_id))
     }
 
     /// The `shutdown` acknowledgement line.
@@ -981,72 +1107,30 @@ impl Server {
     /// returning the response line to write back. Mapping jobs block the
     /// calling thread until their outcome is ready — this is the
     /// strictly request/response path used by stdio mode and tests; TCP
-    /// connections go through the pipelined path instead.
+    /// connections pipeline the same answers instead.
     pub fn handle_line(&self, line: &str) -> Handled {
-        let received = Instant::now();
-        let request = match proto::parse_request(line) {
-            Ok(request) => request,
-            Err(rejection) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.count_rejection(rejection.code);
-                return Handled::Reply(proto::rejection_response(&rejection).to_string());
-            }
+        let job = match self.answer(line, Instant::now()) {
+            Answer::Reply(response) => return Handled::Reply(response),
+            Answer::Shutdown(ack) => return Handled::ReplyAndShutdown(ack),
+            Answer::Job(job) => *job,
         };
-        match request {
-            Request::Metrics { id, prometheus } => Handled::Reply(if prometheus {
-                self.metrics_prometheus(id).to_string()
-            } else {
-                self.metrics_json(id).to_string()
-            }),
-            Request::Slowlog { id } => Handled::Reply(self.slowlog_json(id).to_string()),
-            Request::Shutdown { id } => Handled::ReplyAndShutdown(Server::shutdown_ack(id)),
-            Request::Map(job) => Handled::Reply(match self.prepare_map(*job, received) {
-                Prepared::Immediate(response) => response,
-                Prepared::Job {
-                    request,
-                    id,
-                    start,
-                    deadline,
-                } => {
-                    let absolute = deadline.map(|d| start + d);
-                    let (outcome_tx, outcome_rx) = mpsc::channel();
-                    let complete: Complete = Box::new(move |outcome| {
-                        let _ = outcome_tx.send(outcome);
-                    });
-                    match self.submit(*request, absolute, id.clone(), complete) {
-                        Err(rejection) => proto::rejection_response(&rejection).to_string(),
-                        Ok(()) => {
-                            let outcome = outcome_rx
-                                .recv()
-                                .expect("workers answer every admitted job before exiting");
-                            self.render_map_outcome(id, start, deadline, outcome)
-                        }
-                    }
-                }
-            }),
-        }
-    }
-
-    /// Records one finished map request's end-to-end latency, returning
-    /// it in microseconds. The deadline miss is judged on what the
-    /// client asked for: the wall clock against the request's own
-    /// deadline, queueing included.
-    fn observe_latency(&self, start: Instant, deadline: Option<Duration>) -> u64 {
-        let elapsed = start.elapsed();
-        let latency = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.counters
-            .total_latency_us
-            .fetch_add(latency, Ordering::Relaxed);
-        self.counters
-            .max_latency_us
-            .fetch_max(latency, Ordering::Relaxed);
-        self.latency.record(latency);
-        if deadline.is_some_and(|d| elapsed > d) {
-            self.counters
-                .deadline_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        latency
+        let (outcome_tx, outcome_rx) = mpsc::channel();
+        let complete: Complete = Box::new(move |outcome| {
+            let _ = outcome_tx.send(outcome);
+        });
+        let absolute = job.deadline.map(|d| job.received + d);
+        Handled::Reply(
+            match self.submit(job.request, absolute, job.id.clone(), complete) {
+                Err(rejection) => proto::rejection_response(&rejection).to_string(),
+                // A completion dropped unsent means its worker died.
+                Ok(()) => self.render_map_outcome(
+                    job.id,
+                    job.received,
+                    job.deadline,
+                    outcome_rx.recv().unwrap_or(JobOutcome::Panicked),
+                ),
+            },
+        )
     }
 
     /// The `metrics` response: solve-cache statistics, queue state
@@ -1055,7 +1139,7 @@ impl Server {
     pub fn metrics_json(&self, id: Option<Json>) -> Json {
         let cache = SolveCache::shared().stats();
         let (depth, in_flight, deadlined, slack_min_ms, slack_p50_ms) = {
-            let q = self.queue.lock().expect("no panics under the lock");
+            let q = lock(&self.queue);
             let now = Instant::now();
             // Remaining slack of every *deadlined* waiter, saturating at
             // zero for already-expired jobs still awaiting shedding.
@@ -1103,8 +1187,8 @@ impl Server {
                     ("deadlined", Json::num(deadlined as u64)),
                     ("slack_min_ms", Json::num(slack_min_ms)),
                     ("slack_p50_ms", Json::num(slack_p50_ms)),
-                    ("wait_total_us", get(&c.queue_wait_total_us)),
-                    ("wait_max_us", get(&c.queue_wait_max_us)),
+                    ("wait_total_us", get(&self.phase_queue_wait.sum_us)),
+                    ("wait_max_us", get(&self.phase_queue_wait.max_us)),
                 ]),
             ),
             (
@@ -1117,18 +1201,12 @@ impl Server {
                     ("rejected_deadline", get(&c.rejected_deadline)),
                     (
                         "rejected",
-                        Json::obj([
-                            ("parse", get(&c.rejected_parse)),
-                            ("bad_request", get(&c.rejected_bad_request)),
-                            ("overloaded", get(&c.rejected_overload)),
-                            ("deadline_expired", get(&c.rejected_deadline)),
-                            ("shutting_down", get(&c.rejected_shutdown)),
-                        ]),
+                        Json::obj(self.rejections().map(|(reason, cell)| (reason, get(cell)))),
                     ),
                     ("served_from_cache", get(&c.served_from_cache)),
                     ("deadline_misses", get(&c.deadline_misses)),
-                    ("total_latency_us", get(&c.total_latency_us)),
-                    ("max_latency_us", get(&c.max_latency_us)),
+                    ("total_latency_us", get(&self.latency.sum_us)),
+                    ("max_latency_us", get(&self.latency.max_us)),
                 ]),
             ),
             ("latency".to_string(), self.latency.to_json()),
@@ -1156,7 +1234,7 @@ impl Server {
     /// The per-engine win/cancel counters, as `{"name": {"wins": n,
     /// "cancels": m}}`.
     fn engines_json(&self) -> Json {
-        let stats = self.engine_stats.lock().expect("no panics under the lock");
+        let stats = lock(&self.engine_stats);
         Json::Obj(
             stats
                 .iter()
@@ -1175,15 +1253,8 @@ impl Server {
     /// final) counters. `None` when no journal is configured.
     fn journal_health(&self) -> Option<Json> {
         self.config.journal.as_ref()?;
-        let replay = self
-            .replay
-            .lock()
-            .expect("no panics under the lock")
-            .unwrap_or_default();
-        let stats = self
-            .journal
-            .lock()
-            .expect("no panics under the lock")
+        let replay = lock(&self.replay).unwrap_or_default();
+        let stats = lock(&self.journal)
             .as_ref()
             .map(Journal::stats)
             .unwrap_or_default();
@@ -1220,7 +1291,7 @@ impl Server {
         let mut out = String::with_capacity(4096);
         let cache = SolveCache::shared().stats();
         let (depth, in_flight) = {
-            let q = self.queue.lock().expect("no panics under the lock");
+            let q = lock(&self.queue);
             (q.jobs.len(), q.in_flight)
         };
         let c = &self.counters;
@@ -1315,13 +1386,7 @@ impl Server {
             "counter",
             "Requests rejected before any solver ran, by reason.",
         );
-        for (reason, cell) in [
-            ("parse", &c.rejected_parse),
-            ("bad_request", &c.rejected_bad_request),
-            ("overloaded", &c.rejected_overload),
-            ("deadline_expired", &c.rejected_deadline),
-            ("shutting_down", &c.rejected_shutdown),
-        ] {
+        for (reason, cell) in self.rejections() {
             prom_sample(
                 &mut out,
                 "qxmap_requests_rejected_total",
@@ -1330,7 +1395,7 @@ impl Server {
             );
         }
         {
-            let stats = self.engine_stats.lock().expect("no panics under the lock");
+            let stats = lock(&self.engine_stats);
             prom_header(
                 &mut out,
                 "qxmap_engine_wins_total",
@@ -1406,19 +1471,13 @@ impl Server {
     /// Closes admission and wakes the workers; already-admitted jobs
     /// still complete. Idempotent.
     pub fn begin_shutdown(&self) {
-        self.queue
-            .lock()
-            .expect("no panics under the lock")
-            .shutdown = true;
+        lock(&self.queue).shutdown = true;
         self.available.notify_all();
     }
 
     /// Whether shutdown has begun.
     pub fn is_shutting_down(&self) -> bool {
-        self.queue
-            .lock()
-            .expect("no panics under the lock")
-            .shutdown
+        lock(&self.queue).shutdown
     }
 
     /// Drains the pool (joining every worker — every admitted job is
@@ -1432,9 +1491,11 @@ impl Server {
     /// fail.
     pub fn finish(&self) -> io::Result<()> {
         self.begin_shutdown();
-        let workers = std::mem::take(&mut *self.workers.lock().expect("no panics under the lock"));
+        let workers = std::mem::take(&mut *lock(&self.workers));
         for worker in workers {
-            worker.join().expect("workers do not panic");
+            worker
+                .join()
+                .expect("workers catch their batches' and renders' panics");
         }
         // Workers answered every admitted job; give the (detached)
         // connection threads a moment to flush those answers to their
@@ -1445,20 +1506,10 @@ impl Server {
         while self.busy_lines.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        if let Some(log) = self
-            .trace_log
-            .lock()
-            .expect("no panics under the lock")
-            .as_mut()
-        {
+        if let Some(log) = lock(&self.trace_log).as_mut() {
             let _ = log.flush();
         }
-        match self
-            .journal
-            .lock()
-            .expect("no panics under the lock")
-            .as_mut()
-        {
+        match lock(&self.journal).as_mut() {
             Some(journal) => journal.finish(),
             None => Ok(()),
         }
@@ -1480,21 +1531,17 @@ impl Server {
         let Some(path) = &self.config.journal else {
             return Ok(None);
         };
-        let (journal, replay) = Journal::attach(
-            SolveCache::shared(),
-            path,
-            self.config.journal_compact_after,
-        )
-        .map_err(|e| format!("attaching journal {}: {e}", path.display()))?;
-        *self.journal.lock().expect("no panics under the lock") = Some(journal);
-        *self.replay.lock().expect("no panics under the lock") = Some(replay);
+        let (journal, replay) = Journal::attach(SolveCache::shared(), path, JOURNAL_COMPACT_AFTER)
+            .map_err(|e| format!("attaching journal {}: {e}", path.display()))?;
+        *lock(&self.journal) = Some(journal);
+        *lock(&self.replay) = Some(replay);
         Ok(Some(replay))
     }
 
     /// Accept loop: serves connections until shutdown begins, then
     /// returns (call [`Server::finish`] after). Each connection gets a
     /// reader thread and a writer thread, pipelining up to
-    /// [`ServerConfig::pipeline_depth`] mapping jobs.
+    /// [`PIPELINE_DEPTH`] mapping jobs.
     ///
     /// # Errors
     ///
@@ -1533,44 +1580,25 @@ impl Server {
         }
     }
 
-    /// Hands a response line to a connection's writer thread, keeping
-    /// the busy-lines gauge exact: the sender accounts for the line and
-    /// the writer releases it after flushing (or discarding, once the
-    /// socket is dead).
-    fn send_out(&self, out: &mpsc::Sender<Outgoing>, mut line: String, then_shutdown: bool) {
-        line.push('\n');
-        self.send_out_batch(out, line, 1, then_shutdown);
-    }
-
-    /// [`Server::send_out`] for a corked batch: `text` is one or more
-    /// whole newline-terminated response lines, accounted as `lines` in
-    /// the busy-lines gauge.
-    fn send_out_batch(
-        &self,
-        out: &mpsc::Sender<Outgoing>,
-        text: String,
-        lines: usize,
-        then_shutdown: bool,
-    ) {
-        self.busy_lines.fetch_add(lines as u64, Ordering::AcqRel);
-        if out
-            .send(Outgoing {
-                text,
-                lines,
-                then_shutdown,
-            })
-            .is_err()
-        {
-            self.busy_lines.fetch_sub(lines as u64, Ordering::AcqRel);
+    /// Hands a batch of response lines to a connection's writer thread,
+    /// keeping the busy-lines gauge exact: the sender accounts for the
+    /// lines and the writer releases them after flushing (or
+    /// discarding, once the socket is dead).
+    fn send_out(&self, out: &mpsc::Sender<Outgoing>, batch: Outgoing) {
+        let lines = batch.lines as u64;
+        self.busy_lines.fetch_add(lines, Ordering::AcqRel);
+        if out.send(batch).is_err() {
+            self.busy_lines.fetch_sub(lines, Ordering::AcqRel);
         }
     }
 
-    /// One pipelined connection. The reader (this call) parses lines,
-    /// answers what it can immediately, and submits mapping jobs whose
-    /// completions — possibly out of submission order — flow through a
-    /// dedicated writer thread that owns the socket's write half. At
-    /// `pipeline_depth` jobs in flight the reader stops consuming input
-    /// until a completion frees a slot.
+    /// One pipelined connection. The reader (this call) answers each
+    /// line through [`Server::answer`], delivering ready answers at once
+    /// and submitting mapping jobs whose completions — possibly out of
+    /// submission order — flow through a dedicated writer thread that
+    /// owns the socket's write half. At [`PIPELINE_DEPTH`] jobs in
+    /// flight the reader stops consuming input until a completion frees
+    /// a slot.
     fn serve_connection(self: &Arc<Server>, stream: TcpStream) {
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
@@ -1611,141 +1639,98 @@ impl Server {
                 }
             })
         };
-        let in_flight = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let cap = self.config.pipeline_depth.max(1);
+        // Jobs in flight on this connection, and the signal that one
+        // finished.
+        let slots = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let release = |slots: &(Mutex<usize>, Condvar)| {
+            *lock(&slots.0) -= 1;
+            slots.1.notify_one();
+        };
         // A large read buffer feeds the cork below: everything the
         // kernel has for this connection arrives in one syscall, and
         // the burst of immediate answers it produces leaves as one
         // batch.
         let mut reader = BufReader::with_capacity(64 * 1024, stream);
+        let mut buf = Vec::new();
         // Corked immediate responses: while more complete request lines
         // sit in the read buffer, answers accumulate here and the
         // writer thread is woken once per burst, not once per line. A
         // lone request still flushes immediately (its burst is one
         // line), but a pipelining client stops paying a writer wakeup —
         // and, on a saturated core, a preemption — per response.
-        let mut pending = String::new();
-        let mut pending_lines = 0usize;
-        let mut line = String::new();
+        let mut pending = Outgoing::default();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
+            let text = match read_line(&mut reader, &mut buf) {
+                Ok(Line::Text(text)) => text,
+                Ok(Line::TooLong) => {
+                    pending.push(&self.reject(&too_long()));
+                    break;
+                }
+                Ok(Line::End) | Err(_) => break,
+            };
             let received = Instant::now();
-            let text = line.trim_end_matches(['\n', '\r']);
             if !text.trim().is_empty() {
-                match proto::parse_request(text) {
-                    Err(rejection) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        self.count_rejection(rejection.code);
-                        pending.push_str(&proto::rejection_response(&rejection).to_string());
-                        pending.push('\n');
-                        pending_lines += 1;
-                    }
-                    Ok(Request::Metrics { id, prometheus }) => {
-                        let response = if prometheus {
-                            self.metrics_prometheus(id).to_string()
-                        } else {
-                            self.metrics_json(id).to_string()
-                        };
-                        pending.push_str(&response);
-                        pending.push('\n');
-                        pending_lines += 1;
-                    }
-                    Ok(Request::Slowlog { id }) => {
-                        pending.push_str(&self.slowlog_json(id).to_string());
-                        pending.push('\n');
-                        pending_lines += 1;
-                    }
-                    Ok(Request::Shutdown { id }) => {
+                match self.answer(text, received) {
+                    Answer::Reply(response) => pending.push(&response),
+                    Answer::Shutdown(ack) => {
                         // Stop reading; in-flight jobs still answer
                         // through the writer, which begins wind-down
                         // after flushing the batch ending in this ack.
-                        pending.push_str(&Server::shutdown_ack(id));
-                        pending.push('\n');
-                        self.send_out_batch(&out_tx, pending, pending_lines + 1, true);
-                        drop(out_tx);
-                        let _ = writer_thread.join();
-                        return;
+                        pending.push(&ack);
+                        pending.then_shutdown = true;
+                        break;
                     }
-                    Ok(Request::Map(job)) => match self.prepare_map(*job, received) {
-                        Prepared::Immediate(response) => {
-                            pending.push_str(&response);
-                            pending.push('\n');
-                            pending_lines += 1;
+                    Answer::Job(job) => {
+                        // About to (possibly) block on a slot: release
+                        // anything corked first.
+                        if pending.lines > 0 {
+                            self.send_out(&out_tx, std::mem::take(&mut pending));
                         }
-                        Prepared::Job {
+                        // Claim an in-flight slot before submitting: the
+                        // completion may fire (and release the slot) on a
+                        // worker thread before submit() even returns.
+                        {
+                            let mut count = lock(&slots.0);
+                            while *count >= PIPELINE_DEPTH {
+                                count = wait(&slots.1, count);
+                            }
+                            *count += 1;
+                        }
+                        let Job {
                             request,
                             id,
-                            start,
+                            received,
                             deadline,
-                        } => {
-                            // About to (possibly) block on a slot:
-                            // release anything corked first.
-                            if pending_lines > 0 {
-                                self.send_out_batch(
-                                    &out_tx,
-                                    std::mem::take(&mut pending),
-                                    std::mem::replace(&mut pending_lines, 0),
-                                    false,
+                        } = *job;
+                        let complete: Complete = {
+                            let (server, out_tx) = (Arc::clone(self), out_tx.clone());
+                            let (slots, id) = (Arc::clone(&slots), id.clone());
+                            Box::new(move |outcome| {
+                                let mut batch = Outgoing::default();
+                                batch.push(
+                                    &server.render_map_outcome(id, received, deadline, outcome),
                                 );
-                            }
-                            // Claim an in-flight slot before submitting:
-                            // the completion may fire (and release the
-                            // slot) on a worker thread before submit()
-                            // even returns.
-                            {
-                                let (count, freed) = &*in_flight;
-                                let mut count = count.lock().expect("no panics under the lock");
-                                while *count >= cap {
-                                    count = freed.wait(count).expect("no panics under the lock");
-                                }
-                                *count += 1;
-                            }
-                            let complete: Complete = {
-                                let server = Arc::clone(self);
-                                let out_tx = out_tx.clone();
-                                let in_flight = Arc::clone(&in_flight);
-                                let id = id.clone();
-                                Box::new(move |outcome| {
-                                    let response =
-                                        server.render_map_outcome(id, start, deadline, outcome);
-                                    server.send_out(&out_tx, response, false);
-                                    let (count, freed) = &*in_flight;
-                                    *count.lock().expect("no panics under the lock") -= 1;
-                                    freed.notify_one();
-                                })
-                            };
-                            let absolute = deadline.map(|d| start + d);
-                            if let Err(rejection) = self.submit(*request, absolute, id, complete) {
-                                let (count, freed) = &*in_flight;
-                                *count.lock().expect("no panics under the lock") -= 1;
-                                freed.notify_one();
-                                pending
-                                    .push_str(&proto::rejection_response(&rejection).to_string());
-                                pending.push('\n');
-                                pending_lines += 1;
-                            }
+                                server.send_out(&out_tx, batch);
+                                release(&slots);
+                            })
+                        };
+                        let absolute = deadline.map(|d| received + d);
+                        if let Err(rejection) = self.submit(request, absolute, id, complete) {
+                            release(&slots);
+                            pending.push(&proto::rejection_response(&rejection).to_string());
                         }
-                    },
+                    }
                 }
             }
             // Uncork once the read buffer holds no further complete
-            // request: the next read_line would block (or at least
-            // syscall), so everything answered this burst ships now.
-            if pending_lines > 0 && !reader.buffer().contains(&b'\n') {
-                self.send_out_batch(
-                    &out_tx,
-                    std::mem::take(&mut pending),
-                    std::mem::replace(&mut pending_lines, 0),
-                    false,
-                );
+            // request: the next read would block (or at least syscall),
+            // so everything answered this burst ships now.
+            if pending.lines > 0 && !reader.buffer().contains(&b'\n') {
+                self.send_out(&out_tx, std::mem::take(&mut pending));
             }
         }
-        if pending_lines > 0 {
-            self.send_out_batch(&out_tx, pending, pending_lines, false);
+        if pending.lines > 0 {
+            self.send_out(&out_tx, pending);
         }
         drop(out_tx);
         // In-flight completions hold their own senders; the writer
@@ -1754,32 +1739,44 @@ impl Server {
     }
 
     /// Stdio loop: one request line per stdin line, one response line on
-    /// stdout — strictly request/response, no pipelining; returns on EOF
-    /// or a `shutdown` request (call [`Server::finish`] after).
+    /// stdout — strictly request/response, no pipelining; returns on EOF,
+    /// a `shutdown` request or an overlong line (call [`Server::finish`]
+    /// after).
     ///
     /// # Errors
     ///
     /// Propagates stdin/stdout I/O errors.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let stdin = io::stdin();
+        let mut input = io::stdin().lock();
         let stdout = io::stdout();
-        for line in stdin.lock().lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let handled = self.handle_line(&line);
-            {
-                let mut out = stdout.lock();
-                writeln!(out, "{}", handled.response())?;
-                out.flush()?;
-            }
-            if matches!(handled, Handled::ReplyAndShutdown(_)) {
+        let mut buf = Vec::new();
+        loop {
+            let (response, last) = match read_line(&mut input, &mut buf)? {
+                Line::End => return Ok(()),
+                Line::TooLong => (self.reject(&too_long()), true),
+                Line::Text(text) if text.trim().is_empty() => continue,
+                Line::Text(text) => match self.handle_line(text) {
+                    Handled::Reply(response) => (response, false),
+                    Handled::ReplyAndShutdown(ack) => (ack, true),
+                },
+            };
+            let mut out = stdout.lock();
+            writeln!(out, "{response}")?;
+            out.flush()?;
+            if last {
                 return Ok(());
             }
         }
-        Ok(())
     }
+}
+
+/// The rejection of a line longer than [`MAX_LINE_BYTES`].
+fn too_long() -> Rejection {
+    Rejection::new(
+        "bad_request",
+        None,
+        format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
+    )
 }
 
 #[cfg(test)]
@@ -1834,6 +1831,7 @@ mod tests {
         match outcome {
             JobOutcome::Done(result) => *result,
             JobOutcome::Shed { .. } => panic!("job unexpectedly shed"),
+            JobOutcome::Panicked => panic!("job unexpectedly panicked"),
         }
     }
 
@@ -2183,7 +2181,7 @@ mod tests {
         };
         let before = server.phase_warm_hit.sum_us.load(Ordering::Relaxed);
         let received = Instant::now() - Duration::from_millis(50);
-        let Prepared::Immediate(response) = server.prepare_map(*job, received) else {
+        let Answer::Reply(response) = server.prepare_map(*job, received) else {
             panic!("the second request must be a warm hit");
         };
         assert!(
@@ -2434,6 +2432,184 @@ mod tests {
         assert!(!replay.torn);
         third.finish().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Key paths of a JSON object, nested objects joined by `.`;
+    /// arrays and scalars are leaves.
+    fn key_paths(value: &Json, prefix: &str, out: &mut Vec<String>) {
+        if let Json::Obj(pairs) = value {
+            for (key, inner) in pairs {
+                let path = format!("{prefix}{key}");
+                match inner {
+                    Json::Obj(p) if !p.is_empty() => key_paths(inner, &format!("{path}."), out),
+                    _ => out.push(path),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn metrics_json_keeps_its_key_set() {
+        let server = Server::start(ServerConfig {
+            journal: Some(std::env::temp_dir().join("qxmap-serve-keys-never-attached.qxj")),
+            ..config(1, 8, 1)
+        });
+        let mut keys = Vec::new();
+        key_paths(&server.metrics_json(None), "", &mut keys);
+        let histogram = ["count", "p50_us", "p95_us", "p99_us", "buckets"];
+        let mut expected: Vec<String> = [
+            "type",
+            "cache.hits",
+            "cache.misses",
+            "cache.evictions",
+            "cache.entries",
+            "cache.approx_bytes",
+            "cache.capacity",
+            "queue.depth",
+            "queue.capacity",
+            "queue.in_flight",
+            "queue.workers",
+            "queue.deadlined",
+            "queue.slack_min_ms",
+            "queue.slack_p50_ms",
+            "queue.wait_total_us",
+            "queue.wait_max_us",
+            "requests.received",
+            "requests.completed",
+            "requests.errors",
+            "requests.rejected_overload",
+            "requests.rejected_deadline",
+            "requests.rejected.parse",
+            "requests.rejected.bad_request",
+            "requests.rejected.overloaded",
+            "requests.rejected.deadline_expired",
+            "requests.rejected.shutting_down",
+            "requests.rejected.internal",
+            "requests.served_from_cache",
+            "requests.deadline_misses",
+            "requests.total_latency_us",
+            "requests.max_latency_us",
+            "engines",
+            "uptime_us",
+            "version",
+            "journal.appended",
+            "journal.compactions",
+            "journal.write_errors",
+            "journal.replay_admitted",
+            "journal.replay_rejected",
+            "journal.replay_torn",
+        ]
+        .iter()
+        .map(|k| k.to_string())
+        .collect();
+        for prefix in [
+            "latency",
+            "phases.warm_hit",
+            "phases.queue_wait",
+            "phases.solve",
+        ] {
+            expected.extend(histogram.iter().map(|k| format!("{prefix}.{k}")));
+        }
+        keys.sort();
+        expected.sort();
+        assert_eq!(keys, expected);
+        server.finish().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_solve_answers_internal_and_the_daemon_keeps_serving() {
+        let solver: BatchSolver = Box::new(|requests| {
+            assert!(
+                requests.iter().all(|r| r.seed() % 2 == 0),
+                "an odd seed panics the solver"
+            );
+            qxmap_map::map_many(requests)
+        });
+        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let line = |seed: u64| {
+            format!(
+                "{{\"type\":\"map\",\"id\":{seed},\"qasm\":{},\"device\":\"qx4\",\"seed\":{seed}}}",
+                Json::str(QASM)
+            )
+        };
+        let reply = |seed: u64| Json::parse(server.handle_line(&line(seed)).response()).unwrap();
+        let panicked = reply(770_001);
+        assert_eq!(
+            panicked.get("code").and_then(Json::as_str),
+            Some("internal"),
+            "{panicked}"
+        );
+        assert_eq!(panicked.get("id").and_then(Json::as_u64), Some(770_001));
+        // The worker lives on and answers the next job.
+        let healthy = reply(770_002);
+        assert_eq!(
+            healthy.get("type").and_then(Json::as_str),
+            Some("result"),
+            "{healthy}"
+        );
+
+        // Over TCP: the panicking job is answered and frees its
+        // pipeline slot, and the connection keeps serving.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.serve_tcp(listener).unwrap())
+        };
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut read = || {
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            Json::parse(&response).unwrap()
+        };
+        writeln!(writer, "{}", line(770_003)).unwrap();
+        let panicked = read();
+        assert_eq!(
+            panicked.get("code").and_then(Json::as_str),
+            Some("internal"),
+            "{panicked}"
+        );
+        writeln!(writer, "{}", line(770_004)).unwrap();
+        let healthy = read();
+        assert_eq!(
+            healthy.get("type").and_then(Json::as_str),
+            Some("result"),
+            "{healthy}"
+        );
+
+        let metrics = server.metrics_json(None);
+        let requests = metrics.get("requests").unwrap();
+        let rejected = requests.get("rejected").unwrap();
+        assert_eq!(rejected.get("internal").and_then(Json::as_u64), Some(2));
+        assert_eq!(requests.get("errors").and_then(Json::as_u64), Some(2));
+        assert_eq!(requests.get("completed").and_then(Json::as_u64), Some(2));
+        let queue = metrics.get("queue").unwrap();
+        assert_eq!(queue.get("in_flight").and_then(Json::as_u64), Some(0));
+        assert!(server
+            .prometheus_text()
+            .contains("qxmap_requests_rejected_total{reason=\"internal\"} 2"));
+
+        // A poisoned lock is recovered, not re-panicked on.
+        let poisoner = std::thread::spawn({
+            let server = Arc::clone(&server);
+            move || {
+                let _held = server.engine_stats.lock().unwrap();
+                panic!("poisons the engine tally");
+            }
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.engine_stats.is_poisoned());
+        assert!(server.metrics_json(None).get("engines").is_some());
+
+        writeln!(writer, "{{\"type\":\"shutdown\"}}").unwrap();
+        assert_eq!(read().get("type").and_then(Json::as_str), Some("ok"));
+        acceptor.join().unwrap();
+        server.finish().unwrap();
     }
 
     #[test]

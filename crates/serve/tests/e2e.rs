@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use qxmap_serve::server::MAX_LINE_BYTES;
 use qxmap_serve::Json;
 
 const QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncx q[0], q[1];\ncx q[2], q[3];\ncx q[0], q[2];\ncx q[1], q[3];\n";
@@ -596,6 +597,123 @@ fn a_deeply_nested_expression_is_rejected_and_warm_hits_keep_coming() {
 }
 
 #[test]
+fn a_line_past_the_cap_is_rejected_and_warm_hits_keep_coming() {
+    let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-long-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal: PathBuf = dir.join("solves.qxj");
+    let _ = std::fs::remove_file(&journal);
+    let daemon = Daemon::boot(&journal);
+    let cold = daemon.request(&map_line());
+    assert_eq!(
+        cold.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{cold}"
+    );
+
+    // A line one byte past the cap: the daemon reads no further than
+    // its ending, answers, and closes the connection.
+    let stream = TcpStream::connect(&daemon.addr).expect("daemon is listening");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut line = format!(
+        "{{\"type\":\"map\",\"qasm\":\"{}",
+        " ".repeat(MAX_LINE_BYTES)
+    );
+    line.truncate(MAX_LINE_BYTES + 1);
+    line.push('\n');
+    writer.write_all(line.as_bytes()).unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let e = Json::parse(&response).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"));
+    assert_eq!(
+        e.get("code").and_then(Json::as_str),
+        Some("bad_request"),
+        "{e}"
+    );
+    let message = e.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{e}");
+    response.clear();
+    assert_eq!(
+        reader.read_line(&mut response).unwrap(),
+        0,
+        "the connection closes: {response:?}"
+    );
+
+    // Another connection still gets its warm hit.
+    let warm = daemon.request(&map_line());
+    assert_eq!(
+        warm.get("served_from_cache").and_then(Json::as_bool),
+        Some(true),
+        "{warm}"
+    );
+    let metrics = daemon.request("{\"type\":\"metrics\"}");
+    let rejected = metrics
+        .get("requests")
+        .and_then(|r| r.get("rejected"))
+        .expect("rejected-by-reason map");
+    assert_eq!(rejected.get("bad_request").and_then(Json::as_u64), Some(1));
+    daemon.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Stdio mode answers through the same dispatcher and line reader as
+/// TCP: one response per request line, blank lines skipped, and an
+/// overlong line rejected and ending the session.
+#[test]
+fn stdio_answers_line_by_line_and_an_overlong_line_ends_the_session() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qxmap-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("binary built by cargo");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut read = || {
+        let mut response = String::new();
+        stdout.read_line(&mut response).unwrap();
+        Json::parse(&response).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
+    };
+    writeln!(stdin, "{}\n", map_line()).unwrap();
+    stdin.flush().unwrap();
+    let result = read();
+    assert_eq!(
+        result.get("type").and_then(Json::as_str),
+        Some("result"),
+        "{result}"
+    );
+    writeln!(stdin, "{{\"type\":\"metrics\",\"id\":2}}").unwrap();
+    stdin.flush().unwrap();
+    let metrics = read();
+    assert_eq!(
+        metrics.get("id").and_then(Json::as_u64),
+        Some(2),
+        "{metrics}"
+    );
+    let completed = metrics.get("requests").and_then(|r| r.get("completed"));
+    assert_eq!(completed.and_then(Json::as_u64), Some(1), "{metrics}");
+
+    let mut line = " ".repeat(MAX_LINE_BYTES + 1);
+    line.push('\n');
+    stdin.write_all(line.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let e = read();
+    assert_eq!(
+        e.get("code").and_then(Json::as_str),
+        Some("bad_request"),
+        "{e}"
+    );
+    let status = child
+        .wait()
+        .expect("the daemon exits after the overlong line");
+    assert!(status.success(), "daemon exited with {status}");
+}
+
+#[test]
 fn restart_serves_warm_cache_hits_from_the_journal() {
     let dir = std::env::temp_dir().join(format!("qxmap-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -705,4 +823,14 @@ fn unknown_flags_fail_with_the_usage_line() {
         "{stderr}"
     );
     assert!(stderr.contains("usage: qxmap-serve"), "{stderr}");
+    // The pipeline depth and slowlog size are constants, not flags.
+    for retired in ["--pipeline", "--slowlog"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_qxmap-serve"))
+            .args([retired, "4"])
+            .output()
+            .expect("binary built by cargo");
+        assert!(!out.status.success(), "{retired} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+    }
 }

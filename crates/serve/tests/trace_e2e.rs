@@ -130,12 +130,7 @@ fn trace_timelines_cover_cold_warm_and_windowed_solves() {
     let trace_log = dir.join("trace.jsonl");
     let _ = std::fs::remove_file(&trace_log);
 
-    let daemon = Daemon::boot(&[
-        "--trace-log",
-        trace_log.to_str().expect("UTF-8 temp path"),
-        "--slowlog",
-        "4",
-    ]);
+    let daemon = Daemon::boot(&["--trace-log", trace_log.to_str().expect("UTF-8 temp path")]);
 
     // Cold exact solve: ingest, queue wait and the engine race all
     // appear as named phases.

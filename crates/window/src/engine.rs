@@ -209,9 +209,9 @@ impl WindowedEngine {
         plan_span.counter("windows", plans.len() as u64);
         plan_span.end();
 
-        // One span covers the worker pool and one the stitcher consuming
-        // its answers; the two overlap in time, as do the windows, which
-        // report as counters, not spans.
+        // One span covers the worker pool and one the stitcher's own work
+        // on its answers (its waits for windows are a counter); the
+        // windows overlap in time and report as counters, not spans.
         let mut solve_span = trace.span("windows/solve");
         let count = plans.len();
         let workers = std::thread::available_parallelism()
@@ -453,7 +453,11 @@ impl WindowedEngine {
             }
 
             let region = &plans[window].0;
-            let rep = landed(window)?;
+            // Waiting for a window is the pool's time, not the stitch's.
+            let waiting = Instant::now();
+            let rep = landed(window);
+            stitch_span.exclude("wait_us", waiting.elapsed());
+            let rep = rep?;
             // Bridge requirement: every member must reach the region
             // slot the local solve's initial layout put it on.
             let size = block.qubits.len();
@@ -1021,6 +1025,40 @@ mod tests {
         ] {
             assert!(trace.spans.iter().any(|s| s.path == path), "missing {path}");
         }
+    }
+
+    #[test]
+    fn the_stitch_span_times_the_stitch_not_its_waits_for_windows() {
+        let circuit = scrambled(120);
+        let engine = WindowedEngine::new();
+        let request =
+            MapRequest::new(circuit.clone(), devices::linear(12)).with_trace(SpanRecorder::new());
+        let items = slicer::slice(&circuit.decompose_swaps(), DEFAULT_WINDOW_QUBITS);
+        let plans = engine.plan_regions(&request, request.device_model(), 12, &items);
+        // Window 0 is slow, so the stitch cannot start before it lands.
+        let hold = Duration::from_millis(400);
+        engine
+            .stitch_with(&request, None, |window| {
+                if window.circuit() == plans[0].1.circuit() {
+                    std::thread::sleep(hold);
+                }
+                engine.portfolio.run_cached(window)
+            })
+            .unwrap();
+        let hold_us = hold.as_micros() as u64;
+        let waited = counter(&request, "windows/stitch", "wait_us");
+        assert!(waited >= hold_us, "waited {waited} us");
+        let trace = request.trace().finish().unwrap();
+        let stitch = trace
+            .spans
+            .iter()
+            .find(|s| s.path == "windows/stitch")
+            .unwrap();
+        assert!(
+            stitch.duration_us < hold_us / 2,
+            "the stitch span took {} us of a {waited} us wait",
+            stitch.duration_us
+        );
     }
 
     #[test]
