@@ -3,9 +3,12 @@
 //! gross regression.
 //!
 //! ```text
-//! bench_diff BASELINE FRESH [--latency-ratio X] [--latency-floor-ms X]
-//!            [--objective-ratio X] [--hit-rate-drop X] [--throughput-ratio X]
+//! bench_diff BASELINE FRESH
 //! ```
+//!
+//! The thresholds are fixed (the constants in [`qxmap_bench::diff`]); a
+//! smoke soak compared against a full baseline gets the looser smoke
+//! throughput ratio.
 //!
 //! Exit codes: 0 — no gross regressions; 1 — regressions found (each
 //! printed on its own line); 2 — the files are not comparable (missing,
@@ -14,45 +17,13 @@
 
 use std::process::ExitCode;
 
-use qxmap_bench::diff::{diff, Thresholds};
+use qxmap_bench::diff::diff;
 use qxmap_serve::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut thresholds = Thresholds::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut ratio = |flag: &str| -> Result<f64, String> {
-            it.next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| format!("{flag} needs a non-negative number"))
-        };
-        let parsed = match arg.as_str() {
-            "--latency-ratio" => ratio("--latency-ratio").map(|v| thresholds.latency_ratio = v),
-            "--latency-floor-ms" => {
-                ratio("--latency-floor-ms").map(|v| thresholds.latency_floor_ms = v)
-            }
-            "--objective-ratio" => {
-                ratio("--objective-ratio").map(|v| thresholds.objective_ratio = v)
-            }
-            "--hit-rate-drop" => ratio("--hit-rate-drop").map(|v| thresholds.hit_rate_drop = v),
-            "--throughput-ratio" => {
-                ratio("--throughput-ratio").map(|v| thresholds.throughput_ratio = v)
-            }
-            _ => {
-                paths.push(arg);
-                Ok(())
-            }
-        };
-        if let Err(message) = parsed {
-            eprintln!("bench_diff: {message}");
-            return ExitCode::from(2);
-        }
-    }
-    let [baseline_path, fresh_path] = paths[..] else {
-        eprintln!("usage: bench_diff BASELINE FRESH [--latency-ratio X] [...]");
+    let [baseline_path, fresh_path] = &args[..] else {
+        eprintln!("usage: bench_diff BASELINE FRESH");
         return ExitCode::from(2);
     };
 
@@ -72,7 +43,7 @@ fn main() -> ExitCode {
         }
     };
 
-    match diff(&baseline, &fresh, &thresholds) {
+    match diff(&baseline, &fresh) {
         Err(message) => {
             eprintln!("bench_diff: not comparable: {message}");
             ExitCode::from(2)

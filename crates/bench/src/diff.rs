@@ -18,38 +18,27 @@
 
 use qxmap_serve::Json;
 
-/// When a measurement counts as a gross regression. Defaults are
-/// deliberately generous: CI runners are shared and noisy, and a gate
-/// that cries wolf gets deleted.
-#[derive(Debug, Clone)]
-pub struct Thresholds {
-    /// A latency regresses when `fresh > baseline × latency_ratio` (and
-    /// exceeds the floor).
-    pub latency_ratio: f64,
-    /// Latencies below this (ms) are noise, never regressions.
-    pub latency_floor_ms: f64,
-    /// A solve cost regresses when
-    /// `fresh objective > baseline × objective_ratio`.
-    pub objective_ratio: f64,
-    /// The cache hit rate regresses when it drops by more than this
-    /// (absolute, 0..1).
-    pub hit_rate_drop: f64,
-    /// Throughput regresses when
-    /// `fresh < baseline × throughput_ratio`.
-    pub throughput_ratio: f64,
-}
+// When a measurement counts as a gross regression. The thresholds are
+// deliberately generous: CI runners are shared and noisy, and a gate
+// that cries wolf gets deleted.
 
-impl Default for Thresholds {
-    fn default() -> Thresholds {
-        Thresholds {
-            latency_ratio: 4.0,
-            latency_floor_ms: 50.0,
-            objective_ratio: 1.5,
-            hit_rate_drop: 0.25,
-            throughput_ratio: 0.25,
-        }
-    }
-}
+/// A latency regresses when `fresh > baseline × LATENCY_RATIO` (and
+/// exceeds the floor).
+pub const LATENCY_RATIO: f64 = 4.0;
+/// Latencies below this (ms) are noise, never regressions.
+pub const LATENCY_FLOOR_MS: f64 = 50.0;
+/// A solve cost regresses when `fresh objective > baseline ×
+/// OBJECTIVE_RATIO`.
+pub const OBJECTIVE_RATIO: f64 = 1.5;
+/// The cache hit rate regresses when it drops by more than this
+/// (absolute, 0..1).
+pub const HIT_RATE_DROP: f64 = 0.25;
+/// Throughput regresses when `fresh < baseline × THROUGHPUT_RATIO`.
+pub const THROUGHPUT_RATIO: f64 = 0.25;
+/// [`THROUGHPUT_RATIO`] for a smoke soak against a full baseline: the
+/// smoke run naturally reaches a fraction of the full run's throughput,
+/// and 0.1× still catches an order-of-magnitude collapse.
+pub const SMOKE_THROUGHPUT_RATIO: f64 = 0.1;
 
 /// Compares `fresh` against `baseline` (both parsed `BENCH_*.json`
 /// documents of the same schema) and returns one human-readable line per
@@ -61,7 +50,7 @@ impl Default for Thresholds {
 /// all (missing/mismatched `schema`, mismatched `manifest_hash`, or no
 /// overlapping rows) — an error, not a regression, because the right fix
 /// is regenerating the baseline, not reverting the PR.
-pub fn diff(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<String>, String> {
+pub fn diff(baseline: &Json, fresh: &Json) -> Result<Vec<String>, String> {
     let schema = |doc: &Json, which: &str| {
         doc.get("schema")
             .and_then(Json::as_str)
@@ -88,17 +77,18 @@ pub fn diff(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<String>
         _ => {}
     }
     match base_schema.as_str() {
-        "qxmap.bench_corpus" => diff_corpus(baseline, fresh, t),
-        "qxmap.bench_serve" => Ok(diff_serve(baseline, fresh, t)),
+        "qxmap.bench_corpus" => diff_corpus(baseline, fresh),
+        "qxmap.bench_serve" => Ok(diff_serve(baseline, fresh)),
         other => Err(format!("unknown schema {other:?}")),
     }
 }
 
-/// `fresh > max(floor, baseline × ratio)`, with absent fields never
-/// regressing (a baseline predating a field must not fail every PR).
-fn slower(baseline: Option<f64>, fresh: Option<f64>, ratio: f64, floor: f64) -> bool {
+/// `fresh > max(LATENCY_FLOOR_MS, baseline × LATENCY_RATIO)`, with
+/// absent fields never regressing (a baseline predating a field must not
+/// fail every PR).
+fn slower(baseline: Option<f64>, fresh: Option<f64>) -> bool {
     match (baseline, fresh) {
-        (Some(b), Some(f)) => f > (b * ratio).max(floor),
+        (Some(b), Some(f)) => f > (b * LATENCY_RATIO).max(LATENCY_FLOOR_MS),
         _ => false,
     }
 }
@@ -111,7 +101,7 @@ fn num(doc: &Json, path: &[&str]) -> Option<f64> {
     v.as_f64()
 }
 
-fn diff_corpus(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<String>, String> {
+fn diff_corpus(baseline: &Json, fresh: &Json) -> Result<Vec<String>, String> {
     fn rows<'a>(doc: &'a Json, which: &str) -> Result<&'a [Json], String> {
         doc.get("rows")
             .and_then(Json::as_array)
@@ -133,32 +123,22 @@ fn diff_corpus(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<Stri
         compared += 1;
         let field = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64);
         if let (Some(b), Some(f)) = (field(base, "objective"), field(row, "objective")) {
-            if f > b * t.objective_ratio {
+            if f > b * OBJECTIVE_RATIO {
                 regressions.push(format!(
                     "{name}: solve cost regressed {b} -> {f} (> {}x)",
-                    t.objective_ratio
+                    OBJECTIVE_RATIO
                 ));
             }
         }
-        if slower(
-            field(base, "cold_ms"),
-            field(row, "cold_ms"),
-            t.latency_ratio,
-            t.latency_floor_ms,
-        ) {
+        if slower(field(base, "cold_ms"), field(row, "cold_ms")) {
             regressions.push(format!(
                 "{name}: cold solve regressed {:.1} ms -> {:.1} ms (> {}x)",
                 field(base, "cold_ms").unwrap_or(0.0),
                 field(row, "cold_ms").unwrap_or(0.0),
-                t.latency_ratio
+                LATENCY_RATIO
             ));
         }
-        if slower(
-            field(base, "warm_p95_ms"),
-            field(row, "warm_p95_ms"),
-            t.latency_ratio,
-            t.latency_floor_ms,
-        ) {
+        if slower(field(base, "warm_p95_ms"), field(row, "warm_p95_ms")) {
             regressions.push(format!(
                 "{name}: warm p95 regressed {:.3} ms -> {:.3} ms",
                 field(base, "warm_p95_ms").unwrap_or(0.0),
@@ -179,17 +159,12 @@ fn diff_corpus(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<Stri
                 .iter()
                 .find(|(p, _)| p == phase)
                 .and_then(|(_, v)| v.as_f64());
-            if slower(
-                base_ms,
-                fresh_ms.as_f64(),
-                t.latency_ratio,
-                t.latency_floor_ms,
-            ) {
+            if slower(base_ms, fresh_ms.as_f64()) {
                 regressions.push(format!(
                     "{name}: phase {phase} regressed {:.1} ms -> {:.1} ms (> {}x)",
                     base_ms.unwrap_or(0.0),
                     fresh_ms.as_f64().unwrap_or(0.0),
-                    t.latency_ratio
+                    LATENCY_RATIO
                 ));
             }
         }
@@ -215,54 +190,55 @@ fn diff_corpus(baseline: &Json, fresh: &Json, t: &Thresholds) -> Result<Vec<Stri
         };
         let field = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64);
         if let (Some(b), Some(f)) = (field(base, "speedup"), field(row, "speedup")) {
-            if f < b * t.throughput_ratio {
+            if f < b * THROUGHPUT_RATIO {
                 regressions.push(format!(
                     "{name}: ingest speedup regressed {b:.1}x -> {f:.1}x \
                      (< {}x baseline)",
-                    t.throughput_ratio
+                    THROUGHPUT_RATIO
                 ));
             }
         }
         // Each ingest path is gated on its own time: `speedup` (text
         // parse over QXBC decode) would *rise* if the text parser slowed.
         for key in ["parse_seq_ms", "skeleton_ms", "qxbc_decode_ms"] {
-            if slower(
-                field(base, key),
-                field(row, key),
-                t.latency_ratio,
-                t.latency_floor_ms,
-            ) {
+            if slower(field(base, key), field(row, key)) {
                 regressions.push(format!(
                     "{name}: {key} regressed {:.1} ms -> {:.1} ms (> {}x)",
                     field(base, key).unwrap_or(0.0),
                     field(row, key).unwrap_or(0.0),
-                    t.latency_ratio
+                    LATENCY_RATIO
                 ));
             }
         }
     }
     let rate = |doc: &Json| num(doc, &["aggregate", "cache_hit_rate"]);
     if let (Some(b), Some(f)) = (rate(baseline), rate(fresh)) {
-        if b - f > t.hit_rate_drop {
+        if b - f > HIT_RATE_DROP {
             regressions.push(format!(
                 "cache hit rate regressed {b:.3} -> {f:.3} (drop > {})",
-                t.hit_rate_drop
+                HIT_RATE_DROP
             ));
         }
     }
     Ok(regressions)
 }
 
-fn diff_serve(baseline: &Json, fresh: &Json, t: &Thresholds) -> Vec<String> {
+fn diff_serve(baseline: &Json, fresh: &Json) -> Vec<String> {
     let mut regressions = Vec::new();
+    let smoke = |doc: &Json| doc.get("smoke").and_then(Json::as_bool) == Some(true);
+    let throughput_ratio = if smoke(fresh) && !smoke(baseline) {
+        SMOKE_THROUGHPUT_RATIO
+    } else {
+        THROUGHPUT_RATIO
+    };
     if let (Some(b), Some(f)) = (
         num(baseline, &["throughput_rps"]),
         num(fresh, &["throughput_rps"]),
     ) {
-        if f < b * t.throughput_ratio {
+        if f < b * throughput_ratio {
             regressions.push(format!(
                 "throughput regressed {b:.1} -> {f:.1} req/s (< {}x baseline)",
-                t.throughput_ratio
+                throughput_ratio
             ));
         }
     }
@@ -272,32 +248,22 @@ fn diff_serve(baseline: &Json, fresh: &Json, t: &Thresholds) -> Vec<String> {
     // solves. The tails are solves in every mix and stay blended.
     for class in ["cache_hit", "solved"] {
         let p50 = |doc: &Json| num(doc, &["latency_by_class", class, "p50_ms"]);
-        if slower(
-            p50(baseline),
-            p50(fresh),
-            t.latency_ratio,
-            t.latency_floor_ms,
-        ) {
+        if slower(p50(baseline), p50(fresh)) {
             regressions.push(format!(
                 "soak {class} p50_ms regressed {:.1} -> {:.1} ms (> {}x)",
                 p50(baseline).unwrap_or(0.0),
                 p50(fresh).unwrap_or(0.0),
-                t.latency_ratio
+                LATENCY_RATIO
             ));
         }
     }
     for p in ["p95_ms", "p99_ms"] {
-        if slower(
-            num(baseline, &["latency", p]),
-            num(fresh, &["latency", p]),
-            t.latency_ratio,
-            t.latency_floor_ms,
-        ) {
+        if slower(num(baseline, &["latency", p]), num(fresh, &["latency", p])) {
             regressions.push(format!(
                 "soak {p} regressed {:.1} -> {:.1} ms (> {}x)",
                 num(baseline, &["latency", p]).unwrap_or(0.0),
                 num(fresh, &["latency", p]).unwrap_or(0.0),
-                t.latency_ratio
+                LATENCY_RATIO
             ));
         }
     }
@@ -312,10 +278,10 @@ fn diff_serve(baseline: &Json, fresh: &Json, t: &Thresholds) -> Vec<String> {
             num(baseline, &["pipelined", key]),
             num(fresh, &["pipelined", key]),
         ) {
-            if f < b * t.throughput_ratio {
+            if f < b * throughput_ratio {
                 regressions.push(format!(
                     "{what} regressed {b:.1} -> {f:.1} (< {}x baseline)",
-                    t.throughput_ratio
+                    throughput_ratio
                 ));
             }
         }
@@ -332,8 +298,6 @@ fn diff_serve(baseline: &Json, fresh: &Json, t: &Thresholds) -> Vec<String> {
     if slower(
         num(baseline, &["warm_restart", "latency_ms"]),
         num(fresh, &["warm_restart", "latency_ms"]),
-        t.latency_ratio,
-        t.latency_floor_ms,
     ) {
         regressions.push(format!(
             "warm restart hit latency regressed {:.3} -> {:.3} ms",
@@ -440,15 +404,9 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let doc = corpus_doc(200.0, 4, 0.8);
-        assert_eq!(
-            diff(&doc, &doc, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&doc, &doc).unwrap(), vec![] as Vec<String>);
         let doc = serve_doc(500.0, 40.0, true);
-        assert_eq!(
-            diff(&doc, &doc, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&doc, &doc).unwrap(), vec![] as Vec<String>);
     }
 
     #[test]
@@ -456,7 +414,7 @@ mod tests {
         let baseline = corpus_doc(200.0, 4, 0.8);
         // 10x cold latency, doubled solve cost, collapsed hit rate.
         let fresh = corpus_doc(2000.0, 8, 0.3);
-        let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &fresh).unwrap();
         assert_eq!(regressions.len(), 3, "{regressions:?}");
         assert!(regressions.iter().any(|r| r.contains("cold solve")));
         assert!(regressions.iter().any(|r| r.contains("solve cost")));
@@ -479,7 +437,7 @@ mod tests {
         };
         let mut fresh = corpus_doc(200.0, 4, 0.8);
         set_ingest(&mut fresh, ingest_row(400.0, 300.0, 400.0));
-        let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &fresh).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("ingest speedup")),
             "{regressions:?}"
@@ -492,7 +450,7 @@ mod tests {
         // raises it), so the text paths are gated on their own times.
         let mut slow_text = corpus_doc(200.0, 4, 0.8);
         set_ingest(&mut slow_text, ingest_row(4000.0, 3000.0, 40.0));
-        let regressions = diff(&baseline, &slow_text, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &slow_text).unwrap();
         assert_eq!(regressions.len(), 2, "{regressions:?}");
         assert!(regressions[0].contains("parse_seq_ms"), "{regressions:?}");
         assert!(regressions[1].contains("skeleton_ms"), "{regressions:?}");
@@ -501,16 +459,10 @@ mod tests {
         // measuring it) compares cleanly — absence never regresses.
         let mut old_baseline = corpus_doc(200.0, 4, 0.8);
         set_ingest(&mut old_baseline, Json::Arr(vec![]));
-        assert_eq!(
-            diff(&old_baseline, &fresh, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&old_baseline, &fresh).unwrap(), vec![] as Vec<String>);
         let mut skipped = corpus_doc(200.0, 4, 0.8);
         set_ingest(&mut skipped, Json::Arr(vec![]));
-        assert_eq!(
-            diff(&baseline, &skipped, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&baseline, &skipped).unwrap(), vec![] as Vec<String>);
     }
 
     /// Appends a `phases` object to the named row.
@@ -553,31 +505,22 @@ mod tests {
             "3_17_13",
             Json::obj([("race", Json::Num(1000.0)), ("queue", Json::Num(0.06))]),
         );
-        let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &fresh).unwrap();
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("phase race"), "{regressions:?}");
 
         // A baseline predating the section — or a fresh run without it —
         // compares cleanly, as does a phase present on only one side.
         let plain = corpus_doc(200.0, 4, 0.8);
-        assert_eq!(
-            diff(&plain, &fresh, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
-        assert_eq!(
-            diff(&baseline, &plain, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&plain, &fresh).unwrap(), vec![] as Vec<String>);
+        assert_eq!(diff(&baseline, &plain).unwrap(), vec![] as Vec<String>);
         let mut renamed = corpus_doc(200.0, 4, 0.8);
         set_row_phases(
             &mut renamed,
             "3_17_13",
             Json::obj([("windows", Json::Num(5000.0))]),
         );
-        assert_eq!(
-            diff(&baseline, &renamed, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&baseline, &renamed).unwrap(), vec![] as Vec<String>);
     }
 
     #[test]
@@ -586,17 +529,14 @@ mod tests {
         // 8x of a 5 ms cold solve is still under the 50 ms floor; a warm
         // p95 tripling from 20 µs is noise too.
         let fresh = corpus_doc(40.0, 4, 0.8);
-        assert_eq!(
-            diff(&baseline, &fresh, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&baseline, &fresh).unwrap(), vec![] as Vec<String>);
     }
 
     #[test]
     fn injected_serve_regressions_are_caught() {
         let baseline = serve_doc(500.0, 40.0, true);
         let fresh = serve_doc(50.0, 400.0, false);
-        let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &fresh).unwrap();
         assert!(regressions.iter().any(|r| r.contains("throughput")));
         assert!(regressions.iter().any(|r| r.contains("p95")));
         assert!(regressions.iter().any(|r| r.contains("warm restart")));
@@ -627,19 +567,16 @@ mod tests {
                 ("p99_ms", Json::Num(60.0)),
             ]);
         }
-        assert_eq!(
-            diff(&baseline, &mix_shift, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&baseline, &mix_shift).unwrap(), vec![] as Vec<String>);
         // Past both the ratio and the floor, each class is caught.
         let slow_hits = with_class_p50s(serve_doc(500.0, 40.0, true), 60.0, 90.0);
-        let regressions = diff(&baseline, &slow_hits, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &slow_hits).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("cache_hit p50")),
             "{regressions:?}"
         );
         let slow_solves = with_class_p50s(serve_doc(500.0, 40.0, true), 1.2, 400.0);
-        let regressions = diff(&baseline, &slow_solves, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &slow_solves).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("solved p50")),
             "{regressions:?}"
@@ -652,7 +589,7 @@ mod tests {
         // A collapsed pipelined phase — throughput and speedup both far
         // below the baseline's — trips the gate on both fields.
         let fresh = with_pipelined(serve_doc(500.0, 40.0, true), 800.0, 0.5);
-        let regressions = diff(&baseline, &fresh, &Thresholds::default()).unwrap();
+        let regressions = diff(&baseline, &fresh).unwrap();
         assert!(
             regressions
                 .iter()
@@ -667,21 +604,53 @@ mod tests {
         // A baseline predating the section (or a fresh run without it)
         // compares cleanly — absence never regresses.
         let without = serve_doc(500.0, 40.0, true);
-        assert_eq!(
-            diff(&without, &fresh, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
-        assert_eq!(
-            diff(&baseline, &without, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&without, &fresh).unwrap(), vec![] as Vec<String>);
+        assert_eq!(diff(&baseline, &without).unwrap(), vec![] as Vec<String>);
+    }
+
+    fn with_smoke(mut doc: Json, smoke: bool) -> Json {
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.push(("smoke".to_string(), Json::Bool(smoke)));
+        }
+        doc
+    }
+
+    #[test]
+    fn a_smoke_soak_against_a_full_baseline_gates_throughput_at_a_tenth() {
+        let soak = |rps: f64, pipelined_rps: f64, speedup: f64, smoke: bool| {
+            let doc = serve_doc(rps, 40.0, true);
+            with_smoke(with_pipelined(doc, pipelined_rps, speedup), smoke)
+        };
+        let throughput_gates = |regressions: &[String]| {
+            [
+                "throughput regressed",
+                "pipelined warm",
+                "pipelining speedup",
+            ]
+            .iter()
+            .filter(|gate| regressions.iter().any(|r| r.contains(*gate)))
+            .count()
+        };
+        let full = soak(500.0, 8000.0, 4.0, false);
+        // A fifth of the full run's throughput is a smoke run's norm...
+        let fifth = soak(100.0, 1600.0, 0.8, true);
+        assert_eq!(diff(&full, &fifth).unwrap(), vec![] as Vec<String>);
+        // ... and a regression from a full run, or against a smoke
+        // baseline, where the gate stays at a quarter.
+        let full_fifth = soak(100.0, 1600.0, 0.8, false);
+        assert_eq!(throughput_gates(&diff(&full, &full_fifth).unwrap()), 3);
+        let smoke_full = soak(500.0, 8000.0, 4.0, true);
+        assert_eq!(throughput_gates(&diff(&smoke_full, &fifth).unwrap()), 3);
+        // Under a tenth, the smoke run regresses on every throughput gate.
+        let collapsed = soak(40.0, 700.0, 0.3, true);
+        assert_eq!(throughput_gates(&diff(&full, &collapsed).unwrap()), 3);
     }
 
     #[test]
     fn incompatible_documents_error_instead_of_regressing() {
         let corpus = corpus_doc(200.0, 4, 0.8);
         let serve = serve_doc(500.0, 40.0, true);
-        assert!(diff(&corpus, &serve, &Thresholds::default())
+        assert!(diff(&corpus, &serve)
             .unwrap_err()
             .contains("schema mismatch"));
 
@@ -693,11 +662,11 @@ mod tests {
                 }
             }
         }
-        assert!(diff(&corpus, &other_corpus, &Thresholds::default())
+        assert!(diff(&corpus, &other_corpus)
             .unwrap_err()
             .contains("manifest mismatch"));
 
-        assert!(diff(&Json::Null, &corpus, &Thresholds::default()).is_err());
+        assert!(diff(&Json::Null, &corpus).is_err());
     }
 
     #[test]
@@ -711,7 +680,7 @@ mod tests {
                 }
             }
         }
-        assert!(diff(&baseline, &renamed, &Thresholds::default())
+        assert!(diff(&baseline, &renamed)
             .unwrap_err()
             .contains("no overlapping rows"));
 
@@ -727,9 +696,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            diff(&baseline, &smoke, &Thresholds::default()).unwrap(),
-            vec![] as Vec<String>
-        );
+        assert_eq!(diff(&baseline, &smoke).unwrap(), vec![] as Vec<String>);
     }
 }

@@ -23,7 +23,7 @@
 //!   counters, warm-restart hit latency).
 //! * `--bin bench_diff` — compares a committed baseline against a fresh
 //!   run and exits nonzero on gross regression (the CI gate; thresholds
-//!   and noise floors in [`diff::Thresholds`]).
+//!   and noise floors are the constants in [`diff`]).
 //!
 //! All binaries drive the mapping engines through the unified
 //! `qxmap-map` request/report surface. Shared helpers live here.

@@ -55,20 +55,8 @@ use crate::codec::{self, JournalError, Reader, Writer};
 use crate::report::MapReport;
 use crate::request::{Guarantee, MapOptions, MapRequest};
 
-/// Default capacity of the process-wide [`SolveCache::shared`] instance,
-/// used when [`SOLVE_CACHE_CAPACITY_ENV`] is unset or unparsable.
+/// Capacity of the process-wide [`SolveCache::shared`] instance.
 pub const DEFAULT_SOLVE_CACHE_CAPACITY: usize = 256;
-
-/// Environment variable overriding the process-wide
-/// [`SolveCache::shared`] capacity at startup (a positive integer entry
-/// count). Read once, when the shared cache is first touched.
-pub const SOLVE_CACHE_CAPACITY_ENV: &str = "QXMAP_SOLVE_CACHE_CAPACITY";
-
-/// Parses a capacity override out of an environment value; rejects
-/// non-numbers and zero (the cache must hold at least one entry).
-fn capacity_override(value: Option<&str>) -> Option<usize> {
-    value?.trim().parse::<usize>().ok().filter(|&c| c > 0)
-}
 
 /// Hit/miss/eviction counters and the current size of a [`SolveCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -488,19 +476,12 @@ impl SolveCache {
     }
 
     /// The process-wide instance behind [`crate::Engine::run_cached`],
-    /// [`crate::map_one`] and [`crate::map_many`]. Its capacity is a
-    /// runtime knob: the [`SOLVE_CACHE_CAPACITY_ENV`] environment
-    /// variable (read once, at first touch), falling back to
-    /// [`DEFAULT_SOLVE_CACHE_CAPACITY`]; embedders wanting programmatic
-    /// control build their own [`SolveCache::with_capacity`] instance.
+    /// [`crate::map_one`] and [`crate::map_many`], holding
+    /// [`DEFAULT_SOLVE_CACHE_CAPACITY`] entries; embedders wanting another
+    /// size build their own [`SolveCache::with_capacity`] instance.
     pub fn shared() -> &'static SolveCache {
         static SHARED: OnceLock<SolveCache> = OnceLock::new();
-        SHARED.get_or_init(|| {
-            let env = std::env::var(SOLVE_CACHE_CAPACITY_ENV).ok();
-            let capacity =
-                capacity_override(env.as_deref()).unwrap_or(DEFAULT_SOLVE_CACHE_CAPACITY);
-            SolveCache::with_capacity(capacity)
-        })
+        SHARED.get_or_init(|| SolveCache::with_capacity(DEFAULT_SOLVE_CACHE_CAPACITY))
     }
 
     /// The most entries this cache will hold.
@@ -997,15 +978,6 @@ mod tests {
             .expect("stats() blocked behind the held entry lock");
         assert_eq!(stats.entries, 1);
         assert!(stats.approx_bytes > 0);
-    }
-
-    #[test]
-    fn capacity_override_parses_positive_integers_only() {
-        assert_eq!(capacity_override(Some("8")), Some(8));
-        assert_eq!(capacity_override(Some(" 12 ")), Some(12));
-        assert_eq!(capacity_override(Some("0")), None, "zero capacity rejected");
-        assert_eq!(capacity_override(Some("lots")), None);
-        assert_eq!(capacity_override(None), None);
     }
 
     #[test]

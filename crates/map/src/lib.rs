@@ -75,9 +75,7 @@ mod report;
 mod request;
 
 pub use batch::{map_many, map_many_with};
-pub use cache::{
-    CacheProbe, SolveCache, SolveCacheStats, DEFAULT_SOLVE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY_ENV,
-};
+pub use cache::{CacheProbe, SolveCache, SolveCacheStats, DEFAULT_SOLVE_CACHE_CAPACITY};
 pub use codec::JournalError;
 pub use engine::{Baseline, Engine, ExactEngine, HeuristicEngine};
 pub use error::MapperError;

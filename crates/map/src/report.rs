@@ -129,9 +129,9 @@ pub struct WindowCertificate {
     /// Whether the window's local solve carries a minimality proof for
     /// its subcircuit on its subgraph — the per-window certificate.
     pub proved_optimal: bool,
-    /// Whether the window's solve was answered from the
-    /// [`crate::SolveCache`] (windows probe it by their own skeleton
-    /// fingerprint).
+    /// Always `false`: windows are solved, never cached. The field, its
+    /// wire key and its journal byte stay until the benchmark that reads
+    /// them changes.
     pub served_from_cache: bool,
     /// The engine that won the window's local race (e.g.
     /// `portfolio/exact`).

@@ -128,7 +128,7 @@ proptest! {
     }
 
     /// Every text entry point reports the same outcome on damaged input:
-    /// `parse`, `parse_skeleton` and the AST route
+    /// `parse`, `parse_skeleton` and the two-step route
     /// `to_skeleton(&parse_program(..)?)` agree on the skeleton when the
     /// source parses, and on the error — message and line — when it
     /// does not. The seed text adds registers, a user gate with a

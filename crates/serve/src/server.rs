@@ -45,8 +45,8 @@
 //! process-wide solve cache even sees it, exactly like a library-side
 //! batch. Every answer, a large-device one included, is cached whole
 //! under that engine's signature, which is also the signature the
-//! skeleton-first probe reads; windows are cached again one by one
-//! below it.
+//! skeleton-first probe reads. Only whole answers are cached: a
+//! large-device answer's windows are solved, not stored.
 //!
 //! ## Shutdown and persistence
 //!
@@ -187,8 +187,9 @@ enum JobOutcome {
     /// ever reaching a solver, after `waited` in the queue.
     Shed { waited: Duration },
     /// The batch solve panicked (or answered the wrong number of jobs):
-    /// the job is answered with an `internal` rejection.
-    Panicked,
+    /// the job is answered with an `internal` rejection and logged as
+    /// slow with its request's timeline, when it was traced.
+    Panicked { trace: Option<SolveTrace> },
 }
 
 /// An admitted job's continuation: invoked exactly once, on the worker
@@ -407,7 +408,8 @@ struct Job {
     deadline: Option<Duration>,
 }
 
-/// One completed solve in the slow-request ring.
+/// One completed solve, or one whose solve panicked, in the
+/// slow-request ring.
 #[derive(Debug, Clone)]
 struct SlowEntry {
     /// End-to-end latency (parse excluded for queued jobs, included for
@@ -415,9 +417,13 @@ struct SlowEntry {
     latency_us: u64,
     /// The request's `id`, when it carried one.
     id: Option<Json>,
+    /// The answer's engine, winner and cache flag; unset and not
+    /// rendered when the solve panicked.
     engine: String,
     winner: String,
     served_from_cache: bool,
+    /// The solve panicked and the job was answered `internal`.
+    panicked: bool,
     /// The full timeline, when the request asked for `"trace": true`.
     trace: Option<SolveTrace>,
 }
@@ -429,14 +435,18 @@ fn slow_entry_json(entry: &SlowEntry) -> Json {
     if let Some(id) = &entry.id {
         pairs.push(("id".to_string(), id.clone()));
     }
-    pairs.extend([
-        ("engine".to_string(), Json::str(&entry.engine)),
-        ("winner".to_string(), Json::str(&entry.winner)),
-        (
-            "served_from_cache".to_string(),
-            Json::Bool(entry.served_from_cache),
-        ),
-    ]);
+    if entry.panicked {
+        pairs.push(("panicked".to_string(), Json::Bool(true)));
+    } else {
+        pairs.extend([
+            ("engine".to_string(), Json::str(&entry.engine)),
+            ("winner".to_string(), Json::str(&entry.winner)),
+            (
+                "served_from_cache".to_string(),
+                Json::Bool(entry.served_from_cache),
+            ),
+        ]);
+    }
     if let Some(trace) = &entry.trace {
         pairs.push(("trace".to_string(), proto::trace_json(trace)));
     }
@@ -749,7 +759,9 @@ impl Server {
             for job in batch {
                 let outcome = match results.as_mut().and_then(Iterator::next) {
                     Some(result) => JobOutcome::Done(Box::new(result)),
-                    None => JobOutcome::Panicked,
+                    None => JobOutcome::Panicked {
+                        trace: job.request.trace().finish(),
+                    },
                 };
                 (job.complete)(outcome);
             }
@@ -966,6 +978,7 @@ impl Server {
             engine: report.engine,
             winner: report.winner,
             served_from_cache: report.served_from_cache,
+            panicked: false,
             trace: report.trace,
         });
         latency_us
@@ -992,7 +1005,8 @@ impl Server {
 
     /// Admits a completed solve to the slow-request ring when it ranks
     /// among the N slowest seen, appending admitted entries to the
-    /// trace log (JSONL) when one is configured.
+    /// trace log (JSONL) when one is configured. A panicked solve is
+    /// always admitted, in place of the fastest answered entry.
     fn note_slow(&self, entry: SlowEntry) {
         let line = {
             let mut ring = lock(&self.slowlog);
@@ -1003,10 +1017,11 @@ impl Server {
                 let i = ring
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, e)| e.latency_us)
+                    .min_by_key(|(_, e)| (e.panicked, e.latency_us))
                     .map(|(i, _)| i)
                     .expect("ring is non-empty at capacity");
-                if entry.latency_us <= ring[i].latency_us {
+                let victim = &ring[i];
+                if !entry.panicked && (victim.panicked || entry.latency_us <= victim.latency_us) {
                     return;
                 }
                 ring[i] = entry;
@@ -1084,7 +1099,18 @@ impl Server {
                 ),
             ))
             .to_string(),
-            JobOutcome::Panicked => self.internal(id),
+            JobOutcome::Panicked { trace } => {
+                self.note_slow(SlowEntry {
+                    latency_us: micros(received.elapsed()),
+                    id: id.clone(),
+                    engine: String::new(),
+                    winner: String::new(),
+                    served_from_cache: false,
+                    panicked: true,
+                    trace,
+                });
+                self.internal(id)
+            }
         }))
         .unwrap_or_else(|_| self.internal(panicked_id))
     }
@@ -1127,7 +1153,9 @@ impl Server {
                     job.id,
                     job.received,
                     job.deadline,
-                    outcome_rx.recv().unwrap_or(JobOutcome::Panicked),
+                    outcome_rx
+                        .recv()
+                        .unwrap_or(JobOutcome::Panicked { trace: None }),
                 ),
             },
         )
@@ -1831,7 +1859,7 @@ mod tests {
         match outcome {
             JobOutcome::Done(result) => *result,
             JobOutcome::Shed { .. } => panic!("job unexpectedly shed"),
-            JobOutcome::Panicked => panic!("job unexpectedly panicked"),
+            JobOutcome::Panicked { .. } => panic!("job unexpectedly panicked"),
         }
     }
 
@@ -2567,7 +2595,9 @@ mod tests {
             reader.read_line(&mut response).unwrap();
             Json::parse(&response).unwrap()
         };
-        writeln!(writer, "{}", line(770_003)).unwrap();
+        // This one is traced: its slowlog entry carries the timeline.
+        let traced = line(770_003).replacen('{', "{\"trace\":true,", 1);
+        writeln!(writer, "{traced}").unwrap();
         let panicked = read();
         assert_eq!(
             panicked.get("code").and_then(Json::as_str),
@@ -2593,6 +2623,42 @@ mod tests {
         assert!(server
             .prometheus_text()
             .contains("qxmap_requests_rejected_total{reason=\"internal\"} 2"));
+
+        // Both panics land in the slowlog, marked, the traced one with
+        // its timeline up to the dispatch.
+        let slowlog = Json::parse(server.handle_line("{\"type\":\"slowlog\"}").response()).unwrap();
+        let entries = slowlog.get("entries").and_then(Json::as_array).unwrap();
+        let panics: Vec<&Json> = entries
+            .iter()
+            .filter(|e| e.get("panicked") == Some(&Json::Bool(true)))
+            .collect();
+        let ids: Vec<u64> = panics
+            .iter()
+            .filter_map(|e| e.get("id").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(ids.len(), 2, "{slowlog}");
+        assert!(
+            ids.contains(&770_001) && ids.contains(&770_003),
+            "{slowlog}"
+        );
+        for entry in &panics {
+            assert!(entry.get("latency_us").and_then(Json::as_u64).is_some());
+            assert!(entry.get("engine").is_none(), "{entry}");
+            let spans = entry
+                .get("trace")
+                .and_then(|t| t.get("spans"))
+                .and_then(Json::as_array);
+            let traced = entry.get("id").and_then(Json::as_u64) == Some(770_003);
+            assert_eq!(spans.is_some(), traced, "{entry}");
+            if let Some(spans) = spans {
+                assert!(
+                    spans
+                        .iter()
+                        .any(|s| s.get("path").and_then(Json::as_str) == Some("queue")),
+                    "{entry}"
+                );
+            }
+        }
 
         // A poisoned lock is recovered, not re-panicked on.
         let poisoner = std::thread::spawn({

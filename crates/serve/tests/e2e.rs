@@ -180,6 +180,16 @@ fn large_device_requests_round_trip_with_certificates_and_cache_whole() {
         .unwrap()
         .contains("OPENQASM 2.0"));
 
+    // The shared cache holds the whole answer and nothing else: the
+    // windows were solved, not stored.
+    let metrics = daemon.request("{\"type\":\"metrics\"}");
+    let cache = metrics.get("cache").expect("cache stats");
+    assert_eq!(
+        cache.get("entries").and_then(Json::as_u64),
+        Some(1),
+        "{metrics}"
+    );
+
     // A repeat arrival is a whole-circuit hit on the skeleton-first
     // probe: the same answer, certificates included.
     let again = daemon.request(&line);
