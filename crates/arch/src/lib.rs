@@ -15,13 +15,14 @@
 //!   synthetic generators (linear, ring, grid, star, heavy-hex, complete),
 //!   all reachable by name via [`devices::by_name`].
 //! * [`Permutation`] — elements of the symmetric group on physical qubits.
-//! * [`SwapTable`] — minimal `swaps(π)` counts *and* witness SWAP sequences
-//!   for every permutation realizable on a coupling (sub)graph, computed by
-//!   breadth-first search exactly as the paper prescribes ("determined …
-//!   by using an exhaustive search"). Exact solves price permutations
-//!   with its cost-weighted sibling [`CostedSwapTable`], which
-//!   [`DeviceModel::costed_table`] serves from one process-wide LRU of 64
-//!   entries keyed by the weighted local topology.
+//! * [`CostedSwapTable`] — the one `swaps(π)` table: minimal SWAP costs
+//!   *and* witness SWAP sequences for every permutation realizable on a
+//!   coupling (sub)graph, computed by exhaustive search over the
+//!   permutation group as the paper prescribes ("determined … by using an
+//!   exhaustive search"). Edges weigh their SWAP's elementary-gate cost,
+//!   or 1 for the paper's plain counts. Exact solves price permutations
+//!   with it, served by [`DeviceModel::costed_table`] from one
+//!   process-wide LRU of 64 entries keyed by the weighted local topology.
 //! * [`connected_subsets`] — the Section 4.1 physical-qubit subset
 //!   enumeration with the isolation filter.
 //! * [`Layout`] — a (partial) assignment of logical to physical qubits.
@@ -29,13 +30,13 @@
 //!   direction-reversed CNOTs (Fig. 3), with the paper's 7/4 cost model.
 //!
 //! ```
-//! use qxmap_arch::{devices, SwapTable};
+//! use qxmap_arch::{devices, CostedSwapTable};
 //!
 //! let qx4 = devices::ibm_qx4();
 //! assert_eq!(qx4.num_qubits(), 5);
 //! // p3 (index 2) is the hub: it may target p1 and p2 and is targeted by p4, p5.
 //! assert!(qx4.has_edge(2, 0));
-//! let table = SwapTable::new(&qx4);
+//! let table = CostedSwapTable::new(&qx4);
 //! // 120 permutations of 5 qubits are all realizable on a connected graph.
 //! assert_eq!(table.len(), 120);
 //! ```
@@ -60,4 +61,4 @@ pub use model::{DeviceModel, DeviceStats};
 pub use perm::Permutation;
 pub use route::CostModel;
 pub use subsets::connected_subsets;
-pub use swaps::{CostedSwapTable, SwapTable};
+pub use swaps::CostedSwapTable;

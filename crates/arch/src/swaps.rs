@@ -3,205 +3,28 @@
 //! `swaps(π)` is the minimal number of SWAP operations — each acting on a
 //! coupling-graph edge — whose concatenation permutes the physical-qubit
 //! states by `π`. The paper computes it "only once … e.g., by using an
-//! exhaustive search"; we run a breadth-first search over the permutation
-//! group generated by the edge transpositions, which yields both the
-//! minimal count and a *witness* SWAP sequence used later to reconstruct
-//! the mapped circuit.
+//! exhaustive search"; [`CostedSwapTable`] runs Dijkstra over the
+//! permutation group generated by the edge transpositions, each weighted
+//! by its SWAP cost, which yields both the minimal cost and a *witness*
+//! SWAP sequence used later to reconstruct the mapped circuit. With unit
+//! weights ([`CostedSwapTable::for_weighted_edges`]) the cost is the
+//! paper's SWAP count.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::coupling::CouplingMap;
 use crate::perm::Permutation;
 
-/// Minimal SWAP counts and witness sequences for all realizable
-/// permutations of a coupling graph.
+/// Minimal SWAP costs and witness sequences for all realizable
+/// permutations of a coupling (sub)graph. The default weights are
+/// *elementary-gate costs* (3 per SWAP on bidirectional edges, 7 on
+/// unidirectional ones — cf. [`crate::route::swap_cost`]); unit weights
+/// give the paper's `swaps(π)` counts.
 ///
 /// Applying the witness swaps `(a₁,b₁) … (a_s,b_s)` in order realizes `π`
 /// in the following sense: if the logical qubit occupying physical qubit
 /// `i` before the block occupies `π(i)` after it, then
 /// `π = τ_{a_s b_s} ∘ … ∘ τ_{a_1 b_1}`.
-///
-/// ```
-/// use qxmap_arch::{devices, Permutation, SwapTable};
-///
-/// let table = SwapTable::new(&devices::ibm_qx4());
-/// let id = Permutation::identity(5);
-/// assert_eq!(table.swaps(&id), Some(0));
-/// // Adjacent transposition costs exactly one SWAP.
-/// let t = Permutation::transposition(5, 0, 1);
-/// assert_eq!(table.swaps(&t), Some(1));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwapTable {
-    entries: HashMap<Permutation, (u32, Vec<(usize, usize)>)>,
-    max_swaps: u32,
-}
-
-impl SwapTable {
-    /// Builds the table for the full device graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device has more than 8 qubits (`8! = 40320` states is
-    /// the intended regime; larger devices must use
-    /// [`SwapTable::for_subset`]).
-    pub fn new(cm: &CouplingMap) -> SwapTable {
-        let all: Vec<usize> = (0..cm.num_qubits()).collect();
-        SwapTable::for_subset(cm, &all)
-    }
-
-    /// Builds the table for the induced subgraph on `subset`, with
-    /// permutations expressed in *local* indices `0..subset.len()`
-    /// (`subset[i]` is the physical qubit of local index `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset.len() > 8`.
-    pub fn for_subset(cm: &CouplingMap, subset: &[usize]) -> SwapTable {
-        let n = subset.len();
-        assert!(n <= 8, "SwapTable is exhaustive; {n} qubits is too many");
-        let sub = cm.subgraph(subset);
-        let edges = sub.undirected_edges();
-
-        let mut entries: HashMap<Permutation, (u32, Vec<(usize, usize)>)> = HashMap::new();
-        let id = Permutation::identity(n);
-        entries.insert(id.clone(), (0, Vec::new()));
-        let mut queue = VecDeque::from([id]);
-        let mut max_swaps = 0;
-        while let Some(pi) = queue.pop_front() {
-            let (dist, seq) = entries[&pi].clone();
-            for &(a, b) in &edges {
-                // Appending SWAP(a, b) *after* the block realizing π yields
-                // τ_ab ∘ π.
-                let tau = Permutation::transposition(n, a, b);
-                let next = tau.compose(&pi);
-                if !entries.contains_key(&next) {
-                    let mut s = seq.clone();
-                    s.push((a, b));
-                    entries.insert(next.clone(), (dist + 1, s));
-                    max_swaps = max_swaps.max(dist + 1);
-                    queue.push_back(next);
-                }
-            }
-        }
-        SwapTable { entries, max_swaps }
-    }
-
-    /// Minimal number of SWAPs realizing `π`, or `None` if `π` is not
-    /// realizable (disconnected subgraph).
-    pub fn swaps(&self, pi: &Permutation) -> Option<u32> {
-        self.entries.get(pi).map(|(d, _)| *d)
-    }
-
-    /// A witness sequence of edge SWAPs (in application order, local
-    /// indices) realizing `π`.
-    pub fn sequence(&self, pi: &Permutation) -> Option<&[(usize, usize)]> {
-        self.entries.get(pi).map(|(_, s)| s.as_slice())
-    }
-
-    /// Number of realizable permutations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no permutation is realizable (never true: identity always is).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The diameter of the permutation group under edge SWAPs.
-    pub fn max_swaps(&self) -> u32 {
-        self.max_swaps
-    }
-
-    /// Iterator over `(π, swaps(π))` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Permutation, u32)> + '_ {
-        self.entries.iter().map(|(p, (d, _))| (p, *d))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::devices;
-
-    #[test]
-    fn qx4_realizes_all_120_permutations() {
-        let table = SwapTable::new(&devices::ibm_qx4());
-        assert_eq!(table.len(), 120);
-        assert!(table.max_swaps() >= 4);
-    }
-
-    #[test]
-    fn witness_sequences_reproduce_permutation() {
-        let cm = devices::ibm_qx4();
-        let table = SwapTable::new(&cm);
-        for (pi, d) in table.iter() {
-            let seq = table.sequence(pi).unwrap();
-            assert_eq!(seq.len() as u32, d);
-            let mut acc = Permutation::identity(5);
-            for &(a, b) in seq {
-                acc = Permutation::transposition(5, a, b).compose(&acc);
-            }
-            assert_eq!(&acc, pi, "witness does not realize {pi}");
-        }
-    }
-
-    #[test]
-    fn swaps_lower_bounded_by_free_transpositions() {
-        let table = SwapTable::new(&devices::ibm_qx4());
-        for (pi, d) in table.iter() {
-            assert!(d as usize >= pi.min_transpositions());
-        }
-    }
-
-    #[test]
-    fn line_graph_distance_is_bubble_sort() {
-        // On a 3-line, the reversal (0 2) needs 3 adjacent swaps.
-        let table = SwapTable::new(&devices::linear(3));
-        let rev = Permutation::from_image(vec![2, 1, 0]);
-        assert_eq!(table.swaps(&rev), Some(3));
-        assert_eq!(table.len(), 6);
-    }
-
-    #[test]
-    fn disconnected_graph_misses_permutations() {
-        let cm = CouplingMap::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let table = SwapTable::new(&cm);
-        // Only 2 × 2 = 4 permutations are realizable.
-        assert_eq!(table.len(), 4);
-        let cross = Permutation::transposition(4, 0, 2);
-        assert_eq!(table.swaps(&cross), None);
-        assert_eq!(table.sequence(&cross), None);
-    }
-
-    #[test]
-    fn subset_table_uses_local_indices() {
-        let cm = devices::ibm_qx4();
-        // Subset {p3,p4,p5} = indices {2,3,4}: a triangle → all 6 perms.
-        let table = SwapTable::for_subset(&cm, &[2, 3, 4]);
-        assert_eq!(table.len(), 6);
-        let t = Permutation::transposition(3, 0, 1); // local: p3↔p4
-        assert_eq!(table.swaps(&t), Some(1));
-    }
-
-    #[test]
-    fn identity_costs_zero_everywhere() {
-        for cm in [devices::ibm_qx2(), devices::ibm_qx4(), devices::linear(4)] {
-            let n = cm.num_qubits();
-            let table = SwapTable::new(&cm);
-            assert_eq!(table.swaps(&Permutation::identity(n)), Some(0));
-            assert_eq!(table.sequence(&Permutation::identity(n)).unwrap().len(), 0);
-        }
-    }
-
-    use crate::coupling::CouplingMap;
-}
-
-/// Cost-weighted variant of [`SwapTable`]: minimal *elementary-gate cost*
-/// (3 per SWAP on bidirectional edges, 7 on unidirectional ones — cf.
-/// [`crate::route::swap_cost`]) of realizing each permutation, computed
-/// with Dijkstra over the permutation group.
 ///
 /// On devices mixing edge orientations, the cheapest witness can differ
 /// from the fewest-SWAPs witness; the paper's uniform cost 7 is exact for
@@ -231,9 +54,10 @@ impl CostedSwapTable {
         CostedSwapTable::for_subset(cm, &all)
     }
 
-    /// Builds the table for the induced subgraph on `subset` (local
-    /// indices, like [`SwapTable::for_subset`]), weighting each edge with
-    /// [`crate::route::swap_cost`].
+    /// Builds the table for the induced subgraph on `subset`, with
+    /// permutations expressed in *local* indices `0..subset.len()`
+    /// (`subset[i]` is the physical qubit of local index `i`), weighting
+    /// each edge with [`crate::route::swap_cost`].
     ///
     /// # Panics
     ///
@@ -254,7 +78,18 @@ impl CostedSwapTable {
     /// Builds the table over `n` local qubits from an explicit weighted
     /// undirected edge list `(a, b, swap_cost)` — the entry point
     /// calibration-aware [`crate::DeviceModel`]s use, where per-edge SWAP
-    /// costs need not follow edge orientation.
+    /// costs need not follow edge orientation. Unit weights count SWAPs:
+    ///
+    /// ```
+    /// use qxmap_arch::{devices, CostedSwapTable, Permutation};
+    ///
+    /// let qx4 = devices::ibm_qx4();
+    /// let unit: Vec<_> = qx4.undirected_edges().into_iter().map(|(a, b)| (a, b, 1)).collect();
+    /// let table = CostedSwapTable::for_weighted_edges(5, &unit);
+    /// assert_eq!(table.cost(&Permutation::identity(5)), Some(0));
+    /// // Adjacent transposition costs exactly one SWAP.
+    /// assert_eq!(table.cost(&Permutation::transposition(5, 0, 1)), Some(1));
+    /// ```
     ///
     /// # Panics
     ///
@@ -346,28 +181,120 @@ impl CostedSwapTable {
 }
 
 #[cfg(test)]
-mod costed_tests {
+mod tests {
     use super::*;
     use crate::devices;
+
+    /// `swaps(π)`: the table over the (sub)graph with every SWAP
+    /// weighing 1, so a cost is a SWAP count.
+    fn counts(cm: &CouplingMap, subset: &[usize]) -> CostedSwapTable {
+        let edges: Vec<(usize, usize, u64)> = cm
+            .subgraph(subset)
+            .undirected_edges()
+            .into_iter()
+            .map(|(a, b)| (a, b, 1))
+            .collect();
+        CostedSwapTable::for_weighted_edges(subset.len(), &edges)
+    }
+
+    fn unit(cm: &CouplingMap) -> CostedSwapTable {
+        let all: Vec<usize> = (0..cm.num_qubits()).collect();
+        counts(cm, &all)
+    }
+
+    #[test]
+    fn qx4_realizes_all_120_permutations() {
+        let table = unit(&devices::ibm_qx4());
+        assert_eq!(table.len(), 120);
+        let max_swaps = table.cheaper_than(None).last().unwrap().0;
+        assert!(max_swaps >= 4);
+    }
+
+    #[test]
+    fn witness_sequences_reproduce_permutation() {
+        let table = unit(&devices::ibm_qx4());
+        for (d, pi) in table.cheaper_than(None) {
+            let seq = table.sequence(pi).unwrap();
+            assert_eq!(seq.len() as u64, *d);
+            let mut acc = Permutation::identity(5);
+            for &(a, b) in seq {
+                acc = Permutation::transposition(5, a, b).compose(&acc);
+            }
+            assert_eq!(&acc, pi, "witness does not realize {pi}");
+        }
+    }
+
+    #[test]
+    fn swaps_lower_bounded_by_free_transpositions() {
+        let table = unit(&devices::ibm_qx4());
+        for (d, pi) in table.cheaper_than(None) {
+            assert!(*d as usize >= pi.min_transpositions());
+        }
+    }
+
+    #[test]
+    fn line_graph_distance_is_bubble_sort() {
+        // On a 3-line, the reversal (0 2) needs 3 adjacent swaps.
+        let table = unit(&devices::linear(3));
+        let rev = Permutation::from_image(vec![2, 1, 0]);
+        assert_eq!(table.cost(&rev), Some(3));
+        assert_eq!(table.len(), 6);
+    }
+
+    #[test]
+    fn disconnected_graph_misses_permutations() {
+        let cm = CouplingMap::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let table = unit(&cm);
+        // Only 2 × 2 = 4 permutations are realizable.
+        assert_eq!(table.len(), 4);
+        let cross = Permutation::transposition(4, 0, 2);
+        assert_eq!(table.cost(&cross), None);
+        assert_eq!(table.sequence(&cross), None);
+    }
+
+    #[test]
+    fn subset_table_uses_local_indices() {
+        let cm = devices::ibm_qx4();
+        // Subset {p3,p4,p5} = indices {2,3,4}: a triangle → all 6 perms.
+        let table = counts(&cm, &[2, 3, 4]);
+        assert_eq!(table.len(), 6);
+        let t = Permutation::transposition(3, 0, 1); // local: p3↔p4
+        assert_eq!(table.cost(&t), Some(1));
+        // The weighted subset table prices the same local edge at 7.
+        let costed = CostedSwapTable::for_subset(&cm, &[2, 3, 4]);
+        assert_eq!(costed.len(), 6);
+        assert_eq!(costed.cost(&t), Some(7));
+    }
+
+    #[test]
+    fn identity_costs_zero_everywhere() {
+        for cm in [devices::ibm_qx2(), devices::ibm_qx4(), devices::linear(4)] {
+            let n = cm.num_qubits();
+            for table in [unit(&cm), CostedSwapTable::new(&cm)] {
+                assert_eq!(table.cost(&Permutation::identity(n)), Some(0));
+                assert_eq!(table.sequence(&Permutation::identity(n)).unwrap().len(), 0);
+            }
+        }
+    }
 
     #[test]
     fn uniform_unidirectional_matches_7x_count() {
         let cm = devices::ibm_qx4();
-        let counts = SwapTable::new(&cm);
+        let counts = unit(&cm);
         let costed = CostedSwapTable::new(&cm);
         assert_eq!(counts.len(), costed.len());
-        for (pi, d) in counts.iter() {
-            assert_eq!(costed.cost(pi), Some(7 * u64::from(d)), "{pi}");
+        for (d, pi) in counts.cheaper_than(None) {
+            assert_eq!(costed.cost(pi), Some(7 * d), "{pi}");
         }
     }
 
     #[test]
     fn bidirectional_matches_3x_count() {
         let cm = devices::grid(2, 2);
-        let counts = SwapTable::new(&cm);
+        let counts = unit(&cm);
         let costed = CostedSwapTable::new(&cm);
-        for (pi, d) in counts.iter() {
-            assert_eq!(costed.cost(pi), Some(3 * u64::from(d)), "{pi}");
+        for (d, pi) in counts.cheaper_than(None) {
+            assert_eq!(costed.cost(pi), Some(3 * d), "{pi}");
         }
     }
 
@@ -375,15 +302,14 @@ mod costed_tests {
     fn mixed_graph_bounds() {
         // One unidirectional edge plus a bidirectional triangle around it.
         let cm = CouplingMap::from_edges(3, [(0, 1), (0, 2), (2, 0), (1, 2), (2, 1)]).unwrap();
-        let counts = SwapTable::new(&cm);
+        let counts = unit(&cm);
         let costed = CostedSwapTable::new(&cm);
-        for (pi, d) in counts.iter() {
+        for (d, pi) in counts.cheaper_than(None) {
             let c = costed.cost(pi).unwrap();
-            assert!(c <= 7 * u64::from(d), "{pi}: {c} > 7·{d}");
-            assert!(c >= 3 * u64::from(d), "{pi}: {c} < 3·{d}");
+            assert!(c <= 7 * d, "{pi}: {c} > 7·{d}");
+            assert!(c >= 3 * d, "{pi}: {c} < 3·{d}");
         }
     }
-
     #[test]
     fn cheaper_than_lists_each_permutation_once_in_cost_order() {
         let cm = CouplingMap::from_edges(4, [(0, 1), (1, 2), (2, 1), (2, 3)]).unwrap();

@@ -1,7 +1,17 @@
 //! Property-based tests for permutation algebra, swap tables and layouts.
 
 use proptest::prelude::*;
-use qxmap_arch::{connected_subsets, devices, CouplingMap, Layout, Permutation, SwapTable};
+use qxmap_arch::{connected_subsets, devices, CostedSwapTable, CouplingMap, Layout, Permutation};
+
+/// `swaps(π)` on `cm`: every SWAP weighs 1, so a cost is a SWAP count.
+fn swap_counts(cm: &CouplingMap) -> CostedSwapTable {
+    let unit: Vec<(usize, usize, u64)> = cm
+        .undirected_edges()
+        .into_iter()
+        .map(|(a, b)| (a, b, 1))
+        .collect();
+    CostedSwapTable::for_weighted_edges(cm.num_qubits(), &unit)
+}
 
 fn permutation_strategy(n: usize) -> impl Strategy<Value = Permutation> {
     Just(()).prop_perturb(move |_, mut rng| {
@@ -46,14 +56,14 @@ proptest! {
         a in permutation_strategy(5),
         b in permutation_strategy(5),
     ) {
-        let table = SwapTable::new(&devices::ibm_qx4());
-        let da = table.swaps(&a).expect("QX4 is connected");
-        let db = table.swaps(&b).expect("connected");
-        let dainv = table.swaps(&a.inverse()).expect("connected");
+        let table = swap_counts(&devices::ibm_qx4());
+        let da = table.cost(&a).expect("QX4 is connected");
+        let db = table.cost(&b).expect("connected");
+        let dainv = table.cost(&a.inverse()).expect("connected");
         prop_assert_eq!(da, dainv, "swaps(π) must equal swaps(π⁻¹)");
-        let dab = table.swaps(&a.compose(&b)).expect("connected");
+        let dab = table.cost(&a.compose(&b)).expect("connected");
         prop_assert!(dab <= da + db, "triangle inequality violated");
-        prop_assert_eq!(table.sequence(&a).unwrap().len() as u32, da);
+        prop_assert_eq!(table.sequence(&a).unwrap().len() as u64, da);
         // Lower bound from free (non-adjacent) transpositions.
         prop_assert!(da as usize >= a.min_transpositions());
     }
@@ -72,7 +82,7 @@ proptest! {
     #[test]
     fn witness_sequences_move_layouts(pi in permutation_strategy(5)) {
         let cm = devices::ibm_qx4();
-        let table = SwapTable::new(&cm);
+        let table = swap_counts(&cm);
         let seq = table.sequence(&pi).expect("connected").to_vec();
         let mut via_swaps = Layout::identity(5, 5);
         for (a, b) in seq {

@@ -311,7 +311,6 @@ fn main() {
     let server = Server::start(ServerConfig {
         workers: 2,
         queue_depth: 4,
-        batch_max: 4,
         journal: Some(journal.clone()),
         trace_log: Some(trace_log.clone()),
     });
@@ -505,7 +504,6 @@ fn main() {
     let restarted = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 4,
-        batch_max: 1,
         journal: Some(journal.clone()),
         ..ServerConfig::default()
     });
@@ -537,7 +535,6 @@ fn main() {
     let observed = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 4,
-        batch_max: 1,
         trace_log: Some(probe_log),
         ..ServerConfig::default()
     });

@@ -22,7 +22,6 @@
 //!   assumed to bound the objective incrementally.
 //! * [`optimize`] — model-improving minimization of `F = Σ wᵢ·ℓᵢ`
 //!   (Definition 3's extended interpretation).
-//! * [`dimacs`] — DIMACS CNF import/export.
 //! * [`brute`] — an exhaustive reference solver used by the test suite.
 //!
 //! ## Example
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-pub mod dimacs;
 pub mod encode;
 mod lit;
 pub mod optimize;

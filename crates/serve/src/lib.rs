@@ -13,8 +13,10 @@
 //!   codes (no serde is vendored, so [`json`] ships a small
 //!   self-contained JSON encode/decode module);
 //! * a **server core** ([`server`]): a bounded, earliest-deadline-first
-//!   admission queue feeding a fixed worker pool over
-//!   [`qxmap_map::map_many`]-style batching, with explicit `overloaded`
+//!   admission queue feeding a fixed worker pool, each worker answering
+//!   one job at a time through the process-wide solve cache (the one
+//!   place repeated requests are deduplicated, at dispatch), so no
+//!   reply waits for another job's solve; explicit `overloaded`
 //!   rejection instead of unbounded queueing, `deadline_expired`
 //!   shedding of jobs whose deadline ran out while they waited,
 //!   pipelined connections (many tagged requests in flight, responses

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! qxmap-serve [--listen ADDR] [--journal PATH]
-//!             [--workers N] [--queue-depth N] [--batch N] [--trace-log PATH]
+//!             [--workers N] [--queue-depth N] [--trace-log PATH]
 //! ```
 //!
 //! With `--listen` the daemon binds a TCP listener (use port 0 for an
@@ -17,6 +17,9 @@
 //! processes lose only the unsynced tail, and compacts it to the live
 //! entries on graceful shutdown (a `shutdown` request, or stdin EOF in
 //! stdio mode).
+//! `--workers` sizes the pool of solver threads; each answers one job
+//! at a time, earliest deadline first, and replies as soon as that job's
+//! own solve ends. `--queue-depth` caps the jobs waiting for a worker.
 //! `--trace-log` appends every admission to the slow-request ring
 //! (dumped by `{"type":"slowlog"}`) as a JSON line to the given file.
 
@@ -32,7 +35,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: qxmap-serve [--listen ADDR] [--journal PATH] \
-                     [--workers N] [--queue-depth N] [--batch N] [--trace-log PATH]";
+                     [--workers N] [--queue-depth N] [--trace-log PATH]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -54,9 +57,6 @@ fn parse_args() -> Result<Args, String> {
             "--queue-depth" => {
                 args.config.queue_depth =
                     parse_positive("--queue-depth", &value("--queue-depth")?)?;
-            }
-            "--batch" => {
-                args.config.batch_max = parse_positive("--batch", &value("--batch")?)?;
             }
             "--trace-log" => {
                 args.config.trace_log = Some(PathBuf::from(value("--trace-log")?));

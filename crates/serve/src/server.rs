@@ -20,8 +20,8 @@
 //! how they wait for an admitted job. A line longer than
 //! [`MAX_LINE_BYTES`] is rejected and ends its connection.
 //!
-//! A panic while answering a line or solving a batch is caught where
-//! the paths meet: the affected requests get a structured `internal`
+//! A panic while answering a line or solving a job is caught where
+//! the paths meet: the affected request gets a structured `internal`
 //! rejection, and the daemon keeps serving. Locks recover a poisoned
 //! guard, so one caught panic cannot make every later request panic.
 //!
@@ -37,16 +37,18 @@
 //! loaded queue spends its workers only on jobs that can still answer
 //! in time.
 //!
-//! Admitted jobs are drained by a fixed pool of worker threads, each
-//! pulling up to `batch_max` jobs at a time and solving them through one
-//! [`qxmap_map::map_many_with`] call on the served engine,
-//! [`qxmap_window::WindowedEngine`] — so a burst of identical requests
-//! landing together is deduplicated into one solve *before* the
-//! process-wide solve cache even sees it, exactly like a library-side
-//! batch. Every answer, a large-device one included, is cached whole
-//! under that engine's signature, which is also the signature the
-//! skeleton-first probe reads. Only whole answers are cached: a
-//! large-device answer's windows are solved, not stored.
+//! Admitted jobs are drained by a fixed pool of worker threads. A worker
+//! takes one job at a time, in deadline order, and answers it through
+//! [`Engine::run_cached`](qxmap_map::Engine::run_cached) on the served
+//! engine, [`qxmap_window::WindowedEngine`]; its reply goes out as soon
+//! as its own solve ends, never after another job's. The process-wide
+//! solve cache is the one place requests are deduplicated: a twin
+//! dequeued after its first copy was answered is a cache hit at
+//! dispatch, while twins solving at the same moment each solve. Every
+//! answer, a large-device one included, is cached whole under that
+//! engine's signature, which is also the signature the skeleton-first
+//! probe reads. Only whole answers are cached: a large-device answer's
+//! windows are solved, not stored.
 //!
 //! ## Shutdown and persistence
 //!
@@ -94,9 +96,6 @@ pub struct ServerConfig {
     /// Most jobs allowed to *wait* for a worker; submissions beyond this
     /// are rejected as `overloaded`. Defaults to 64.
     pub queue_depth: usize,
-    /// Most jobs one worker drains into a single
-    /// [`qxmap_map::map_many_with`] batch. Defaults to 8.
-    pub batch_max: usize,
     /// Append-only cache journal for warm state across restarts and
     /// crashes: replayed and attached by [`Server::warm_start`], drained
     /// and compacted by [`Server::finish`].
@@ -113,7 +112,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(2),
             queue_depth: 64,
-            batch_max: 8,
             journal: None,
             trace_log: None,
         }
@@ -139,7 +137,7 @@ pub const JOURNAL_COMPACT_AFTER: usize = 1024;
 pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Locks `mutex`, recovering the guard if a panic poisoned it. Panics
-/// are caught at the request and batch boundaries, so one must not make
+/// are caught at the request and solve boundaries, so one must not make
 /// every later lock panic too; every critical section here leaves its
 /// data valid at each step, so a recovered guard is sound.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -186,9 +184,9 @@ enum JobOutcome {
     /// The job's deadline expired while it waited; it was shed without
     /// ever reaching a solver, after `waited` in the queue.
     Shed { waited: Duration },
-    /// The batch solve panicked (or answered the wrong number of jobs):
-    /// the job is answered with an `internal` rejection and logged as
-    /// slow with its request's timeline, when it was traced.
+    /// The job's solve panicked: the job is answered with an `internal`
+    /// rejection and logged as slow with its request's timeline, when it
+    /// was traced.
     Panicked { trace: Option<SolveTrace> },
 }
 
@@ -378,11 +376,12 @@ impl LatencyHistogram {
     }
 }
 
-/// The batch solver workers run admitted jobs through — injectable so
+/// The solver a worker answers one admitted job with — injectable so
 /// tests can pin down timing-sensitive behavior (overload, shutdown
 /// draining, dispatch order) with a deterministic solver. Production
-/// uses [`qxmap_map::map_many_with`] on [`WindowedEngine`].
-type BatchSolver = Box<dyn Fn(&[MapRequest]) -> Vec<Result<MapReport, MapperError>> + Send + Sync>;
+/// uses [`Engine::run_cached`](qxmap_map::Engine::run_cached) on
+/// [`WindowedEngine`].
+type Solver = Box<dyn Fn(&MapRequest) -> Result<MapReport, MapperError> + Send + Sync>;
 
 /// What [`Server::answer`] made of one request line. Both transports
 /// deliver a `Reply` or `Shutdown` as it is; they differ only in how
@@ -597,7 +596,7 @@ fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<
 /// [`Server::finish`] to drain and persist on the way out.
 pub struct Server {
     config: ServerConfig,
-    solver: BatchSolver,
+    solver: Solver,
     queue: Mutex<QueueState>,
     available: Condvar,
     counters: Counters,
@@ -632,17 +631,17 @@ pub struct Server {
 
 impl Server {
     /// Boots the worker pool with the production solver
-    /// ([`qxmap_map::map_many_with`] on [`WindowedEngine`], answering
-    /// through the process-wide [`SolveCache`]).
+    /// ([`WindowedEngine`], answering through the process-wide
+    /// [`SolveCache`]).
     pub fn start(config: ServerConfig) -> Arc<Server> {
         Server::start_with_solver(
             config,
-            Box::new(|requests| qxmap_map::map_many_with(&WindowedEngine::new(), requests)),
+            Box::new(|request| WindowedEngine::new().run_cached(request)),
         )
     }
 
-    /// [`Server::start`] with an injected batch solver (tests).
-    pub fn start_with_solver(config: ServerConfig, solver: BatchSolver) -> Arc<Server> {
+    /// [`Server::start`] with an injected per-job solver (tests).
+    pub fn start_with_solver(config: ServerConfig, solver: Solver) -> Arc<Server> {
         // An unopenable trace log disables the logging, never the
         // daemon: a full disk at boot should cost observability, not
         // service.
@@ -690,82 +689,64 @@ impl Server {
         server
     }
 
-    /// One worker: pop up to `batch_max` jobs in deadline order —
-    /// shedding any whose deadline already expired — solve the rest as
-    /// one batch, deliver each outcome, repeat. Exits once shutdown has
-    /// begun *and* the queue is empty — every admitted job is answered.
-    /// A panicking batch solve answers its jobs `internal`; the worker
-    /// lives on.
+    /// One worker: pop the most urgent job, shed it if its deadline
+    /// already expired, otherwise solve it and deliver its outcome,
+    /// repeat. Exits once shutdown has begun *and* the queue is empty —
+    /// every admitted job is answered. A panicking solve answers its job
+    /// `internal`; the worker lives on.
     fn worker_loop(&self) {
         loop {
-            let (batch, shed) = {
+            let (job, expired) = {
                 let mut q = lock(&self.queue);
-                loop {
-                    if !q.jobs.is_empty() {
-                        break;
+                let job = loop {
+                    if let Some(job) = q.jobs.pop() {
+                        break job;
                     }
                     if q.shutdown {
                         return;
                     }
                     q = wait(&self.available, q);
+                };
+                let expired = job.deadline.is_some_and(|d| Instant::now() > d);
+                if !expired {
+                    q.in_flight += 1;
                 }
-                let now = Instant::now();
-                let mut batch: Vec<QueuedJob> = Vec::new();
-                let mut shed: Vec<QueuedJob> = Vec::new();
-                while batch.len() < self.config.batch_max.max(1) {
-                    let Some(job) = q.jobs.pop() else { break };
-                    if job.deadline.is_some_and(|d| now > d) {
-                        shed.push(job);
-                    } else {
-                        batch.push(job);
-                    }
-                }
-                q.in_flight += batch.len();
-                (batch, shed)
+                (job, expired)
             };
-            // Shed callbacks run outside the lock: they render and
-            // deliver the `deadline_expired` rejection.
-            for job in shed {
+            // Callbacks run outside the lock: they render and deliver
+            // the response.
+            let waited = job.enqueued.elapsed();
+            if expired {
                 self.count_rejection("deadline_expired");
-                let waited = job.enqueued.elapsed();
                 (job.complete)(JobOutcome::Shed { waited });
-            }
-            if batch.is_empty() {
                 continue;
             }
-            for job in &batch {
-                let waited = job.enqueued.elapsed();
-                self.phase_queue_wait.record(micros(waited));
-                // Traced jobs get the wait as a `queue` span, with the
-                // EDF slack still on the clock at dispatch.
-                let trace = job.request.trace();
-                if trace.is_enabled() {
-                    let slack_ms = job
-                        .deadline
-                        .map(|d| {
-                            u64::try_from(d.saturating_duration_since(Instant::now()).as_millis())
-                                .unwrap_or(u64::MAX)
-                        })
-                        .unwrap_or(0);
-                    trace.record_with("queue", job.enqueued, waited, &[("slack_ms", slack_ms)]);
-                }
+            self.phase_queue_wait.record(micros(waited));
+            // A traced job gets the wait as a `queue` span, with the EDF
+            // slack still on the clock at dispatch.
+            let trace = job.request.trace();
+            if trace.is_enabled() {
+                let slack_ms = job
+                    .deadline
+                    .map(|d| {
+                        u64::try_from(d.saturating_duration_since(Instant::now()).as_millis())
+                            .unwrap_or(u64::MAX)
+                    })
+                    .unwrap_or(0);
+                trace.record_with("queue", job.enqueued, waited, &[("slack_ms", slack_ms)]);
             }
-            let n = batch.len();
-            let requests: Vec<MapRequest> = batch.iter().map(|job| job.request.clone()).collect();
-            let mut results = panic::catch_unwind(AssertUnwindSafe(|| (self.solver)(&requests)))
-                .ok()
-                .filter(|results| results.len() == n)
-                .map(Vec::into_iter);
-            for job in batch {
-                let outcome = match results.as_mut().and_then(Iterator::next) {
-                    Some(result) => JobOutcome::Done(Box::new(result)),
-                    None => JobOutcome::Panicked {
-                        trace: job.request.trace().finish(),
+            let outcome =
+                match panic::catch_unwind(AssertUnwindSafe(|| (self.solver)(&job.request))) {
+                    Ok(result) => JobOutcome::Done(Box::new(result)),
+                    Err(_) => JobOutcome::Panicked {
+                        trace: trace.finish(),
                     },
                 };
-                (job.complete)(outcome);
-            }
-            lock(&self.queue).in_flight -= n;
+            // Leave the in-flight count before the reply goes out, so a
+            // client reading `metrics` right after its answer never sees
+            // its own job still counted.
+            lock(&self.queue).in_flight -= 1;
+            (job.complete)(outcome);
         }
     }
 
@@ -1523,7 +1504,7 @@ impl Server {
         for worker in workers {
             worker
                 .join()
-                .expect("workers catch their batches' and renders' panics");
+                .expect("workers catch their solves' and renders' panics");
         }
         // Workers answered every admitted job; give the (detached)
         // connection threads a moment to flush those answers to their
@@ -1812,6 +1793,7 @@ mod tests {
     use super::*;
     use qxmap_arch::devices;
     use qxmap_circuit::paper_example;
+    use qxmap_map::{Engine, Portfolio};
 
     const QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncx q[0], q[1];\n";
 
@@ -1822,11 +1804,10 @@ mod tests {
         )
     }
 
-    fn config(workers: usize, queue_depth: usize, batch_max: usize) -> ServerConfig {
+    fn config(workers: usize, queue_depth: usize) -> ServerConfig {
         ServerConfig {
             workers,
             queue_depth,
-            batch_max,
             ..ServerConfig::default()
         }
     }
@@ -1865,17 +1846,43 @@ mod tests {
 
     /// A solver that blocks until released — pins down overload, drain
     /// and dispatch-order behavior without timing races.
-    fn gated_solver() -> (BatchSolver, mpsc::Sender<()>) {
+    fn gated_solver() -> (Solver, mpsc::Sender<()>) {
+        held_solver(|_| true, Portfolio::new())
+    }
+
+    /// A solver that blocks each request `holds` picks until released,
+    /// once per request, then answers it through `engine`'s cache.
+    fn held_solver(
+        holds: impl Fn(&MapRequest) -> bool + Send + Sync + 'static,
+        engine: impl Engine + 'static,
+    ) -> (Solver, mpsc::Sender<()>) {
         let (release, gate) = mpsc::channel::<()>();
         let gate = Mutex::new(gate);
-        let solver: BatchSolver = Box::new(move |requests| {
-            gate.lock()
-                .expect("no panics under the lock")
-                .recv()
-                .expect("the test releases the gate once per batch");
-            qxmap_map::map_many(requests)
+        let solver: Solver = Box::new(move |request| {
+            if holds(request) {
+                gate.lock()
+                    .expect("no panics under the lock")
+                    .recv()
+                    .expect("the test releases the gate once per held job");
+            }
+            engine.run_cached(request)
         });
         (solver, release)
+    }
+
+    /// The portfolio under a cache signature of its own, counting the
+    /// solves that reach it (cache hits never do).
+    struct Counted(Arc<AtomicU64>);
+
+    impl Engine for Counted {
+        fn name(&self) -> &str {
+            "counted-portfolio"
+        }
+
+        fn run(&self, request: &MapRequest) -> Result<MapReport, MapperError> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Portfolio::new().run(request)
+        }
     }
 
     /// Parks the (single) worker on a gated job so later submissions
@@ -1922,7 +1929,7 @@ mod tests {
         // does not, so past the exact regime no answer can be proved.
         let triangle = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n\
                         cx q[0], q[1];\ncx q[1], q[2];\ncx q[2], q[0];\n";
-        let server = Server::start(config(1, 8, 1));
+        let server = Server::start(config(1, 8));
         let reply = |device: &str| {
             let line = format!(
                 "{{\"type\":\"map\",\"qasm\":{},\"device\":\"{device}\",\
@@ -1960,7 +1967,7 @@ mod tests {
         // runs out during the solve — a job still queued at its deadline
         // would be shed as `deadline_expired` instead.
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let deadline = Duration::from_millis(100);
         let missed = format!(
             "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"deadline_ms\":{}}}",
@@ -2005,7 +2012,7 @@ mod tests {
     #[test]
     fn overload_is_rejected_with_a_structured_error() {
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 1, 1), solver);
+        let server = Server::start_with_solver(config(1, 1), solver);
         // First job: admitted, drained by the (gated) worker. Wait until
         // it actually leaves the queue so the depth accounting below is
         // deterministic.
@@ -2021,7 +2028,7 @@ mod tests {
             requests.get("rejected_overload").and_then(Json::as_u64),
             Some(1)
         );
-        // Release both batches; graceful shutdown drains everything.
+        // Release both jobs; graceful shutdown drains everything.
         release.send(()).unwrap();
         release.send(()).unwrap();
         assert!(done(first.recv().unwrap()).is_ok());
@@ -2031,7 +2038,7 @@ mod tests {
     #[test]
     fn shutdown_drains_admitted_jobs_and_rejects_new_ones() {
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 8, 8), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let admitted = submit_job(&server, request(0), None).expect("admitted");
         server.begin_shutdown();
         let rejected = submit_job(&server, request(0), None).unwrap_err();
@@ -2047,7 +2054,7 @@ mod tests {
     #[test]
     fn earliest_deadline_first_dispatch_with_fifo_among_equals() {
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let tagged = |tag: &'static str| -> Complete {
             let order = Arc::clone(&order);
@@ -2107,7 +2114,7 @@ mod tests {
     #[test]
     fn deadline_less_jobs_keep_fifo_order() {
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let tagged = |tag: &'static str| -> Complete {
             let order = Arc::clone(&order);
@@ -2130,6 +2137,62 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_never_waits_for_another_jobs_solve() {
+        // One worker, held busy. Behind it: B (earliest deadline, cheap)
+        // and A (held). Once the first job is released, B must be
+        // answered while A's solve is still blocked — a worker answers
+        // one job, so no reply waits for a queue-mate.
+        const CHEAP: u64 = 880_002;
+        let (solver, release) = held_solver(|r| r.seed() != CHEAP, Portfolio::new());
+        let server = Server::start_with_solver(config(1, 8), solver);
+        let first = occupy_worker(&server);
+        let now = Instant::now();
+        let b = submit_job(&server, request(CHEAP), Some(now + Duration::from_secs(30)))
+            .expect("admitted");
+        let a = submit_job(
+            &server,
+            request(880_001),
+            Some(now + Duration::from_secs(60)),
+        )
+        .expect("admitted");
+        release.send(()).unwrap();
+        assert!(done(first.recv().unwrap()).is_ok());
+        let answered = b
+            .recv_timeout(Duration::from_secs(30))
+            .expect("B is answered while A's solve is still held");
+        assert!(done(answered).is_ok());
+        assert!(
+            matches!(a.try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "A is still held"
+        );
+        release.send(()).unwrap();
+        assert!(done(a.recv().unwrap()).is_ok());
+        server.finish().unwrap();
+    }
+
+    #[test]
+    fn a_twin_queued_behind_its_first_copy_is_a_cache_hit() {
+        // The cache is the one deduplication layer: a twin dequeued after
+        // its first copy was answered never reaches the engine.
+        let solves = Arc::new(AtomicU64::new(0));
+        let (solver, release) = held_solver(|r| r.seed() == 0, Counted(Arc::clone(&solves)));
+        let server = Server::start_with_solver(config(1, 8), solver);
+        let first = occupy_worker(&server);
+        let copy = submit_job(&server, request(660_001), None).expect("admitted");
+        let twin = submit_job(&server, request(660_001), None).expect("admitted");
+        release.send(()).unwrap();
+        assert!(done(first.recv().unwrap()).is_ok());
+        let copy = done(copy.recv().unwrap()).expect("solved");
+        assert!(!copy.served_from_cache);
+        let twin = done(twin.recv().unwrap()).expect("served");
+        assert!(twin.served_from_cache, "the twin is a cache hit");
+        assert_eq!(twin.cost, copy.cost);
+        // The occupying job and the first copy solved; the twin did not.
+        assert_eq!(solves.load(Ordering::Relaxed), 2);
+        server.finish().unwrap();
+    }
+
+    #[test]
     fn expired_jobs_are_shed_at_dequeue_and_never_dispatched() {
         // A gated solver that also counts every request it is handed:
         // the shed job must never show up in it.
@@ -2137,12 +2200,12 @@ mod tests {
         let (release, gate) = mpsc::channel::<()>();
         let gate = Mutex::new(gate);
         let counter = Arc::clone(&dispatched);
-        let solver: BatchSolver = Box::new(move |requests| {
-            counter.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        let solver: Solver = Box::new(move |request| {
+            counter.fetch_add(1, Ordering::Relaxed);
             gate.lock().unwrap().recv().unwrap();
-            qxmap_map::map_many(requests)
+            Portfolio::new().run_cached(request)
         });
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let first = occupy_worker(&server);
         // Queue a job whose deadline expires while the worker is still
         // busy: deterministic, because the worker cannot dequeue it
@@ -2196,7 +2259,7 @@ mod tests {
 
     #[test]
     fn warm_hit_latency_runs_from_line_receipt() {
-        let server = Server::start(config(1, 8, 1));
+        let server = Server::start(config(1, 8));
         let line = format!(
             "{{\"type\":\"map\",\"qasm\":{},\"device\":\"qx4\",\"seed\":41}}",
             Json::str(QASM)
@@ -2223,7 +2286,7 @@ mod tests {
 
     #[test]
     fn handle_line_answers_map_metrics_and_shutdown() {
-        let server = Server::start(config(2, 8, 4));
+        let server = Server::start(config(2, 8));
         let result = server.handle_line(&map_line());
         let parsed = Json::parse(result.response()).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("result"));
@@ -2263,7 +2326,7 @@ mod tests {
         // overload deterministic: depth 1, worker 1, so of three
         // *concurrent* map requests at most two are admitted.
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 1, 1), solver);
+        let server = Server::start_with_solver(config(1, 1), solver);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let acceptor = {
@@ -2349,7 +2412,7 @@ mod tests {
         // must come back *before* the map result — proof the connection
         // does not serialize on the slow job.
         let (solver, release) = gated_solver();
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let acceptor = {
@@ -2405,7 +2468,6 @@ mod tests {
         let journaled = ServerConfig {
             workers: 1,
             queue_depth: 8,
-            batch_max: 1,
             journal: Some(path.clone()),
             ..ServerConfig::default()
         };
@@ -2480,7 +2542,7 @@ mod tests {
     fn metrics_json_keeps_its_key_set() {
         let server = Server::start(ServerConfig {
             journal: Some(std::env::temp_dir().join("qxmap-serve-keys-never-attached.qxj")),
-            ..config(1, 8, 1)
+            ..config(1, 8)
         });
         let mut keys = Vec::new();
         key_paths(&server.metrics_json(None), "", &mut keys);
@@ -2546,14 +2608,11 @@ mod tests {
 
     #[test]
     fn a_panicking_solve_answers_internal_and_the_daemon_keeps_serving() {
-        let solver: BatchSolver = Box::new(|requests| {
-            assert!(
-                requests.iter().all(|r| r.seed() % 2 == 0),
-                "an odd seed panics the solver"
-            );
-            qxmap_map::map_many(requests)
+        let solver: Solver = Box::new(|request| {
+            assert!(request.seed() % 2 == 0, "an odd seed panics the solver");
+            Portfolio::new().run_cached(request)
         });
-        let server = Server::start_with_solver(config(1, 8, 1), solver);
+        let server = Server::start_with_solver(config(1, 8), solver);
         let line = |seed: u64| {
             format!(
                 "{{\"type\":\"map\",\"id\":{seed},\"qasm\":{},\"device\":\"qx4\",\"seed\":{seed}}}",

@@ -310,7 +310,7 @@ fn flooding_the_admission_queue_rejects_cleanly_without_dropping_replies() {
 
     let daemon = std::sync::Arc::new(Daemon::boot_with(
         &journal,
-        &["--workers", "1", "--queue-depth", "1", "--batch", "1"],
+        &["--workers", "1", "--queue-depth", "1"],
     ));
     // A 52-qubit map on heavy-hex takes long enough that the
     // barrier-synchronized flood below lands while the single worker is

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qxmap::arch::{devices, SwapTable};
+use qxmap::arch::{devices, CostedSwapTable};
 use qxmap::circuit::Circuit;
 use qxmap::map::{Engine, MapRequest, Portfolio};
 
@@ -20,12 +20,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cm.max_degree()
     );
 
-    // swaps(π): how many SWAPs each state permutation costs (Eq. 5).
-    let table = SwapTable::new(&cm);
+    // swaps(π): how many SWAPs each state permutation costs (Eq. 5),
+    // every SWAP weighing 1.
+    let unit: Vec<_> = cm
+        .undirected_edges()
+        .into_iter()
+        .map(|(a, b)| (a, b, 1))
+        .collect();
+    let table = CostedSwapTable::for_weighted_edges(cm.num_qubits(), &unit);
+    let worst = table
+        .cheaper_than(None)
+        .last()
+        .map_or(0, |&(swaps, _)| swaps);
     println!(
-        "  {} realizable permutations, worst case {} SWAPs\n",
-        table.len(),
-        table.max_swaps()
+        "  {} realizable permutations, worst case {worst} SWAPs\n",
+        table.len()
     );
 
     // A small circuit that cannot run as-is: q0 interacts with everyone.

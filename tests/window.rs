@@ -1,9 +1,10 @@
 //! Property-based validation of the windowed engine: for random
-//! circuits past the exact regime, the served answer must verify and
-//! never cost more than SABRE's; a stitched result must certify every
-//! gate in exactly one window; and a relabeled whole-circuit hit must
-//! translate its window certificates.
+//! circuits past the exact regime, the served answer must verify, never
+//! cost more than SABRE's, and compute what its input computes; a
+//! stitched result must certify every gate in exactly one window; and a
+//! relabeled whole-circuit hit must translate its window certificates.
 
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -11,7 +12,8 @@ use qxmap::arch::{devices, CouplingMap};
 use qxmap::benchmarks::famous;
 use qxmap::circuit::Circuit;
 use qxmap::map::{map_many_with, Engine, HeuristicEngine, MapReport, MapRequest};
-use qxmap::window::WindowedEngine;
+use qxmap::sim::mapped_equivalent;
+use qxmap::window::{will_window, WindowedEngine};
 
 /// The large-circuit smoke gate: a 52-qubit workload — 6.5× past the
 /// 8-qubit exact wall — maps end-to-end on a 55-qubit heavy-hex lattice
@@ -116,10 +118,10 @@ fn relabeled_windowed_hits_translate_their_certificates() {
 }
 
 /// Random connected devices past the exact regime: a random spanning
-/// tree over 12–14 qubits plus a few extra couplings, each edge pointing
-/// a random way so some CNOTs pay H reversals, as on the IBM QX devices.
-fn device_strategy() -> impl Strategy<Value = CouplingMap> {
-    (12usize..=14).prop_flat_map(|m| {
+/// tree over `qubits` plus a few extra couplings, each edge pointing a
+/// random way so some CNOTs pay H reversals, as on the IBM QX devices.
+fn device_strategy(qubits: RangeInclusive<usize>) -> impl Strategy<Value = CouplingMap> {
+    qubits.prop_flat_map(|m| {
         (
             prop::collection::vec(any::<u64>(), m - 1),
             prop::collection::vec((0..m, 1..m), 0..4),
@@ -143,10 +145,10 @@ fn device_strategy() -> impl Strategy<Value = CouplingMap> {
     })
 }
 
-/// Random circuits with 9–12 qubits (past the 8-qubit exact regime)
-/// and up to 39 gates.
-fn circuit_strategy() -> impl Strategy<Value = Circuit> {
-    (9usize..=12).prop_flat_map(|n| {
+/// Random circuits over `qubits` (past the 8-qubit exact regime) with
+/// up to 39 gates.
+fn circuit_strategy(qubits: RangeInclusive<usize>) -> impl Strategy<Value = Circuit> {
+    qubits.prop_flat_map(|n| {
         let gate = prop_oneof![
             // CNOT with distinct qubits (built arithmetically, no filter).
             (0..n, 1..n).prop_map(move |(c, d)| (0u8, c, (c + d) % n)),
@@ -179,8 +181,8 @@ proptest! {
 
     #[test]
     fn served_answers_verify_and_never_lose_to_sabre(
-        device in device_strategy(),
-        circuit in circuit_strategy(),
+        device in device_strategy(12..=14),
+        circuit in circuit_strategy(9..=12),
     ) {
         prop_assert!(device.is_connected());
         let request = MapRequest::new(circuit.clone(), device.clone());
@@ -196,5 +198,34 @@ proptest! {
             report.winner,
             sabre.cost.objective
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Served large-device answers compute what their input computes:
+    /// 9-qubit circuits on 9–11-qubit devices, where the served engine
+    /// windows, are simulated on every logical basis input against the
+    /// answer's own initial and final layouts.
+    #[test]
+    fn served_windowed_answers_are_statevector_equivalent(
+        device in device_strategy(9..=11),
+        circuit in circuit_strategy(9..=9),
+    ) {
+        let request = MapRequest::new(circuit.clone(), device.clone());
+        prop_assert!(will_window(request.device(), request.guarantee()));
+        let report = WindowedEngine::new()
+            .run_cached(&request)
+            .expect("a connected device maps every circuit");
+        let equivalent = mapped_equivalent(
+            &circuit,
+            &report.mapped,
+            &report.initial_layout,
+            &report.final_layout,
+            1e-6,
+        )
+        .expect("no measurements");
+        prop_assert!(equivalent, "the answer won by {} is not equivalent", report.winner);
     }
 }
