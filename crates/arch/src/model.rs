@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use qxmap_circuit::Fnv1a;
 
@@ -565,7 +565,7 @@ impl DeviceModel {
 
         let cache = COSTED_TABLE_CACHE.get_or_init(Mutex::default);
         {
-            let mut cache = cache.lock().expect("cache lock");
+            let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
             cache.tick += 1;
             let tick = cache.tick;
             if let Some((table, last_used)) = cache.map.get_mut(&key) {
@@ -576,7 +576,7 @@ impl DeviceModel {
         // Build outside the lock: construction is the expensive part and
         // must not serialize concurrent solves on other keys.
         let built = Arc::new(CostedSwapTable::for_weighted_edges(subset.len(), &key.1));
-        let mut cache = cache.lock().expect("cache lock");
+        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
         cache.tick += 1;
         let tick = cache.tick;
         // A racing thread may have inserted meanwhile; either way this

@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qxmap_arch::CostModel;
 use qxmap_sat::MinimizeOptions;
 
 use crate::bound::SharedBound;
@@ -73,8 +72,9 @@ impl SolveControl {
 /// Configuration of the exact mapper.
 ///
 /// The default reproduces the paper's Section 3 method: permutations
-/// allowed before every gate, no subset restriction, the 7/4 cost model,
-/// and unbounded linear-descent minimization.
+/// allowed before every gate, no subset restriction and unbounded
+/// linear-descent minimization. Costs are not configured here: they come
+/// from the mapper's [`qxmap_arch::DeviceModel`].
 ///
 /// ```
 /// use qxmap_core::{MapperConfig, Strategy};
@@ -94,8 +94,6 @@ pub struct MapperConfig {
     /// Whether to iterate over connected physical-qubit subsets of size `n`
     /// when `n < m` (Section 4.1). Preserves minimality.
     pub use_subsets: bool,
-    /// Cost accounting for inserted operations.
-    pub cost_model: CostModel,
     /// Objective-minimization budget and bound. With the subset
     /// optimization enabled, the conflict budget is a *total* shared
     /// across all per-subset subinstances (enforced through one atomic
@@ -138,12 +136,6 @@ impl MapperConfig {
     /// Enables/disables the subset optimization (builder style).
     pub fn with_subsets(mut self, on: bool) -> MapperConfig {
         self.use_subsets = on;
-        self
-    }
-
-    /// Sets the cost model (builder style).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> MapperConfig {
-        self.cost_model = cost_model;
         self
     }
 

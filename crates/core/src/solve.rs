@@ -19,10 +19,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use qxmap_arch::{connected_subsets, CostedSwapTable, CouplingMap, DeviceModel, Layout};
+use qxmap_arch::{connected_subsets, CostModel, CostedSwapTable, CouplingMap, DeviceModel, Layout};
 use qxmap_circuit::Circuit;
 use qxmap_sat::{minimize, MinimizeError, MinimizeOptions};
 
@@ -69,19 +69,17 @@ impl ExactMapper {
     }
 
     /// A mapper with an explicit configuration; the device is priced
-    /// uniformly under the configuration's [`MapperConfig::cost_model`]
-    /// (the seed accounting). Use [`ExactMapper::for_model`] for
+    /// uniformly under the paper's 7/4 [`CostModel`]. Use
+    /// [`ExactMapper::for_model`] for another cost model or
     /// calibration-aware per-edge costs.
     pub fn with_config(cm: CouplingMap, config: MapperConfig) -> ExactMapper {
-        let model = DeviceModel::uniform(cm, config.cost_model);
+        let model = DeviceModel::uniform(cm, CostModel::default());
         ExactMapper { model, config }
     }
 
     /// A mapper over an explicit [`DeviceModel`]: every objective weight —
     /// per-permutation SWAP costs and per-edge reversal surcharges — is
     /// read from the model, so calibration overrides steer the optimum.
-    /// The configuration's [`MapperConfig::cost_model`] is ignored (the
-    /// model *is* the cost model).
     pub fn for_model(model: DeviceModel, config: MapperConfig) -> ExactMapper {
         ExactMapper { model, config }
     }
@@ -461,7 +459,7 @@ impl ExactMapper {
         let added = (mapped.original_cost() - circuit.original_cost()) as u64;
         *shared.candidates[i]
             .lock()
-            .expect("no panics under the lock") = Some(MappingResult {
+            .unwrap_or_else(PoisonError::into_inner) = Some(MappingResult {
             cost: minimum.cost,
             added_gates: added,
             swaps,

@@ -36,7 +36,7 @@
 //! assert!(off.finish().is_none());
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One closed phase of a [`SolveTrace`]: a `/`-separated path naming the
@@ -263,7 +263,11 @@ impl SpanRecorder {
     pub fn finish(&self) -> Option<SolveTrace> {
         let inner = self.inner.as_deref()?;
         let elapsed_us = micros(inner.origin.elapsed());
-        let mut spans = inner.spans.lock().expect("trace lock poisoned").clone();
+        let mut spans = inner
+            .spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         spans.sort_by(|a, b| {
             a.start_us
                 .cmp(&b.start_us)
@@ -275,7 +279,10 @@ impl SpanRecorder {
 
 impl Inner {
     fn push(&self, span: TraceSpan) {
-        self.spans.lock().expect("trace lock poisoned").push(span);
+        self.spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(span);
     }
 }
 

@@ -41,10 +41,13 @@
 //! other invalidation: a key pins everything the answer depends on.
 //! Errors are never cached — an `Infeasible` proof is cheap to re-derive
 //! relative to the risk of serving it to a subtly different request.
+//! A panic while a lock is held does not disable the cache: each critical
+//! section leaves the map valid at every step, so every lock recovers a
+//! poisoned guard instead of panicking in turn.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use qxmap_arch::{CouplingMap, DeviceModel, Layout};
@@ -76,16 +79,14 @@ pub struct SolveCacheStats {
     pub approx_bytes: usize,
 }
 
-/// Everything besides the skeleton that pins an engine's answer. Also
-/// used by `map_many`'s batch dedup so grouping and cache identity can
-/// never drift apart.
+/// Everything that pins an engine's answer: the one key behind lookups,
+/// inserts, skeleton probes and journal records.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     /// [`crate::Engine::cache_signature`] of the answering engine.
     engine: String,
-    /// The circuit up to qubit relabeling (read by `map_many`'s dedup to
-    /// translate duplicate answers without recanonicalizing).
-    pub(crate) skeleton: CircuitSkeleton,
+    /// The circuit up to qubit relabeling.
+    skeleton: CircuitSkeleton,
     /// The device identity: [`qxmap_arch::DeviceModel::fingerprint`],
     /// covering size, directed edges and every per-edge cost (so a
     /// calibration override is a different device as far as the cache is
@@ -98,39 +99,6 @@ pub(crate) struct CacheKey {
     /// every budget class of the same key: `options` then holds no
     /// budgets.
     proved_tier: bool,
-}
-
-/// Serves a duplicate request directly from an already-solved sibling:
-/// `solved` is the verified answer to the circuit canonicalized by
-/// `solved_skeleton`, and `request_skeleton` canonicalizes the duplicate
-/// (the skeletons must be equal — `map_many`'s dedup grouping guarantees
-/// it, and both were already computed for that grouping). The report
-/// comes back with the same cache-served contract as a
-/// [`SolveCache::lookup`] hit — translated layouts, flag, `cache/`
-/// winner prefix, lookup-time `elapsed` — but independently of the
-/// cache's eviction policy, so a batch wider than the cache never falls
-/// back to re-solving its duplicates. Returns `None` when the canonical
-/// skeletons differ (the requests were not grouped together).
-pub(crate) fn serve_duplicate(
-    solved_skeleton: &CircuitSkeleton,
-    solved: MapReport,
-    request_skeleton: &CircuitSkeleton,
-) -> Option<MapReport> {
-    let start = Instant::now();
-    let sigma = request_skeleton.correspondence_to(solved_skeleton)?;
-    let mut report = solved;
-    relabel(&mut report, &sigma);
-    if !report.served_from_cache {
-        // A representative that was itself cache-served already carries
-        // the prefix; never stack cache/cache/.
-        report.winner = format!("cache/{}", report.winner);
-    }
-    report.served_from_cache = true;
-    report.elapsed = start.elapsed();
-    // The representative's trace timeline describes its own request, not
-    // this duplicate's.
-    report.trace = None;
-    Some(report)
 }
 
 /// A cache lookup built from a circuit's canonical skeleton instead of
@@ -248,11 +216,10 @@ impl CacheKey {
     /// The key of a solve of `skeleton` on the device identified by
     /// `device_fingerprint` ([`DeviceModel::fingerprint`]) under
     /// `options`, answered by the engine with signature `engine` — the
-    /// one constructor behind lookups, inserts, skeleton probes and
-    /// `map_many`'s batch dedup. Requests pass
-    /// [`MapRequest::device_fingerprint`], which a cache hit can read
-    /// without building the model's all-pairs matrices.
-    pub(crate) fn of(
+    /// one constructor behind lookups, inserts and skeleton probes.
+    /// Requests pass [`MapRequest::device_fingerprint`], which a cache hit
+    /// can read without building the model's all-pairs matrices.
+    fn of(
         engine: &str,
         skeleton: CircuitSkeleton,
         device_fingerprint: u64,
@@ -453,7 +420,7 @@ struct CacheCounters {
 /// class, engine signature) — see the module-level documentation above
 /// for the key anatomy. The [process-wide instance](SolveCache::shared)
 /// is shared by every [`crate::Engine::run_cached`] and
-/// [`crate::map_many`] call.
+/// [`crate::map_one`] call.
 pub struct SolveCache {
     inner: Mutex<Inner>,
     counters: CacheCounters,
@@ -475,8 +442,8 @@ impl SolveCache {
         }
     }
 
-    /// The process-wide instance behind [`crate::Engine::run_cached`],
-    /// [`crate::map_one`] and [`crate::map_many`], holding
+    /// The process-wide instance behind [`crate::Engine::run_cached`]
+    /// and [`crate::map_one`], holding
     /// [`DEFAULT_SOLVE_CACHE_CAPACITY`] entries; embedders wanting another
     /// size build their own [`SolveCache::with_capacity`] instance.
     pub fn shared() -> &'static SolveCache {
@@ -535,7 +502,7 @@ impl SolveCache {
     /// then layout translation through `labels` outside the lock.
     fn lookup_key(&self, mut key: CacheKey, labels: &[usize], start: Instant) -> Option<MapReport> {
         let (stored, canon_to_original) = {
-            let mut inner = self.inner.lock().expect("no panics under the lock");
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.tick += 1;
             let tick = inner.tick;
             // The proved tier first (a certificate serves every budget
@@ -618,11 +585,11 @@ impl SolveCache {
         let journal = self
             .journal
             .lock()
-            .expect("no panics under the lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
             .map(|tx| (tx, key.clone()));
         {
-            let mut inner = self.inner.lock().expect("no panics under the lock");
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.tick += 1;
             let entry = Entry::new(
                 Arc::clone(&shared_report),
@@ -657,7 +624,7 @@ impl SolveCache {
     /// Attaches (or detaches) the journal writer's event channel — every
     /// subsequent [`SolveCache::insert`] forwards its stored entries.
     pub(crate) fn set_journal(&self, sender: Option<mpsc::Sender<crate::journal::Event>>) {
-        *self.journal.lock().expect("no panics under the lock") = sender;
+        *self.journal.lock().unwrap_or_else(PoisonError::into_inner) = sender;
     }
 
     /// Every held entry — key, correspondence, shared report, recency
@@ -665,7 +632,7 @@ impl SolveCache {
     /// writes. The lock is held only for the key clones and `Arc` bumps.
     pub(crate) fn export_entries(&self) -> Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> {
         let mut entries: Vec<(CacheKey, Vec<usize>, Arc<MapReport>, u64)> = {
-            let inner = self.inner.lock().expect("no panics under the lock");
+            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner
                 .map
                 .iter()
@@ -707,7 +674,7 @@ impl SolveCache {
         } else {
             key
         };
-        let mut inner = self.inner.lock().expect("no panics under the lock");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.map.contains_key(&key) {
             return Ok(false);
         }
@@ -744,7 +711,7 @@ impl SolveCache {
 
     /// Drops every entry (counters are kept; they are cumulative).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("no panics under the lock");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.map.clear();
         self.counters.entries.store(0, Ordering::Relaxed);
         self.counters.approx_bytes.store(0, Ordering::Relaxed);
@@ -801,7 +768,7 @@ fn correspondence_defect(key: &CacheKey, canon_to_original: &[usize]) -> Option<
 /// Translates a solved `report` into a request's register naming, where
 /// request qubit `q` plays the solved circuit's qubit `sigma[q]`: both
 /// layouts and every window certificate's logical `qubits` move
-/// together. The one translation both cache-served paths share.
+/// together.
 fn relabel(report: &mut MapReport, sigma: &[usize]) {
     if sigma.iter().enumerate().all(|(q, &s)| q == s) {
         return;
@@ -1140,6 +1107,39 @@ mod tests {
         assert!(cache
             .probe("naive", &CacheProbe::new(skeleton, &devices::ibm_qx4()))
             .is_none());
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_cache_working() {
+        let cache = SolveCache::with_capacity(4);
+        let circuit = paper_example();
+        let cm = devices::ibm_qx4();
+        let request = MapRequest::new(circuit.clone(), cm.clone());
+        solve_and_insert(&cache, &request);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.inner.lock();
+                    panic!("injected panic while holding the entry lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+
+        assert!(cache.lookup("naive", &request).is_some());
+        let probe = CacheProbe::new(CircuitSkeleton::of(&circuit), &cm);
+        assert!(cache.probe("naive", &probe).is_some());
+        let mut chain = Circuit::new(3);
+        chain.cx(0, 1).cx(1, 2);
+        let other = MapRequest::new(chain, cm);
+        solve_and_insert(&cache, &other);
+        assert!(cache.lookup("naive", &other).is_some());
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.export_entries().len(), 2);
+        cache.clear();
+        assert!(cache.lookup("naive", &request).is_none());
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

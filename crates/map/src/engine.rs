@@ -1,7 +1,7 @@
 //! The [`Engine`] abstraction and the adapters over the legacy mappers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use qxmap_core::{EncodingStats, ExactMapper, MapperConfig, SolveControl, MAX_EXACT_QUBITS};
@@ -18,8 +18,8 @@ use crate::request::{Guarantee, MapRequest};
 /// Anything that can answer a [`MapRequest`] with a [`MapReport`].
 ///
 /// Engines are stateless with respect to requests and shareable across
-/// threads, which is what lets [`crate::map_many`] race one engine over a
-/// whole batch.
+/// threads, which is what lets the [`crate::Portfolio`] race engines on
+/// threads.
 pub trait Engine: Send + Sync {
     /// Short engine name, echoed in [`MapReport::engine`].
     fn name(&self) -> &str;
@@ -118,9 +118,6 @@ impl ExactEngine {
     fn config_for(&self, request: &MapRequest) -> MapperConfig {
         let n = request.circuit().num_qubits();
         let m = request.device().num_qubits();
-        // No `.with_cost_model(...)`: the mapper is built via
-        // `ExactMapper::for_model`, where the request's device model is
-        // the cost authority and the config's cost model is ignored.
         MapperConfig::minimal()
             .with_strategy(request.strategy().clone())
             .with_subsets(request.use_subsets() && n < m)
@@ -399,7 +396,7 @@ fn run_stochastic_pool(
                 let result = mapper.map_model(circuit, model);
                 completed
                     .lock()
-                    .expect("no panics under the lock")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .push((t, result));
             });
         }

@@ -34,14 +34,14 @@
 //! conflict budget and a wall-clock [`MapRequest::with_deadline`]; when a
 //! budget fires, the race answers with the best verified result in hand
 //! and [`MapReport::winner`] names the engine that produced it.
-//! [`map_many`] batches requests across std threads, deduplicating
-//! identical subcircuits against the process-wide [`SolveCache`] — a
-//! bounded LRU of verified reports keyed by the circuit's canonical
-//! (qubit-relabel-invariant) skeleton, the device's coupling graph, the
-//! request options and the budget class. Repeated requests, including
+//! Every caller maps one request per call: [`map_one`] (or
+//! [`Engine::run_cached`] for an explicit engine) answers through the
+//! process-wide [`SolveCache`] — a bounded LRU of verified reports keyed
+//! by the circuit's canonical (qubit-relabel-invariant) skeleton, the
+//! device's coupling graph, the request options and the budget class.
+//! The cache is the one deduplication: repeated requests, including
 //! relabeled-register equivalents, are answered in microseconds with
-//! [`MapReport::served_from_cache`] set ([`Engine::run_cached`] is the
-//! single-request entry). Below it, exact solves read their
+//! [`MapReport::served_from_cache`] set. Below it, exact solves read their
 //! cost-weighted `swaps(π)` tables from the process-wide LRU behind
 //! [`qxmap_arch::DeviceModel::costed_table`], keyed by the weighted local
 //! topology.
@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod cache;
 mod codec;
 mod engine;
@@ -74,7 +73,6 @@ mod portfolio;
 mod report;
 mod request;
 
-pub use batch::{map_many, map_many_with};
 pub use cache::{CacheProbe, SolveCache, SolveCacheStats, DEFAULT_SOLVE_CACHE_CAPACITY};
 pub use codec::JournalError;
 pub use engine::{Baseline, Engine, ExactEngine, HeuristicEngine};

@@ -19,7 +19,7 @@
 //! | [`core`] | `qxmap-core` | the exact mapper (the paper's contribution) |
 //! | [`qasm`] | `qxmap-qasm` | OpenQASM 2.0 parser/writer |
 //! | [`heuristic`] | `qxmap-heuristic` | stochastic-swap / A* / SABRE / naive baselines |
-//! | [`map`] | `qxmap-map` | **the unified mapping surface**: `MapRequest` → `MapReport` over every engine, portfolio runner, batch entry point |
+//! | [`map`] | `qxmap-map` | **the unified mapping surface**: `MapRequest` → `MapReport` over every engine, portfolio runner, cached `map_one` entry point |
 //! | [`window`] | `qxmap-window` | window-decomposed mapping past the 8-qubit wall: slice → exact-solve → stitch, with per-window certificates |
 //! | [`serve`] | `qxmap-serve` | **the serving tier**: mapping daemon, JSON wire protocol, solve-cache journal |
 //! | [`sim`] | `qxmap-sim` | statevector simulation & equivalence checking |
@@ -45,11 +45,10 @@
 //! # Ok::<(), qxmap::map::MapperError>(())
 //! ```
 //!
-//! Batches go through [`map::map_many`], which deduplicates identical
-//! subcircuits against the process-wide solve cache and fans the rest
-//! out across std threads, returning one report per request, in order.
+//! Each call maps one request; [`map::map_one`] answers repeats, and
+//! relabeled-register equivalents, from the process-wide solve cache.
 //! The repository-level `GUIDE.md` walks the whole surface — quickstart,
-//! guarantees, deadlines, batching, caching — and its snippets compile
+//! guarantees, deadlines, many requests, caching — and its snippets compile
 //! as this crate's doctests (see the hidden `guide` module), so the
 //! guide cannot drift from the API.
 

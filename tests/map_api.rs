@@ -1,11 +1,11 @@
 //! Contract tests for the unified `qxmap-map` surface: the portfolio's
 //! floor guarantee and equivalence, the acceptance behaviors on small and
-//! large devices, and batch ordering.
+//! large devices, and one answer per request through the cached entries.
 
 use proptest::prelude::*;
 use qxmap::arch::devices;
 use qxmap::circuit::Circuit;
-use qxmap::map::{map_many, map_many_with, Engine, HeuristicEngine, MapRequest, Portfolio};
+use qxmap::map::{map_one, Engine, HeuristicEngine, MapRequest, Portfolio};
 use qxmap::sim::mapped_equivalent;
 
 /// Random circuits with 2–4 qubits and up to 8 gates (CNOTs built
@@ -101,9 +101,10 @@ fn portfolio_falls_back_on_large_devices() {
 }
 
 #[test]
-fn map_many_preserves_input_order() {
+fn cached_entries_answer_each_request_for_itself() {
     // Distinguishable circuits: request i uses i+2 qubits on a device
-    // sized to match, so report i is only valid in slot i.
+    // sized to match, so a report served for the wrong request (say, a
+    // cache entry keyed too loosely) would show in its width.
     let requests: Vec<MapRequest> = (0..8)
         .map(|i| {
             let n = 2 + i;
@@ -114,22 +115,21 @@ fn map_many_preserves_input_order() {
             MapRequest::new(c, devices::linear(n))
         })
         .collect();
-    let reports = map_many(&requests);
-    assert_eq!(reports.len(), requests.len());
-    for (i, (request, report)) in requests.iter().zip(&reports).enumerate() {
-        let report = report.as_ref().expect("linear devices route chains");
+    for (i, request) in requests.iter().enumerate() {
+        let report = map_one(request).expect("linear devices route chains");
         assert_eq!(
             report.mapped.num_qubits(),
             request.device().num_qubits(),
-            "slot {i} answered by the wrong request"
+            "request {i} answered for another request"
         );
         report.verify(request.circuit(), request.device()).unwrap();
     }
-    // Same batch through an explicit engine keeps the order too.
-    let reports = map_many_with(&HeuristicEngine::sabre(), &requests);
-    for (i, (request, report)) in requests.iter().zip(&reports).enumerate() {
-        let report = report.as_ref().expect("mappable");
-        assert_eq!(report.engine, "sabre", "slot {i}");
+    // Through an explicit engine's cached entry, each report names it.
+    let sabre = HeuristicEngine::sabre();
+    for (i, request) in requests.iter().enumerate() {
+        let report = sabre.run_cached(request).expect("mappable");
+        assert_eq!(report.engine, "sabre", "request {i}");
         assert_eq!(report.mapped.num_qubits(), request.device().num_qubits());
+        report.verify(request.circuit(), request.device()).unwrap();
     }
 }

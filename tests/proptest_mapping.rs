@@ -89,3 +89,42 @@ proptest! {
         }
     }
 }
+
+/// A permutation of `0..n` by Fisher–Yates, each swap index drawn as the
+/// next mixed-radix digit of `seed`.
+fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
+    let mut sigma: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        let radix = i as u64 + 1;
+        sigma.swap(i, (seed % radix) as usize);
+        seed /= radix;
+    }
+    sigma
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The solve cache serves a relabeled twin from one solve, which is
+    /// sound only if the proved optimum does not depend on qubit names.
+    #[test]
+    fn exact_optimum_is_invariant_under_qubit_relabeling(
+        circuit in circuit_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let cm = devices::ibm_qx4();
+        let n = circuit.num_qubits();
+        let sigma = permutation(n, seed);
+        let relabeled = circuit.map_qubits(n, |q| sigma[q]);
+        let mut optima = Vec::new();
+        for c in [&circuit, &relabeled] {
+            let report = ExactEngine::new()
+                .run(&MapRequest::new(c.clone(), cm.clone()))
+                .expect("QX4 maps every small circuit");
+            prop_assert!(report.proved_optimal);
+            report.verify(c, &cm).expect("sound");
+            optima.push(report.cost.objective);
+        }
+        prop_assert_eq!(optima[0], optima[1], "sigma = {:?}", sigma);
+    }
+}

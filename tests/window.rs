@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use qxmap::arch::{devices, CouplingMap};
 use qxmap::benchmarks::famous;
 use qxmap::circuit::Circuit;
-use qxmap::map::{map_many_with, Engine, HeuristicEngine, MapReport, MapRequest};
+use qxmap::map::{Engine, HeuristicEngine, MapReport, MapRequest};
 use qxmap::sim::mapped_equivalent;
 use qxmap::window::{will_window, WindowedEngine};
 
@@ -69,8 +69,7 @@ fn certified_qubits(report: &MapReport) -> Vec<Vec<usize>> {
 }
 
 /// A relabeled repeat of a stitched answer is served whole from the
-/// cache — through a later lookup, and through a batch's duplicate slot
-/// — with its certificates naming the repeat's own qubits.
+/// cache, with its certificates naming the repeat's own qubits.
 #[test]
 fn relabeled_windowed_hits_translate_their_certificates() {
     let (circuit, device) = stitch_winning_input();
@@ -95,26 +94,6 @@ fn relabeled_windowed_hits_translate_their_certificates() {
     assert!(hit.served_from_cache);
     hit.verify(&renamed, &device).expect("translated layouts");
     assert_eq!(certified_qubits(&hit), translated);
-
-    let batch = map_many_with(
-        &engine,
-        &[
-            MapRequest::new(circuit.clone(), device.clone()).with_seed(7),
-            MapRequest::new(renamed.clone(), device.clone()).with_seed(7),
-        ],
-    );
-    let duplicate = batch[1].as_ref().expect("mappable");
-    assert!(duplicate.served_from_cache);
-    duplicate
-        .verify(&renamed, &device)
-        .expect("translated layouts");
-    assert_eq!(
-        certified_qubits(duplicate),
-        certified_qubits(batch[0].as_ref().expect("mappable"))
-            .into_iter()
-            .map(|qubits| qubits.into_iter().map(relabel).collect::<Vec<_>>())
-            .collect::<Vec<_>>()
-    );
 }
 
 /// Random connected devices past the exact regime: a random spanning
