@@ -24,7 +24,9 @@
 //!   with it, served by [`DeviceModel::costed_table`] from one
 //!   process-wide LRU of 64 entries keyed by the weighted local topology.
 //! * [`connected_subsets`] — the Section 4.1 physical-qubit subset
-//!   enumeration with the isolation filter.
+//!   enumeration with the isolation filter, and
+//!   [`subset_representatives`], which keeps one subset per class of
+//!   equally priced isomorphic subsets.
 //! * [`Layout`] — a (partial) assignment of logical to physical qubits.
 //! * [`route`] — emitting hardware-legal SWAP decompositions and
 //!   direction-reversed CNOTs (Fig. 3), with the paper's 7/4 cost model.
@@ -60,5 +62,5 @@ pub use layout::{Layout, LayoutError};
 pub use model::{DeviceModel, DeviceStats};
 pub use perm::Permutation;
 pub use route::CostModel;
-pub use subsets::connected_subsets;
+pub use subsets::{connected_subsets, subset_representatives};
 pub use swaps::CostedSwapTable;

@@ -158,41 +158,6 @@ impl CircuitSkeleton {
         }
         h.finish()
     }
-
-    /// The qubit correspondence between this skeleton's circuit and
-    /// `solved`'s circuit: `result[q]` is the qubit of `solved`'s circuit
-    /// playing the role of this circuit's qubit `q`. Returns `None` when
-    /// the canonical forms differ (the circuits are not relabelings of
-    /// each other).
-    ///
-    /// This is what lets a cached mapping result answer a renamed-register
-    /// request: the solved physical circuit is reused as-is and its
-    /// logical→physical layouts are read through the correspondence.
-    ///
-    /// ```
-    /// use qxmap_circuit::{Circuit, CircuitSkeleton};
-    ///
-    /// let mut solved = Circuit::new(2);
-    /// solved.cx(0, 1);
-    /// let mut renamed = Circuit::new(2);
-    /// renamed.cx(1, 0);
-    /// let sigma = CircuitSkeleton::of(&renamed)
-    ///     .correspondence_to(&CircuitSkeleton::of(&solved))
-    ///     .expect("same structure");
-    /// // `renamed`'s q1 (the control) plays `solved`'s q0's role.
-    /// assert_eq!(sigma, vec![1, 0]);
-    /// ```
-    pub fn correspondence_to(&self, solved: &CircuitSkeleton) -> Option<Vec<usize>> {
-        if self != solved {
-            return None;
-        }
-        // canonical label -> solved original qubit.
-        let mut from_label = vec![0usize; solved.num_qubits];
-        for (q, &l) in solved.canon.iter().enumerate() {
-            from_label[l] = q;
-        }
-        Some(self.canon.iter().map(|&l| from_label[l]).collect())
-    }
 }
 
 /// Streaming construction of a [`CircuitSkeleton`], one gate at a time.
@@ -422,27 +387,6 @@ mod tests {
         b.cx(0, 1);
         b.measure(0, 1);
         assert_ne!(CircuitSkeleton::of(&a), CircuitSkeleton::of(&b));
-    }
-
-    #[test]
-    fn correspondence_recovers_the_relabeling() {
-        let c = paper_example();
-        let solved = CircuitSkeleton::of(&c);
-        let sigma = [2usize, 0, 3, 1];
-        let r = relabeled(&c, &sigma);
-        let corr = CircuitSkeleton::of(&r)
-            .correspondence_to(&solved)
-            .expect("relabelings correspond");
-        // r's qubit sigma[q] plays c's qubit q's role: corr[sigma[q]] == q.
-        for (q, &s) in sigma.iter().enumerate() {
-            assert_eq!(corr[s], q);
-        }
-        // Non-matching structures have no correspondence.
-        let mut other = Circuit::new(4);
-        other.cx(0, 1);
-        assert!(CircuitSkeleton::of(&other)
-            .correspondence_to(&solved)
-            .is_none());
     }
 
     #[test]

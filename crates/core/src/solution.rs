@@ -54,6 +54,12 @@ pub struct MappingResult {
     pub subset: Vec<usize>,
     /// Number of allowed permutation points `|G'|`.
     pub num_change_points: usize,
+    /// Subinstances of the Section 4.1 split: the connected subsets, or
+    /// 1 for the whole device (0 when no solve was needed).
+    pub num_subsets: usize,
+    /// Subinstances actually solved: one per class of subsets whose
+    /// induced cost models are equal up to relabeling.
+    pub num_classes: usize,
     /// Per-skeleton-gate placements.
     pub placements: Vec<GatePlacement>,
     /// Whether the engine proved this cost minimal for the configured

@@ -1,8 +1,11 @@
 //! The end-to-end exact mapper.
 //!
 //! The per-subset subinstances of Section 4.1 are independent
-//! optimization problems, so [`ExactMapper::map`] distributes them over a
-//! scoped worker pool. The workers cooperate through shared atomics:
+//! optimization problems. Subsets whose induced cost models are equal up
+//! to a relabeling have equal optima, so [`ExactMapper::map`] solves one
+//! representative per such class ([`subset_representatives`]) and
+//! distributes the representatives over a scoped worker pool. The workers
+//! cooperate through shared atomics:
 //!
 //! * the best achievable cost so far — the tighter of a call-local
 //!   [`crate::SharedBound`] (this run's own candidates) and the bound of
@@ -22,7 +25,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use qxmap_arch::{connected_subsets, CostModel, CostedSwapTable, CouplingMap, DeviceModel, Layout};
+use qxmap_arch::{
+    connected_subsets, subset_representatives, CostModel, CostedSwapTable, CouplingMap,
+    DeviceModel, Layout,
+};
 use qxmap_circuit::Circuit;
 use qxmap_sat::{minimize, MinimizeError, MinimizeOptions};
 
@@ -213,10 +219,20 @@ impl ExactMapper {
             });
         }
 
+        // Subsets of one class share their optimum, and the lowest index
+        // of the cheapest subsets always represents its class: solving
+        // the representatives keeps the answer and its tie-break.
+        let queue: Vec<usize> = if subsets.len() > 1 {
+            subset_representatives(&self.model, &subsets)
+        } else {
+            vec![0]
+        };
+
         let change_points = self.config.strategy.change_points(&skeleton);
 
         let shared = SharedSolveState {
             subsets: &subsets,
+            queue: &queue,
             next: AtomicUsize::new(0),
             undecided: AtomicBool::new(false),
             candidates: subsets.iter().map(|_| Mutex::new(None)).collect(),
@@ -242,7 +258,7 @@ impl ExactMapper {
                     .map(|p| p.get())
                     .unwrap_or(1)
             })
-            .clamp(1, subsets.len());
+            .clamp(1, queue.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| self.solve_subsets(&circuit, &skeleton, &change_points, &shared));
@@ -273,6 +289,8 @@ impl ExactMapper {
                 // about the gap in between.
                 result.proved_optimal &= !undecided || result.cost == 0;
                 result.proved_optimal &= result.cost <= refutation_floor;
+                result.num_subsets = subsets.len();
+                result.num_classes = queue.len();
                 result.runtime = start.elapsed();
                 Ok(result)
             }
@@ -281,7 +299,7 @@ impl ExactMapper {
         }
     }
 
-    /// One worker of the per-subset pool: claims subset indices from the
+    /// One worker of the per-subset pool: claims representatives from the
     /// shared queue and solves each subinstance strictly below the
     /// effective (local ∧ external) bound, until the queue drains, the
     /// run cannot improve (bound 0), or a budget/deadline/cancellation
@@ -295,10 +313,11 @@ impl ExactMapper {
     ) {
         let n = circuit.num_qubits();
         loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            let Some(subset) = shared.subsets.get(i) else {
+            let slot = shared.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = shared.queue.get(slot) else {
                 return; // queue drained
             };
+            let subset = &shared.subsets[i];
             if shared.stopped() {
                 // This claimed subset (and whatever the other workers are
                 // about to claim) stays unprocessed: the run is undecided.
@@ -469,6 +488,8 @@ impl ExactMapper {
             final_layout,
             subset: subset.to_vec(),
             num_change_points,
+            num_subsets: 0,
+            num_classes: 0,
             placements,
             proved_optimal: minimum.proved_optimal,
             iterations: minimum.iterations,
@@ -492,6 +513,8 @@ impl ExactMapper {
             final_layout: layout,
             subset: (0..m).collect(),
             num_change_points: 0,
+            num_subsets: 0,
+            num_classes: 0,
             placements: Vec::new(),
             proved_optimal: true,
             iterations: 0,
@@ -505,7 +528,9 @@ impl ExactMapper {
 struct SharedSolveState<'a> {
     /// The Section 4.1 subinstances, in lexicographic order.
     subsets: &'a [Vec<usize>],
-    /// Work queue: the next unclaimed subset index.
+    /// Indices of the subsets to solve, ascending: one per class.
+    queue: &'a [usize],
+    /// The next unclaimed position in `queue`.
     next: AtomicUsize,
     /// Whether any subinstance went unprocessed or unproved — if so, the
     /// final result cannot claim optimality and an empty result set means
@@ -767,6 +792,38 @@ mod tests {
     }
 
     #[test]
+    fn one_subinstance_is_solved_per_class_of_subsets() {
+        // QX4's six connected 3-subsets form two classes (directed
+        // triangles and paths through the hub): subsets 0 and 1 stand
+        // for them.
+        let mut c = Circuit::new(3);
+        c.cx(0, 1).cx(1, 2).cx(2, 0).cx(0, 1);
+        let trace = crate::trace::SpanRecorder::new();
+        let mapper = ExactMapper::with_config(
+            devices::ibm_qx4(),
+            MapperConfig::minimal()
+                .with_subsets(true)
+                .with_trace(trace.clone()),
+        );
+        let r = mapper.map(&c).unwrap();
+        assert_eq!((r.num_subsets, r.num_classes), (6, 2));
+        let spans = trace.finish().expect("enabled").spans;
+        let mut encoded: Vec<&str> = spans
+            .iter()
+            .filter_map(|s| s.path.strip_suffix("/encode"))
+            .collect();
+        encoded.sort_unstable();
+        assert_eq!(encoded, ["subset0", "subset1"]);
+        // The answer is the whole split's optimum, proved.
+        let full = ExactMapper::new(devices::ibm_qx4()).map(&c).unwrap();
+        assert!(r.proved_optimal && full.proved_optimal);
+        assert!(r.cost >= full.cost);
+        verify::check_coupling(&r.mapped, &devices::ibm_qx4()).unwrap();
+        // One subset (n = m, or subsets off) has nothing to quotient.
+        assert_eq!((full.num_subsets, full.num_classes), (1, 1));
+    }
+
+    #[test]
     fn mapper_is_reusable_across_calls() {
         // Candidate bounds are call-local: a second map() on the same
         // mapper must not be pruned by the first call's result.
@@ -908,6 +965,7 @@ mod tests {
         let subsets = vec![(0..5).collect::<Vec<usize>>()];
         let shared = SharedSolveState {
             subsets: &subsets,
+            queue: &[0],
             next: AtomicUsize::new(1),
             undecided: AtomicBool::new(false),
             candidates: vec![Mutex::new(None)],

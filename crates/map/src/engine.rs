@@ -176,6 +176,10 @@ impl Engine for ExactEngine {
         }
         span.counter("iterations", u64::from(result.iterations));
         span.counter("change_points", result.num_change_points as u64);
+        // What the Section 4.1 quotient skipped: `subsets - classes`
+        // subinstances shared a solved representative's optimum.
+        span.counter("subsets", result.num_subsets as u64);
+        span.counter("classes", result.num_classes as u64);
         span.end();
         let mut report = MapReport::from_exact(result, self.name());
         report.trace = trace.finish();

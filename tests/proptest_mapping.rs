@@ -3,7 +3,7 @@
 //! functionally equivalent.
 
 use proptest::prelude::*;
-use qxmap::arch::devices;
+use qxmap::arch::{devices, CouplingMap};
 use qxmap::circuit::Circuit;
 use qxmap::core::Strategy as MapStrategy;
 use qxmap::map::{Engine, ExactEngine, MapRequest};
@@ -126,5 +126,32 @@ proptest! {
             optima.push(report.cost.objective);
         }
         prop_assert_eq!(optima[0], optima[1], "sigma = {:?}", sigma);
+    }
+
+    /// Renaming the device's physical qubits changes which subset of each
+    /// Section 4.1 class comes first, and so which one is solved; the
+    /// proved optimum must not move.
+    #[test]
+    fn exact_optimum_is_invariant_under_device_relabeling(
+        circuit in circuit_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let cm = devices::ibm_qx4();
+        let pi = permutation(cm.num_qubits(), seed);
+        let relabeled = CouplingMap::from_edges(
+            cm.num_qubits(),
+            cm.edges().map(|(c, t)| (pi[c], pi[t])),
+        )
+        .expect("a relabeling keeps every edge valid");
+        let mut optima = Vec::new();
+        for device in [&cm, &relabeled] {
+            let report = ExactEngine::new()
+                .run(&MapRequest::new(circuit.clone(), device.clone()))
+                .expect("QX4 maps every small circuit, however it is labeled");
+            prop_assert!(report.proved_optimal);
+            report.verify(&circuit, device).expect("sound");
+            optima.push(report.cost.objective);
+        }
+        prop_assert_eq!(optima[0], optima[1], "pi = {:?}", pi);
     }
 }
